@@ -22,7 +22,6 @@ from .generators import (
     gen_extremal_cubic,
     gen_k33plus,
     gen_odd_regular_extremal,
-    gen_random_bounded_degree,
     gen_random_cubic,
     gen_random_forest,
     gen_random_girth6,

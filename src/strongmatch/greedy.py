@@ -32,6 +32,13 @@ def greedy_induced_matching(g: Graph) -> list[Edge]:
     selection has size at least ceil(m / (2D(D-1) + 1)); preferring the
     edge with the fewest live conflicts (ties to the smaller edge id) just
     tends to do better than that floor.
+
+    Live-conflict counts only ever decrease, so the edges wait in a bucket
+    queue: ``buckets[d]`` is a heap of the ids filed when their count was d,
+    and a pointer moves up past empty buckets and down to any count that
+    drops below it.  Entries whose edge died or whose count moved on are
+    skipped when popped.  Time and memory are O(m + sum |conf|) = O(mD^2),
+    with a log m factor on each filing for the per-bucket id order.
     """
     edges = g.edges
     m = len(edges)
@@ -39,32 +46,44 @@ def greedy_induced_matching(g: Graph) -> list[Edge]:
         return []
     adj = g.adj
     incident = _incident_lists(g)
+    # conf[i]: edges touching N(u) | N(v), which is N[u] | N[v]; it holds i
     conf: list[list[int]] = []
-    for i, (u, v) in enumerate(edges):
+    for u, v in edges:
         span: set[int] = set()
-        for x in (u, v, *adj[u], *adj[v]):
+        for x in adj[u]:
             span.update(incident[x])
-        span.discard(i)
+        for x in adj[v]:
+            span.update(incident[x])
         conf.append(list(span))
-    cdeg = [len(c) for c in conf]
+    cdeg = [len(c) - 1 for c in conf]
     alive = bytearray(b"\x01" * m)
-    heap = [(cdeg[i], i) for i in range(m)]
-    heapify(heap)
+    buckets: list[list[int]] = [[] for _ in range(max(cdeg) + 1)]
+    for i, k in enumerate(cdeg):
+        buckets[k].append(i)  # ascending ids: already a heap
     chosen: list[Edge] = []
-    while heap:
-        d, i = heappop(heap)
-        if not alive[i] or d != cdeg[i]:
+    d = 0
+    top = len(buckets)
+    while d < top:
+        bucket = buckets[d]
+        while bucket:
+            i = heappop(bucket)
+            if alive[i] and cdeg[i] == d:
+                break
+        else:
+            d += 1
             continue
         chosen.append(edges[i])
         killed = [j for j in conf[i] if alive[j]]
-        killed.append(i)
         for j in killed:
             alive[j] = 0
-        for j in killed:
-            for t in conf[j]:
-                if alive[t]:
-                    cdeg[t] -= 1
-                    heappush(heap, (cdeg[t], t))
+        hits = [t for j in killed for t in conf[j] if alive[t]]
+        for t in hits:
+            cdeg[t] -= 1
+        for t in set(hits):
+            k = cdeg[t]
+            heappush(buckets[k], t)
+            if k < d:
+                d = k
     return sorted(chosen)
 
 

@@ -58,7 +58,6 @@ scheme above in near-linear total time.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import NamedTuple, Optional

@@ -37,6 +37,35 @@ def max_induced_matching_by_subsets(g: Graph) -> int:
     return 0
 
 
+def _edges_conflict(g: Graph, e, f) -> bool:
+    """Distinct edges e and f share an endpoint or are joined by an edge."""
+    return len({*e, *f}) < 4 or any(y in g.adj[x] for x in e for y in f)
+
+
+def least_conflict_greedy_by_rescan(g: Graph) -> list:
+    """The general greedy's choice rule, recounted from g.adj every round.
+
+    Each round takes the live edge with the fewest live conflicts, ties to
+    the smaller edge id, then drops it and everything it conflicts with.
+    O(m^2) conflict tests per round; keep graphs small.
+    """
+    live = list(range(g.m))
+    chosen = []
+    while live:
+        def key(i):
+            e = g.edges[i]
+            count = sum(
+                1 for j in live if j != i and _edges_conflict(g, e, g.edges[j])
+            )
+            return count, i
+
+        best = min(live, key=key)
+        e = g.edges[best]
+        chosen.append(e)
+        live = [j for j in live if j != best and not _edges_conflict(g, e, g.edges[j])]
+    return sorted(chosen)
+
+
 _K33PLUS_REF_EDGES = frozenset(
     [
         (0, 4), (0, 5), (1, 3), (1, 4), (1, 5),

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -5,7 +6,12 @@ import sys
 
 import pytest
 
-from strongmatch import gen_extremal_cubic, gen_k33plus, write_edge_list
+from strongmatch import (
+    gen_extremal_cubic,
+    gen_k33plus,
+    gen_random_subcubic,
+    write_edge_list,
+)
 from strongmatch.cli import main
 
 
@@ -126,6 +132,17 @@ class TestMatch:
         obj = json.loads(out)
         assert obj["verified"] is True
         assert obj["size"] >= obj["bound"] >= 1
+
+    def test_greedy_json_golden(self, run, tmp_path):
+        # pins the greedy's choices across revisions, not just between two runs
+        g = gen_random_subcubic(5000, 7500, 975_001)
+        p = write_graph(tmp_path, "golden.el", write_edge_list(g, []))
+        code, out, _ = run(["match", p, "--method", "greedy", "--json"])
+        assert code == 0
+        assert len(out) == 17537
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ee0bf292d984d95bebdac6e448fecac7e5706a989366209ec1512baac40092bf"
+        )
 
     def test_trace_flag_without_reduction_is_null(self, run, extremal_file):
         code, out, _ = run(

@@ -1,6 +1,8 @@
 from math import ceil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongmatch import (
     Graph,
@@ -16,6 +18,8 @@ from strongmatch import (
     verify_induced_matching,
 )
 
+from bruteforce import least_conflict_greedy_by_rescan
+from corpus import build_instance, determinism_corpus, small_corpus
 from util import make_cycle, make_path, make_petersen, make_spider, make_star
 
 K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -23,6 +27,20 @@ K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 def assert_valid(g, matching):
     assert verify_induced_matching(g, matching) is None
+
+
+@st.composite
+def graphs_with_isolated(draw, max_n=12):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not possible:
+        return Graph(n, [])
+    edges = draw(st.lists(st.sampled_from(possible), unique=True, max_size=30))
+    return Graph(n, edges)
+
+
+def make_complete(k):
+    return Graph(k, [(u, v) for u in range(k) for v in range(u + 1, k)])
 
 
 class TestGeneralGreedy:
@@ -74,6 +92,45 @@ class TestGeneralGreedy:
     def test_deterministic(self):
         g = gen_random_bounded_degree(40, 80, 5, 7)
         assert greedy_induced_matching(g) == greedy_induced_matching(g)
+
+
+class TestGeneralGreedyMatchesRescan:
+    """The queue picks what a full recount of live conflicts would pick."""
+
+    def test_corpora(self):
+        for family, params, seed in small_corpus() + determinism_corpus():
+            g = build_instance(family, params, seed)
+            assert greedy_induced_matching(g) == least_conflict_greedy_by_rescan(
+                g
+            ), (family, params, seed)
+
+    def test_bounded_degree(self):
+        for seed in range(120):
+            dmax = 1 + seed % 6
+            g = gen_random_bounded_degree(24, 10 + seed % 50, dmax, 1_200 + seed)
+            assert greedy_induced_matching(g) == least_conflict_greedy_by_rescan(g)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 12])
+    def test_stars_and_cliques(self, k):
+        for g in (make_star(k), make_complete(k), make_complete(k + 1)):
+            assert greedy_induced_matching(g) == least_conflict_greedy_by_rescan(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(0, []),
+            Graph(5, []),
+            Graph(6, [(1, 4)]),
+            Graph(9, [(0, 8), (2, 3), (3, 5), (6, 7)]),
+        ],
+    )
+    def test_edgeless_and_isolated(self, g):
+        assert greedy_induced_matching(g) == least_conflict_greedy_by_rescan(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_isolated())
+    def test_hypothesis(self, g):
+        assert greedy_induced_matching(g) == least_conflict_greedy_by_rescan(g)
 
 
 class TestForestGreedy:

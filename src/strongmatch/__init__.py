@@ -31,10 +31,7 @@ from .greedy import (
 from .oracle import (
     ORACLE_EDGE_CAP,
     BudgetExceededError,
-    ConflictGraph,
-    build_conflict_graph,
     exact_strong_matching_number,
-    exhaustive_strong_matching_number,
 )
 from .generators import (
     SplitMix64,
@@ -63,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "BudgetExceededError",
-    "ConflictGraph",
     "Edge",
     "Graph",
     "GraphError",
@@ -74,11 +70,9 @@ __all__ = [
     "ReductionStep",
     "ReductionTrace",
     "SplitMix64",
-    "build_conflict_graph",
     "connected_components",
     "count_invariants",
     "exact_strong_matching_number",
-    "exhaustive_strong_matching_number",
     "find_induced_matching_subcubic",
     "forest_greedy_induced_matching",
     "format_trace",

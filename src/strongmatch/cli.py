@@ -30,7 +30,6 @@ from .generators import (
 from .graph import (
     Graph,
     GraphError,
-    connected_components,
     count_invariants,
     parse_graph,
     verify_induced_matching,
@@ -105,7 +104,6 @@ def _emit(lines: list[str]) -> None:
 def cmd_stats(args) -> int:
     g = _load_graph(args.input, args.format)
     rep = count_invariants(g)
-    components = len(connected_components(g))
     if args.json:
         obj = {
             "n": rep.n,
@@ -115,7 +113,7 @@ def cmd_stats(args) -> int:
             "max_degree": rep.max_degree,
             "min_degree": g.min_degree(),
             "girth": _girth_repr(rep.girth),
-            "components": components,
+            "components": rep.components,
         }
         print(json.dumps(obj))
     else:
@@ -127,7 +125,7 @@ def cmd_stats(args) -> int:
             f"max_degree={rep.max_degree}",
             f"min_degree={g.min_degree()}",
             f"girth={_girth_repr(rep.girth)}",
-            f"components={components}",
+            f"components={rep.components}",
         ])
     return EXIT_OK
 

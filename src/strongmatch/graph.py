@@ -233,6 +233,7 @@ def _component_of(g: Graph, s: int) -> list[int]:
 class BoundReport:
     """Exact invariants of a graph plus every applicable size guarantee.
 
+    ``components`` counts connected components, isolated vertices included.
     ``girth`` is None for acyclic graphs.  A bound field is None when its
     hypothesis fails; ``reasons`` maps each absent field to a short
     explanation ("not cubic", "girth < 6", "not forest").  Rational fields
@@ -243,6 +244,7 @@ class BoundReport:
     m: int
     isolated: int
     n33plus: int
+    components: int
     max_degree: int
     girth: Optional[int]
     thm2_bound: int
@@ -257,6 +259,37 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _census(g: Graph) -> tuple[int, int, int]:
+    """Numbers of components, isolated vertices and K33+ components of g."""
+    comps = connected_components(g)
+    isolated = sum(1 for c in comps if len(c) == 1)
+    n33 = sum(1 for c in comps if len(c) == 7 and is_k33plus(g, c))
+    return len(comps), isolated, n33
+
+
+def _thm2_bound(n: int, isolated: int, n33plus: int) -> int:
+    """ceil((n - isolated - n33plus) / 6), the reduction engine's guarantee."""
+    return _ceil_div(n - isolated - n33plus, 6)
+
+
+def _isolated_after(
+    adj: Sequence[Sequence[int]], alive: bytearray, removal: set[int]
+) -> list[int]:
+    """Alive vertices outside ``removal`` whose alive neighbors all lie in it."""
+    iso = []
+    seen = set()
+    for r in removal:
+        for w in adj[r]:
+            if alive[w] and w not in removal and w not in seen:
+                seen.add(w)
+                for x in adj[w]:
+                    if alive[x] and x not in removal:
+                        break
+                else:
+                    iso.append(w)
+    return iso
+
+
 def count_invariants(g: Graph) -> BoundReport:
     """Compute the BoundReport for g.
 
@@ -269,14 +302,12 @@ def count_invariants(g: Graph) -> BoundReport:
     """
     n = g.n
     m = g.m
-    comps = connected_components(g)
-    isolated = sum(1 for c in comps if len(c) == 1)
-    n33 = sum(1 for c in comps if len(c) == 7 and is_k33plus(g, c))
+    components, isolated, n33 = _census(g)
     dmax = g.max_degree()
     gi = girth(g)
     reasons: dict[str, str] = {}
 
-    thm2 = _ceil_div(n - isolated - n33, 6) if n else 0
+    thm2 = _thm2_bound(n, isolated, n33)
 
     if g.is_cubic():
         thm1: Optional[int] = _ceil_div(m, 9)
@@ -306,6 +337,7 @@ def count_invariants(g: Graph) -> BoundReport:
         m=m,
         isolated=isolated,
         n33plus=n33,
+        components=components,
         max_degree=dmax,
         girth=gi,
         thm2_bound=thm2,

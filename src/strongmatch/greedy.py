@@ -13,7 +13,15 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .graph import Edge, Graph, GraphError, connected_components, girth, normalize_edge
+from .graph import (
+    Edge,
+    Graph,
+    GraphError,
+    _isolated_after,
+    connected_components,
+    girth,
+    normalize_edge,
+)
 
 
 def _incident_lists(g: Graph) -> list[list[int]]:
@@ -191,15 +199,7 @@ def girth6_induced_matching(g: Graph) -> list[Edge]:
             removal.update(w for w in adj[u] if alive[w])
             removal.update(w for w in adj[v] if alive[w])
         chosen.append(normalize_edge(u, v))
-        iso = []
-        for r in removal:
-            for w in adj[r]:
-                if alive[w] and w not in removal:
-                    for x in adj[w]:
-                        if alive[x] and x not in removal:
-                            break
-                    else:
-                        iso.append(w)
+        iso = _isolated_after(adj, alive, removal)
         for r in removal:
             alive[r] = 0
         ring1 = set()

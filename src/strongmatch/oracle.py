@@ -12,9 +12,7 @@ bitmask; larger inputs are rejected rather than silently attempted.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .graph import Edge, Graph, GraphError, connected_components
+from .graph import Edge, Graph, GraphError
 
 ORACLE_EDGE_CAP = 64
 DEFAULT_BUDGET = 10_000_000
@@ -28,26 +26,10 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"search budget exhausted after {nodes} nodes")
 
 
-class ConflictGraph:
-    """Conflict structure of the edges of a graph.
-
-    ``nodes[i]`` is the i-th edge of g in lexicographic order and
-    ``masks[i]`` is the bitmask of conflicting node indices (excluding i).
-    """
-
-    __slots__ = ("nodes", "masks")
-
-    def __init__(self, nodes: tuple[Edge, ...], masks: list[int]):
-        self.nodes = nodes
-        self.masks = masks
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
-
-def build_conflict_graph(g: Graph) -> ConflictGraph:
-    """Conflict graph of g's edges; symmetric, loop-free by construction."""
+def _conflict_masks(g: Graph) -> list[int]:
+    """Conflict graph of g's edges: ``masks[i]`` is the bitmask of the
+    indices into ``g.edges`` that conflict with edge i (i excluded).
+    Symmetric and loop-free by construction."""
     edges = g.edges
     incident: list[list[int]] = [[] for _ in range(g.n)]
     for i, (u, v) in enumerate(edges):
@@ -64,7 +46,7 @@ def build_conflict_graph(g: Graph) -> ConflictGraph:
                 for j in incident[w]:
                     mask |= 1 << j
         masks[i] = mask & ~(1 << i)
-    return ConflictGraph(edges, masks)
+    return masks
 
 
 def exact_strong_matching_number(
@@ -82,8 +64,7 @@ def exact_strong_matching_number(
         raise GraphError(f"oracle supports at most {ORACLE_EDGE_CAP} edges, got {m}")
     if m == 0:
         return 0, []
-    cg = build_conflict_graph(g)
-    masks = cg.masks
+    masks = _conflict_masks(g)
 
     # deterministic greedy start: take nodes in index order when compatible
     best_set = 0
@@ -119,7 +100,7 @@ def exact_strong_matching_number(
         stack.append((cand & ~bit, size, chosen))
         stack.append((cand & ~bit & ~masks[pick], size + 1, chosen | bit))
 
-    witness = [cg.nodes[i] for i in _bits(best_set)]
+    witness = [g.edges[i] for i in _bits(best_set)]
     return best, sorted(witness)
 
 
@@ -158,44 +139,3 @@ def _clique_cover_bound(cand: int, masks: list[int]) -> int:
             cliques_mask.append(bit)
             cliques_common.append(masks[i])
     return len(cliques_mask)
-
-
-def exhaustive_strong_matching_number(g: Graph) -> int:
-    """Strong matching number by unpruned include/exclude enumeration.
-
-    Independent slow route used to cross-check the branch-and-bound solver:
-    no bounding, no branching heuristics, just complete enumeration of edge
-    subsets that stay conflict-free, summed over connected components
-    (induced matchings of different components are independent).  Practical
-    for graphs whose components have few edges (the m <= 25 corpus).
-    """
-    total = 0
-    for comp in connected_components(g):
-        if len(comp) < 2:
-            continue
-        local = {v: i for i, v in enumerate(comp)}
-        sub = Graph(
-            len(comp),
-            [
-                (local[u], local[v])
-                for (u, v) in g.edges
-                if u in local and v in local
-            ],
-        )
-        if sub.m == 0:
-            continue
-        masks = build_conflict_graph(sub).masks
-        total += _enumerate_max(0, (1 << sub.m) - 1, masks)
-    return total
-
-
-def _enumerate_max(size: int, cand: int, masks: list[int]) -> int:
-    best = size
-    while cand:
-        low = cand & -cand
-        i = low.bit_length() - 1
-        cand &= ~low
-        with_i = _enumerate_max(size + 1, cand & ~masks[i], masks)
-        if with_i > best:
-            best = with_i
-    return best

@@ -54,6 +54,12 @@ deletion never creates a subgraph.  Before any rule fires, a capped BFS
 probes its component; components that have shrunk to order <= 12 are
 diverted to the oracle.  This realizes the per-component recursion of the
 scheme above in near-linear total time.
+
+There is no fallback path: a rule step that would consume more than 6
+vertices per matched edge, or an R9/R11 step that finds no admissible edge,
+raises LedgerViolationError.  Patching such a step over with a component
+solve would pass ledger_check, which exempts component steps from the
+per-step cap, and so hide a rule bug.
 """
 
 from __future__ import annotations
@@ -66,14 +72,15 @@ from .graph import (
     Edge,
     Graph,
     GraphError,
+    _census,
+    _isolated_after,
+    _thm2_bound,
     connected_components,
-    is_k33plus,
     normalize_edge,
 )
 from .oracle import DEFAULT_BUDGET, exact_strong_matching_number
 
 BRUTE_FORCE_THRESHOLD = 12
-FALLBACK_THRESHOLD = 30
 
 # rule priorities; FRAG is the internal id for leftover order-2 fragments,
 # which are consumed like any other small component
@@ -129,8 +136,8 @@ def find_induced_matching_subcubic(
     """Induced matching of size >= ceil((n - i - n33plus)/6), with trace.
 
     Deterministic for a fixed labeling.  Raises GraphError when g has a
-    vertex of degree > 3, LedgerViolationError if the internal accounting
-    ever fails (theoretically unreachable).
+    vertex of degree > 3, LedgerViolationError if a step ever breaks the
+    accounting (theoretically unreachable; a rule bug surfaces here).
     """
     if g.max_degree() > 3:
         raise GraphError(
@@ -154,31 +161,35 @@ def ledger_check(trace: ReductionTrace) -> LedgerResult:
     global check (a K33+ step consumes 7 vertices but also cancels one
     n33plus unit).
     """
+    return _audit(trace)[0]
+
+
+def _audit(trace: ReductionTrace) -> tuple[LedgerResult, int]:
+    """ledger_check's verdict plus the global bound, recomputed from the
+    original graph rather than taken from the engine."""
     g = trace.original
+    _, iso, n33 = _census(g)
+    need = _thm2_bound(g.n, iso, n33)
     removed_before: set[int] = set()
     for idx, step in enumerate(trace.steps):
         if len(step.added) < 1 or step.isolated_created < 0:
-            return LedgerResult(False, idx)
+            return LedgerResult(False, idx), need
         if step.rule.startswith("R"):
             if len(step.removed) + step.isolated_created > 6 * len(step.added):
-                return LedgerResult(False, idx)
+                return LedgerResult(False, idx), need
         for v in step.removed:
             if v in removed_before:
-                return LedgerResult(False, idx)
+                return LedgerResult(False, idx), need
         for u, v in step.added:
             if not g.has_edge(u, v):
-                return LedgerResult(False, idx)
+                return LedgerResult(False, idx), need
             if u in removed_before or v in removed_before:
-                return LedgerResult(False, idx)
+                return LedgerResult(False, idx), need
         removed_before.update(step.removed)
-    comps = connected_components(g)
-    iso = sum(1 for c in comps if len(c) == 1)
-    n33 = sum(1 for c in comps if len(c) == 7 and is_k33plus(g, c))
-    need = -(-(g.n - iso - n33) // 6)
     total = sum(len(step.added) for step in trace.steps)
     if total < need:
-        return LedgerResult(False, None)
-    return LedgerResult(True, None)
+        return LedgerResult(False, None), need
+    return LedgerResult(True, None), need
 
 
 def format_trace(trace: ReductionTrace) -> str:
@@ -195,15 +206,16 @@ def format_trace(trace: ReductionTrace) -> str:
             f"rule={step.rule} removed={removed} added={added} "
             f"isolated={step.isolated_created}"
         )
-    g = trace.original
-    comps = connected_components(g)
-    iso = sum(1 for c in comps if len(c) == 1)
-    n33 = sum(1 for c in comps if len(c) == 7 and is_k33plus(g, c))
-    need = -(-(g.n - iso - n33) // 6)
-    ok = ledger_check(trace).ok
+    result, need = _audit(trace)
     size = sum(len(step.added) for step in trace.steps)
-    lines.append(f"matching={size} bound={need} ok={str(ok).lower()}")
+    lines.append(f"matching={size} bound={need} ok={str(result.ok).lower()}")
     return "\n".join(lines) + "\n"
+
+
+def _k33plus_edge(side_a: list[int], side_b: list[int]) -> Edge:
+    """The edge a K33+ step matches: the smallest between the two side pairs
+    (the branch vertices not adjacent to the subdivision vertex)."""
+    return min(normalize_edge(a, b) for a in side_a for b in side_b)
 
 
 class _Engine:
@@ -234,38 +246,22 @@ class _Engine:
         while self._step_once():
             pass
         total = len(self.matching)
-        need = -(-(self.g.n - self.initial_isolated - self.initial_n33) // 6)
+        need = _thm2_bound(self.g.n, self.initial_isolated, self.initial_n33)
         if total < need:
             raise LedgerViolationError(
                 f"matching of size {total} falls short of guarantee {need}"
             )
 
     def _setup(self) -> None:
-        g = self.g
-        n = g.n
         adj = self.adj
         deg = self.deg
         alive = self.alive
-        seen = bytearray(n)
         active: list[int] = []
-        for s in range(n):
-            if seen[s]:
-                continue
-            seen[s] = 1
-            if deg[s] == 0:
+        for comp in connected_components(self.g):
+            if len(comp) == 1:
                 self.initial_isolated += 1
-                alive[s] = 0
+                alive[comp[0]] = 0
                 continue
-            comp = [s]
-            qi = 0
-            while qi < len(comp):
-                v = comp[qi]
-                qi += 1
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = 1
-                        comp.append(w)
-            comp.sort()
             if len(comp) <= BRUTE_FORCE_THRESHOLD:
                 rule = self._consume_component(comp)
                 if rule == "COMPONENT-K33PLUS":
@@ -451,8 +447,9 @@ class _Engine:
 
     # -- probes and small components --------------------------------------
 
-    def _probe(self, s: int, cap: int) -> Optional[list[int]]:
-        """Alive component of s when its order is <= cap, else None."""
+    def _probe(self, s: int) -> Optional[list[int]]:
+        """Alive component of s when its order is at most
+        BRUTE_FORCE_THRESHOLD, else None."""
         adj = self.adj
         alive = self.alive
         mark = self.mark
@@ -468,7 +465,7 @@ class _Engine:
                 if alive[w] and mark[w] != gen:
                     mark[w] = gen
                     comp.append(w)
-                    if len(comp) > cap:
+                    if len(comp) > BRUTE_FORCE_THRESHOLD:
                         return None
         return comp
 
@@ -481,34 +478,30 @@ class _Engine:
         """
         adj = self.adj
         alive = self.alive
-        local = {v: i for i, v in enumerate(comp)}
-        sub_edges = []
-        for v in comp:
-            lv = local[v]
-            for w in adj[v]:
-                if w > v and alive[w]:
-                    sub_edges.append((lv, local[w]))
-        sub = Graph(len(comp), sub_edges)
-        rule = "COMPONENT-BRUTE"
-        if sub.n == 7 and is_k33plus(sub, range(7)):
+        deg = self.deg
+        pat = None
+        if len(comp) == 7:
+            # a K33+ subgraph on 7 alive vertices of a subcubic graph is the
+            # whole component, so testing at its degree-2 vertex is exact
+            pat = self._detect_k33(min(comp, key=deg.__getitem__))
+        if pat is not None:
             rule = "COMPONENT-K33PLUS"
-            u = next(v for v in range(7) if sub.degree(v) == 2)
-            a1, b1 = sub.adj[u]
-            side_b = [w for w in sub.adj[a1] if w != u]
-            side_a = [w for w in sub.adj[b1] if w != u]
-            added = [
-                min(
-                    normalize_edge(comp[a], comp[b])
-                    for a in side_a
-                    for b in side_b
-                )
-            ]
+            _, _, side_a, side_b = pat
+            added = [_k33plus_edge(side_a, side_b)]
         else:
+            rule = "COMPONENT-BRUTE"
+            local = {v: i for i, v in enumerate(comp)}
+            sub_edges = []
+            for v in comp:
+                lv = local[v]
+                for w in adj[v]:
+                    if w > v and alive[w]:
+                        sub_edges.append((lv, local[w]))
+            sub = Graph(len(comp), sub_edges)
             _, witness = exact_strong_matching_number(sub, self.oracle_budget)
             added = sorted(
                 normalize_edge(comp[u], comp[v]) for u, v in witness
             )
-        deg = self.deg
         for v in comp:
             if deg[v] == 1:
                 self.n_deg1 -= 1
@@ -653,61 +646,29 @@ class _Engine:
         return out
 
     def _small_diverted(self, anchor: int) -> bool:
-        comp = self._probe(anchor, BRUTE_FORCE_THRESHOLD)
+        comp = self._probe(anchor)
         if comp is None:
             return False
         self._consume_component(sorted(comp))
         return True
 
-    def _isolated_after(self, removal: set[int]) -> list[int]:
-        """Alive vertices outside ``removal`` whose neighbors all lie in it."""
-        adj = self.adj
-        alive = self.alive
-        iso = []
-        seen = set()
-        for r in removal:
-            for w in adj[r]:
-                if alive[w] and w not in removal and w not in seen:
-                    seen.add(w)
-                    for x in adj[w]:
-                        if alive[x] and x not in removal:
-                            break
-                    else:
-                        iso.append(w)
-        return iso
-
     def _guarded_commit(
         self, rule: int, anchor: int, removal: set[int], added: list[Edge]
     ) -> None:
-        iso = self._isolated_after(removal)
+        iso = _isolated_after(self.adj, self.alive, removal)
         if len(removal) + len(iso) > 6 * len(added):
-            self._fallback(anchor, _RULE_NAMES[rule])
-            return
-        self._commit(_RULE_NAMES[rule], removal, added, iso)
-
-    def _fallback(self, anchor: int, rule_name: str) -> None:
-        # defensive path for accounting the rule system proves unreachable
-        comp = self._probe(anchor, FALLBACK_THRESHOLD)
-        if comp is None:
             raise LedgerViolationError(
-                f"rule {rule_name} at vertex {anchor} would break the "
-                f"6-per-edge ledger in a component of order > {FALLBACK_THRESHOLD}"
+                f"rule {_RULE_NAMES[rule]} at vertex {anchor} would break "
+                f"the 6-per-edge ledger"
             )
-        self._consume_component(sorted(comp))
+        self._commit(_RULE_NAMES[rule], removal, added, iso)
 
     def _fire_r1(self, u: int, pat) -> None:
         if self._small_diverted(u):
             return
         a1, b1, side_a, side_b = pat
         removal = {a1, b1, *side_a, *side_b}
-        added = [
-            min(
-                normalize_edge(a, b)
-                for a in side_a
-                for b in side_b
-            )
-        ]
-        self._guarded_commit(_R1, u, removal, added)
+        self._guarded_commit(_R1, u, removal, [_k33plus_edge(side_a, side_b)])
 
     def _fire_deg1(self, rule: int, u: int) -> None:
         if self._small_diverted(u):
@@ -762,16 +723,18 @@ class _Engine:
         # R9: pick the side whose deletion isolates at most one vertex
         base = set(self._alive_closed(u))
         side1 = base | set(self._alive_closed(v1))
-        iso1 = self._isolated_after(side1)
+        iso1 = _isolated_after(adj, alive, side1)
         if len(iso1) <= 1:
             self._commit("R9", side1, [normalize_edge(u, v1)], iso1)
             return
         side2 = base | set(self._alive_closed(v2))
-        iso2 = self._isolated_after(side2)
+        iso2 = _isolated_after(adj, alive, side2)
         if len(iso2) <= 1:
             self._commit("R9", side2, [normalize_edge(u, v2)], iso2)
             return
-        self._fallback(u, "R9")
+        raise LedgerViolationError(
+            f"rule R9 at vertex {u}: both sides isolate more than one vertex"
+        )
 
     def _fire_r10(self, a: int, b: int) -> None:
         if self._small_diverted(a):
@@ -786,11 +749,13 @@ class _Engine:
         v1, v2, v3, v4 = cyc
         for (p, q) in ((v1, v2), (v2, v3), (v3, v4), (v4, v1)):
             removal = set(self._alive_closed(p)) | set(self._alive_closed(q))
-            iso = self._isolated_after(removal)
+            iso = _isolated_after(self.adj, self.alive, removal)
             if not iso:
                 self._commit("R11", removal, [normalize_edge(p, q)], iso)
                 return
-        self._fallback(a, "R11")
+        raise LedgerViolationError(
+            f"rule R11 at vertex {a}: every cycle edge isolates a vertex"
+        )
 
     def _fire_r12(self, u: int) -> None:
         if self._small_diverted(u):

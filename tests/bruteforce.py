@@ -42,6 +42,52 @@ def _edges_conflict(g: Graph, e, f) -> bool:
     return len({*e, *f}) < 4 or any(y in g.adj[x] for x in e for y in f)
 
 
+def exhaustive_strong_matching_number(g: Graph) -> int:
+    """Strong matching number by unpruned include/exclude enumeration.
+
+    Independent slow route used to cross-check the branch-and-bound solver:
+    conflicts come from _edges_conflict, and there is no bounding and no
+    branching heuristic, just complete enumeration of the edge subsets that
+    stay conflict-free, summed over the blocks of the conflict graph (the
+    edge sets of the components of g, whose induced matchings are
+    independent).  Practical for graphs whose components have few edges
+    (the m <= 25 corpus).
+    """
+    m = g.m
+    masks = [0] * m
+    for i, j in combinations(range(m), 2):
+        if _edges_conflict(g, g.edges[i], g.edges[j]):
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    total = 0
+    left = (1 << m) - 1
+    while left:
+        block = left & -left
+        while True:
+            grown = block
+            for i in range(m):
+                if block >> i & 1:
+                    grown |= masks[i]
+            if grown == block:
+                break
+            block = grown
+        total += _enumerate_max(0, block, masks)
+        left &= ~block
+    return total
+
+
+def _enumerate_max(size: int, cand: int, masks: list) -> int:
+    best = size
+    while cand:
+        low = cand & -cand
+        i = low.bit_length() - 1
+        cand &= ~low
+        with_i = _enumerate_max(size + 1, cand & ~masks[i], masks)
+        if with_i > best:
+            best = with_i
+    return best
+
+
 def least_conflict_greedy_by_rescan(g: Graph) -> list:
     """The general greedy's choice rule, recounted from g.adj every round.
 

@@ -19,7 +19,6 @@ from strongmatch import (
     connected_components,
     count_invariants,
     exact_strong_matching_number,
-    exhaustive_strong_matching_number,
     find_induced_matching_subcubic,
     forest_greedy_induced_matching,
     gen_c5_blowup,
@@ -33,26 +32,20 @@ from strongmatch import (
     gen_random_subcubic,
     girth6_induced_matching,
     greedy_induced_matching,
-    is_k33plus,
     ledger_check,
     verify_induced_matching,
     write_edge_list,
 )
 from strongmatch.cli import main as cli_main
 
+from bruteforce import exhaustive_strong_matching_number
 from corpus import build_instance, determinism_corpus, small_corpus
+from util import thm2_of
 
 
 def report(capsys, line: str) -> None:
     with capsys.disabled():
         print(line, flush=True)
-
-
-def thm2_of(g) -> int:
-    comps = connected_components(g)
-    iso = sum(1 for c in comps if len(c) == 1)
-    n33 = sum(1 for c in comps if len(c) == 7 and is_k33plus(g, c))
-    return -(-(g.n - iso - n33) // 6)
 
 
 def test_criterion_01_extremal_tightness(capsys):

@@ -14,6 +14,8 @@ from strongmatch import (
 )
 from strongmatch.cli import main
 
+from util import make_mixed
+
 
 @pytest.fixture
 def run(capsys, monkeypatch):
@@ -133,16 +135,42 @@ class TestMatch:
         assert obj["verified"] is True
         assert obj["size"] >= obj["bound"] >= 1
 
-    def test_greedy_json_golden(self, run, tmp_path):
-        # pins the greedy's choices across revisions, not just between two runs
-        g = gen_random_subcubic(5000, 7500, 975_001)
-        p = write_graph(tmp_path, "golden.el", write_edge_list(g, []))
-        code, out, _ = run(["match", p, "--method", "greedy", "--json"])
-        assert code == 0
-        assert len(out) == 17537
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "ee0bf292d984d95bebdac6e448fecac7e5706a989366209ec1512baac40092bf"
+    @pytest.mark.parametrize(
+        "graph,argv,length,digest",
+        [
+            ("g5000", ["match", "--method", "greedy", "--json"], 17537,
+             "ee0bf292d984d95bebdac6e448fecac7e5706a989366209ec1512baac40092bf"),
+            ("g5000", ["match", "--json"], 18537,
+             "13fba92fc24245ebd4c959256fbbddcfb7587353cfc4538a89688869ca531cab"),
+            ("g5000", ["match", "--trace"], 94160,
+             "1c56cd123cc6e365dce43494fe3cf72c47b51fe524a37abb58abfde021d07ac7"),
+            ("g5000", ["stats", "--json"], 108,
+             "12dc9f4a119ab07948b74c7279fe3d41a8cf38a775019a665927723afef7aa79"),
+            ("mixed", ["match", "--json"], 1321,
+             "1ae2749d0f4891ee48adabc81300b6498e72ab58cc31f5cb6aa58d8b6624feba"),
+            ("mixed", ["match", "--trace"], 6001,
+             "a47a545814898334a423dec4df27fd23aecc28ce621fa42e4be9f7ae6d29d4d7"),
+            ("mixed", ["stats", "--json"], 107,
+             "83f10d73a268d2acb339fd6ce23d2350a809e4800cf224c5f11280aa90adc98c"),
+        ],
+        ids=[
+            "g5000-greedy-json", "g5000-match-json", "g5000-match-trace",
+            "g5000-stats-json", "mixed-match-json", "mixed-match-trace",
+            "mixed-stats-json",
+        ],
+    )
+    def test_golden_sha256(self, run, tmp_path, graph, argv, length, digest):
+        # pins output across revisions, not just between two runs
+        g = (
+            gen_random_subcubic(5000, 7500, 975_001)
+            if graph == "g5000"
+            else make_mixed()
         )
+        p = write_graph(tmp_path, "golden.el", write_edge_list(g, []))
+        code, out, _ = run([argv[0], p, *argv[1:]])
+        assert code == 0
+        assert len(out) == length
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_trace_flag_without_reduction_is_null(self, run, extremal_file):
         code, out, _ = run(

@@ -1,11 +1,14 @@
 import pytest
 
+import strongmatch.reduction
 from strongmatch import (
     Graph,
     GraphError,
     BudgetExceededError,
+    LedgerViolationError,
     ReductionStep,
     ReductionTrace,
+    connected_components,
     count_invariants,
     exact_strong_matching_number,
     find_induced_matching_subcubic,
@@ -16,15 +19,20 @@ from strongmatch import (
     gen_random_subcubic,
     ledger_check,
     verify_induced_matching,
+    write_edge_list,
 )
+from strongmatch.cli import main
 
 from bruteforce import replay_trace
+from corpus import build_instance, small_corpus
 from util import (
     make_circular_ladder,
     make_cycle,
     make_dodecahedron,
+    make_mixed,
     make_path,
     make_petersen,
+    thm2_of,
 )
 
 
@@ -288,6 +296,56 @@ class TestFormatTrace:
         lines = text.splitlines()
         assert len(lines) == len(trace.steps) + 1
         assert lines[-1] == "matching=4 bound=3 ok=true"
+
+
+class TestCensusAgreement:
+    def test_bound_and_components_agree(self):
+        graphs = [make_mixed()]
+        graphs += [build_instance(*entry) for entry in small_corpus()]
+        for g in graphs:
+            rep = count_invariants(g)
+            # the summary line's bound does not depend on the steps
+            summary = format_trace(ReductionTrace(g, ())).split()
+            assert summary[1] == f"bound={rep.thm2_bound}"
+            assert rep.thm2_bound == thm2_of(g)
+            assert rep.components == len(connected_components(g))
+
+    def test_mixed_graph_exercises_every_term(self):
+        g = make_mixed()
+        rep = count_invariants(g)
+        assert rep.isolated > 0 and rep.n33plus == 2
+        assert rep.thm2_bound < -(-(g.n - rep.isolated) // 6)
+        _, trace = run_checked(g)
+        rules = {s.rule for s in trace.steps}
+        assert {"R1", "COMPONENT-K33PLUS"} <= rules
+
+
+class TestLoudFailure:
+    """A step that breaks the 6-per-edge accounting raises; nothing patches
+    it over with a component solve."""
+
+    @pytest.fixture
+    def broken_rule(self, monkeypatch):
+        real = strongmatch.reduction._isolated_after
+
+        def over_budget(adj, alive, removal):
+            # thirteen phantom isolated vertices exceed 6 per edge for any step
+            return real(adj, alive, removal) + list(range(13))
+
+        monkeypatch.setattr(strongmatch.reduction, "_isolated_after", over_budget)
+
+    def test_engine_raises(self, broken_rule):
+        # order 13 is past the oracle threshold, so R2 fires first
+        with pytest.raises(LedgerViolationError):
+            find_induced_matching_subcubic(make_path(13))
+
+    def test_cli_exits_1(self, broken_rule, tmp_path, capsys):
+        p = tmp_path / "p13.el"
+        p.write_text(write_edge_list(make_path(13), []))
+        assert main(["match", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "ledger violation" in err
 
 
 class TestPreconditionsAndBudget:

@@ -1,6 +1,13 @@
 """Small graph builders shared across test modules."""
 
-from strongmatch import Graph
+from strongmatch import (
+    Graph,
+    connected_components,
+    gen_extremal_cubic,
+    gen_k33plus,
+    gen_random_subcubic,
+    is_k33plus,
+)
 
 
 def make_path(k: int) -> Graph:
@@ -47,3 +54,48 @@ def make_lcf(n: int, shifts: list[int]) -> Graph:
 def make_dodecahedron() -> Graph:
     """Cubic planar graph of order 20 and girth 5."""
     return make_lcf(20, [10, 7, 4, -4, -7, 10, -4, 7, -7, 4])
+
+
+def disjoint_union(*parts: Graph) -> Graph:
+    """Parts side by side, each relabeled past the vertices before it."""
+    edges = []
+    offset = 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.edges]
+        offset += part.n
+    return Graph(offset, edges)
+
+
+def make_mixed() -> Graph:
+    """One graph in which every census term and every K33+ path is nonzero.
+
+    Isolated vertices, two K33+ components (COMPONENT-K33PLUS), small
+    components for the oracle, and two components of order > 12 holding
+    K33+ blocks (R1): the extremal cubic graph and a K33+ whose subdivision
+    vertex carries an 8-vertex tail.  A random subcubic part adds the other
+    rules.  The order is chosen so that the n33plus term changes the bound.
+    """
+    k33_with_tail = Graph(
+        15,
+        list(gen_k33plus().edges) + [(6, 7)] + [(i, i + 1) for i in range(7, 14)],
+    )
+    return disjoint_union(
+        Graph(2, []),
+        gen_k33plus(),
+        make_path(9),
+        gen_extremal_cubic(),
+        Graph(1, []),
+        k33_with_tail,
+        make_cycle(9),
+        gen_k33plus(),
+        gen_random_subcubic(300, 420, 975_002),
+        Graph(1, []),
+    )
+
+
+def thm2_of(g: Graph) -> int:
+    """ceil((n - i - n33plus) / 6), counted here rather than by the library."""
+    comps = connected_components(g)
+    iso = sum(1 for c in comps if len(c) == 1)
+    n33 = sum(1 for c in comps if len(c) == 7 and is_k33plus(g, c))
+    return -(-(g.n - iso - n33) // 6)

@@ -47,8 +47,9 @@ from .oracle import (
 )
 from .reduction import (
     LedgerViolationError,
+    _audit,
+    _format_audited,
     find_induced_matching_subcubic,
-    format_trace,
     ledger_check,
 )
 
@@ -155,7 +156,9 @@ def cmd_match(args) -> int:
     witness = verify_induced_matching(g, matching)
     verified = witness is None
     ok = verified and len(matching) >= bound
-    if trace is not None and not ledger_check(trace).ok:
+    # one audit per request: the ledger verdict and the trace summary share it
+    audit = None if trace is None else _audit(trace)
+    if audit is not None and not audit[0].ok:
         ok = False
     if args.json:
         obj = {
@@ -189,8 +192,8 @@ def cmd_match(args) -> int:
         print(json.dumps(obj))
     else:
         lines = []
-        if args.trace and trace is not None:
-            lines.extend(format_trace(trace).splitlines())
+        if args.trace and audit is not None:
+            lines.extend(_format_audited(trace, audit).splitlines())
         lines.extend([
             f"matching={_edges_text(matching)}",
             f"size={len(matching)}",

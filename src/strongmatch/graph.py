@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, islice
+from operator import eq
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 Edge = tuple[int, int]
@@ -35,6 +37,11 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _first_repeat(order: list[Edge]) -> Optional[Edge]:
+    """The first edge of the sorted list ``order`` equal to the next one."""
+    return next(compress(order, map(eq, order, islice(order, 1, None))), None)
+
+
 class Graph:
     """Simple undirected graph with a fixed vertex set 0..n-1.
 
@@ -48,7 +55,6 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
             raise GraphError(f"negative vertex count {n}")
-        lists: list[list[int]] = [[] for _ in range(n)]
         normalized = []
         for u, v in edges:
             if u == v:
@@ -56,17 +62,25 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
             normalized.append(normalize_edge(u, v))
+        normalized.sort()
+        repeat = _first_repeat(normalized)
+        if repeat is not None:
+            raise GraphError(f"duplicate edge {repeat}")
+        self._fill(n, normalized)
+
+    def _fill(self, n: int, edges: list[Edge]) -> None:
+        """Freeze checked, normalized, sorted and distinct edges on 0..n-1.
+
+        Filling the lists in edge order leaves each one sorted: a vertex
+        first meets its smaller neighbors, in order, then its larger ones.
+        """
+        lists: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
             lists[u].append(v)
             lists[v].append(u)
-        normalized.sort()
-        for i in range(1, len(normalized)):
-            if normalized[i] == normalized[i - 1]:
-                raise GraphError(f"duplicate edge {normalized[i]}")
         self.n = n
-        self.adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(nbrs)) for nbrs in lists
-        )
-        self.edges: tuple[Edge, ...] = tuple(normalized)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, lists))
+        self.edges: tuple[Edge, ...] = tuple(edges)
 
     @property
     def m(self) -> int:
@@ -137,41 +151,92 @@ def connected_components(g: Graph) -> list[list[int]]:
 def girth(g: Graph) -> Optional[int]:
     """Length of a shortest cycle, or None for acyclic graphs.
 
-    BFS from every vertex; the first non-tree edge seen from root s gives a
-    closed walk of length dist[a] + dist[b] + 1 which never undercuts the
-    girth, and for s on a shortest cycle the estimate is exact, so the
-    minimum over all roots is the girth.
+    The all-roots BFS of Itai and Rodeh, with each cycle looked for only
+    from its smallest vertex: the search from root s sees only vertices
+    >= s, and a root with fewer than two neighbors above it is skipped.
+    This stays exact.  Every non-tree edge (v, w) met from s closes a walk
+    of length dist[v] + dist[w] + 1 in g, which never undercuts the girth,
+    and the smallest vertex s of a shortest cycle C sees all of C among the
+    vertices >= s, where the BFS from s reports |C|.
+
+    A local pass over the roots in vertex order comes first: a triangle
+    returns 3 at once, and if the pass ends with none, two neighbors of a
+    root that share a second common neighbor give 4.  Only then does the
+    BFS run, knowing the girth is at least 5, and it stops at the first
+    5-cycle.  The local pass marks vertices in two stamp arrays and builds
+    no sets, so it costs O(n D^2) for maximum degree D; the BFS costs
+    O(n + m) per root, cut short once 2 dist[v] + 1 reaches the best cycle
+    found.
     """
-    n = g.n
     adj = g.adj
+    short = _triangle_or_square(adj)
+    if short is not None:
+        return short
+    n = g.n
     best: Optional[int] = None
     dist = [0] * n
     stamp = [0] * n
-    parent = [0] * n
     for s in range(n):
-        if best == 3:
-            break
-        gen = s + 1
-        stamp[s] = gen
+        nbrs = adj[s]
+        if len(nbrs) < 2 or nbrs[-2] < s:
+            continue
+        tag = s + 1
+        stamp[s] = tag
         dist[s] = 0
-        parent[s] = -1
-        queue = deque((s,))
-        while queue:
-            v = queue.popleft()
+        queue = [s]
+        # the list grows while it is walked; that is the BFS queue
+        for v in queue:
             dv = dist[v]
             if best is not None and 2 * dv + 1 >= best:
                 break
             for w in adj[v]:
-                if stamp[w] != gen:
-                    stamp[w] = gen
+                if w < s:
+                    continue
+                if stamp[w] != tag:
+                    stamp[w] = tag
                     dist[w] = dv + 1
-                    parent[w] = v
                     queue.append(w)
-                elif w != parent[v]:
+                elif dist[w] >= dv:
+                    # a non-tree edge; one back to the level above was
+                    # already met from its other end
                     cand = dv + dist[w] + 1
                     if best is None or cand < best:
                         best = cand
+        if best == 5:
+            break
     return best
+
+
+def _triangle_or_square(adj: Sequence[Sequence[int]]) -> Optional[int]:
+    """3 if the graph has a triangle, else 4 if it has a 4-cycle, else None.
+
+    Each cycle is looked for from its smallest vertex s, through the
+    neighbors of s above it: a vertex above s reached from two of them
+    closes a 4-cycle, and one that is itself a neighbor of s closes a
+    triangle.
+    """
+    n = len(adj)
+    near = [0] * n
+    reached = [0] * n
+    square = False
+    for s in range(n):
+        nbrs = adj[s]
+        if len(nbrs) < 2 or nbrs[-2] < s:
+            continue
+        tag = s + 1
+        for a in nbrs:
+            near[a] = tag
+        for a in nbrs:
+            if a < s:
+                continue
+            for w in adj[a]:
+                if w > s:
+                    if near[w] == tag:
+                        return 3
+                    if reached[w] == tag:
+                        square = True
+                    reached[w] = tag
+    return 4 if square else None
 
 
 def is_k33plus(g: Graph, component: Sequence[int]) -> bool:
@@ -259,12 +324,30 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _census(g: Graph) -> tuple[int, int, int]:
-    """Numbers of components, isolated vertices and K33+ components of g."""
-    comps = connected_components(g)
-    isolated = sum(1 for c in comps if len(c) == 1)
-    n33 = sum(1 for c in comps if len(c) == 7 and is_k33plus(g, c))
-    return len(comps), isolated, n33
+def _census(g: Graph) -> tuple[int, int]:
+    """Numbers of isolated vertices and of K33+ components of g.
+
+    Both are local, so no component walk is needed.  A K33+ component is
+    the closed 7-vertex set {u} | N(u) | N(a1) | N(b1) around its only
+    degree-2 vertex u, whose neighbors are a1 and b1; each such closed set
+    that passes is_k33plus is counted once, from its u.
+    """
+    adj = g.adj
+    n33 = 0
+    for u, nbrs in enumerate(adj):
+        if len(nbrs) != 2:
+            continue
+        a1, b1 = nbrs
+        if len(adj[a1]) != 3 or len(adj[b1]) != 3:
+            continue
+        ball = {a1, b1, *adj[a1], *adj[b1]}
+        if (
+            len(ball) == 7
+            and all(x in ball for w in ball for x in adj[w])
+            and is_k33plus(g, ball)
+        ):
+            n33 += 1
+    return adj.count(()), n33
 
 
 def _thm2_bound(n: int, isolated: int, n33plus: int) -> int:
@@ -302,7 +385,8 @@ def count_invariants(g: Graph) -> BoundReport:
     """
     n = g.n
     m = g.m
-    components, isolated, n33 = _census(g)
+    components = len(connected_components(g))
+    isolated, n33 = _census(g)
     dmax = g.max_degree()
     gi = girth(g)
     reasons: dict[str, str] = {}
@@ -412,7 +496,9 @@ def _edge_lines(text: str) -> Iterator[tuple[int, str]]:
 
 def _parse_edge_list(text: str) -> Graph:
     declared: Optional[int] = None
-    pairs: list[tuple[int, int, int]] = []  # (u, v, lineno)
+    edges: list[Edge] = []
+    lines: list[int] = []
+    clean = True  # no loop or out-of-range id so far
     first = True
     for lineno, line in _edge_lines(text):
         parts = line.split()
@@ -436,18 +522,25 @@ def _parse_edge_list(text: str) -> Graph:
             raise GraphParseError(f"non-integer vertex id in {line!r}", lineno) from None
         if u < 0 or v < 0:
             raise GraphParseError(f"negative vertex id in {line!r}", lineno)
-        pairs.append((u, v, lineno))
+        if u > v:
+            u, v = v, u
+        if u == v or (declared is not None and v >= declared):
+            clean = False
+        edges.append((u, v))
+        lines.append(lineno)
     if declared is None:
-        n = 1 + max((max(u, v) for u, v, _ in pairs), default=-1)
+        n = 1 + max((v for _, v in edges), default=-1)
     else:
         n = declared
-    return _build_checked(n, pairs)
+    return _build_checked(n, edges, lines, clean)
 
 
 def _parse_dimacs(text: str) -> Graph:
     n: Optional[int] = None
     declared_m = 0
-    pairs: list[tuple[int, int, int]] = []
+    edges: list[Edge] = []
+    lines: list[int] = []
+    clean = True  # no loop or out-of-range id so far
     for lineno, line in _edge_lines(text):
         parts = line.split()
         kind = parts[0]
@@ -476,34 +569,52 @@ def _parse_dimacs(text: str) -> Graph:
                 raise GraphParseError(f"non-integer vertex id in {line!r}", lineno) from None
             if u < 1 or v < 1:
                 raise GraphParseError(f"dimacs ids are 1-based, got {line!r}", lineno)
-            pairs.append((u - 1, v - 1, lineno))
+            if u > v:
+                u, v = v, u
+            if u == v or v > n:
+                clean = False
+            edges.append((u - 1, v - 1))
+            lines.append(lineno)
             continue
         raise GraphParseError(f"unknown line kind {kind!r}", lineno)
     if n is None:
         raise GraphParseError("missing problem line")
-    if len(pairs) != declared_m:
+    if len(edges) != declared_m:
         raise GraphParseError(
-            f"problem line declares {declared_m} edges, found {len(pairs)}"
+            f"problem line declares {declared_m} edges, found {len(edges)}"
         )
-    return _build_checked(n, pairs)
+    return _build_checked(n, edges, lines, clean)
 
 
-def _build_checked(n: int, pairs: list[tuple[int, int, int]]) -> Graph:
+def _build_checked(n: int, edges: list[Edge], lines: list[int], clean: bool) -> Graph:
+    """The graph of a parsed file's normalized edges, ``lines`` their line numbers.
+
+    ``clean`` says the parser saw no loop and no id out of range, so one
+    scan of the sorted edges settles duplicates.  Otherwise, or on a
+    duplicate, the edges are checked again in file order to report the
+    first offending line.
+    """
+    if clean:
+        order = sorted(edges)
+        if _first_repeat(order) is None:
+            g = Graph.__new__(Graph)
+            g._fill(n, order)
+            return g
     seen: dict[Edge, int] = {}
-    for u, v, lineno in pairs:
+    for key, lineno in zip(edges, lines):
+        u, v = key
         if u == v:
             raise GraphParseError(f"loop at vertex {u}", lineno)
-        if u >= n or v >= n:
+        if v >= n:
             raise GraphParseError(
-                f"vertex id {max(u, v)} outside declared range 0..{n - 1}", lineno
+                f"vertex id {v} outside declared range 0..{n - 1}", lineno
             )
-        key = normalize_edge(u, v)
         if key in seen:
             raise GraphParseError(
                 f"duplicate edge {key} (first seen on line {seen[key]})", lineno
             )
         seen[key] = lineno
-    return Graph(n, list(seen))
+    raise AssertionError("a parse error went unreported")
 
 
 def write_edge_list(g: Graph, comments: Sequence[str] = ()) -> str:

@@ -168,7 +168,7 @@ def _audit(trace: ReductionTrace) -> tuple[LedgerResult, int]:
     """ledger_check's verdict plus the global bound, recomputed from the
     original graph rather than taken from the engine."""
     g = trace.original
-    _, iso, n33 = _census(g)
+    iso, n33 = _census(g)
     need = _thm2_bound(g.n, iso, n33)
     removed_before: set[int] = set()
     for idx, step in enumerate(trace.steps):
@@ -198,6 +198,11 @@ def format_trace(trace: ReductionTrace) -> str:
     Step lines: ``rule=<id> removed=<ids> added=<u-v,...> isolated=<k>``.
     Summary: ``matching=<size> bound=<thm2> ok=<bool>``.
     """
+    return _format_audited(trace, _audit(trace))
+
+
+def _format_audited(trace: ReductionTrace, audit: tuple[LedgerResult, int]) -> str:
+    """format_trace's text, given the trace's ``_audit`` result."""
     lines = []
     for step in trace.steps:
         removed = ",".join(map(str, step.removed))
@@ -206,7 +211,7 @@ def format_trace(trace: ReductionTrace) -> str:
             f"rule={step.rule} removed={removed} added={added} "
             f"isolated={step.isolated_created}"
         )
-    result, need = _audit(trace)
+    result, need = audit
     size = sum(len(step.added) for step in trace.steps)
     lines.append(f"matching={size} bound={need} ok={str(result.ok).lower()}")
     return "\n".join(lines) + "\n"

@@ -5,6 +5,7 @@ code paths beyond the Graph container and the matching validity checker,
 so that agreement with the library is meaningful evidence.
 """
 
+from collections import deque
 from itertools import combinations, permutations
 from typing import Optional
 
@@ -24,6 +25,33 @@ def girth_by_enumeration(g: Graph) -> Optional[int]:
                 if all(g.has_edge(cyc[i], cyc[(i + 1) % k]) for i in range(k)):
                     return k
     return None
+
+
+def girth_by_bfs_from_every_root(g: Graph) -> Optional[int]:
+    """Shortest cycle length by a full BFS from every vertex.
+
+    No early stop and no restriction on the vertices a search may visit:
+    every non-tree edge (v, w) seen from every root closes a walk of length
+    dist[v] + dist[w] + 1, and the minimum over all of them is the girth.
+    O(n (n + m)); fine up to a few hundred vertices.
+    """
+    best = None
+    for root in range(g.n):
+        dist = {root: 0}
+        parent = {root: None}
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in g.adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    parent[w] = v
+                    queue.append(w)
+                elif w != parent[v]:
+                    cand = dist[v] + dist[w] + 1
+                    if best is None or cand < best:
+                        best = cand
+    return best
 
 
 def max_induced_matching_by_subsets(g: Graph) -> int:

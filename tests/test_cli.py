@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+import strongmatch.cli
+import strongmatch.reduction
 from strongmatch import (
+    LedgerResult,
     gen_extremal_cubic,
     gen_k33plus,
     gen_random_subcubic,
@@ -171,6 +174,37 @@ class TestMatch:
         assert code == 0
         assert len(out) == length
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.fixture
+    def audits(self, monkeypatch):
+        """Count trace audits, wherever the CLI reaches them from."""
+        calls = []
+        real = strongmatch.reduction._audit
+
+        def counting(trace):
+            calls.append(trace)
+            return real(trace)
+
+        monkeypatch.setattr(strongmatch.reduction, "_audit", counting)
+        monkeypatch.setattr(strongmatch.cli, "_audit", counting)
+        return calls
+
+    @pytest.mark.parametrize("flags", [[], ["--json"], ["--trace"], ["--trace", "--json"]])
+    def test_one_audit_per_request(self, run, audits, extremal_file, flags):
+        code, _, _ = run(["match", extremal_file, *flags])
+        assert code == 0
+        assert len(audits) == 1
+
+    def test_failed_audit_shows_in_trace_and_exit_code(
+        self, run, monkeypatch, k33_file
+    ):
+        monkeypatch.setattr(
+            strongmatch.cli, "_audit", lambda trace: (LedgerResult(False, 0), 1)
+        )
+        code, out, err = run(["match", k33_file, "--trace"])
+        assert code == 1
+        assert out.splitlines()[1] == "matching=1 bound=1 ok=false"
+        assert "guarantee or verification failure" in err
 
     def test_trace_flag_without_reduction_is_null(self, run, extremal_file):
         code, out, _ = run(

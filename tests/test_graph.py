@@ -12,6 +12,11 @@ from strongmatch import (
     count_invariants,
     gen_extremal_cubic,
     gen_k33plus,
+    gen_random_bounded_degree,
+    gen_random_cubic,
+    gen_random_forest,
+    gen_random_girth6,
+    gen_random_subcubic,
     girth,
     is_k33plus,
     normalize_edge,
@@ -20,8 +25,22 @@ from strongmatch import (
     write_edge_list,
 )
 
-from bruteforce import girth_by_enumeration, is_k33plus_by_isomorphism
-from util import make_cycle, make_path, make_petersen, make_star
+from bruteforce import (
+    girth_by_bfs_from_every_root,
+    girth_by_enumeration,
+    is_k33plus_by_isomorphism,
+)
+from corpus import build_instance, determinism_corpus, small_corpus
+from util import (
+    disjoint_union,
+    make_circular_ladder,
+    make_cycle,
+    make_dodecahedron,
+    make_lcf,
+    make_path,
+    make_petersen,
+    make_star,
+)
 
 
 @st.composite
@@ -142,6 +161,73 @@ class TestGirth:
     @given(small_graphs())
     def test_matches_enumeration(self, g):
         assert girth(g) == girth_by_enumeration(g)
+
+
+def make_complete_bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+class TestGirthAgainstFullBfs:
+    """girth against a full BFS from every root, past the n <= 8 of the
+    enumeration reference."""
+
+    def check(self, graphs):
+        for g in graphs:
+            assert girth(g) == girth_by_bfs_from_every_root(g), g
+
+    def test_corpora(self):
+        entries = small_corpus() + determinism_corpus()
+        self.check(build_instance(*entry) for entry in entries)
+
+    def test_random_families(self):
+        graphs = []
+        for i in range(12):
+            n = 10 + 26 * i  # 10 .. 296
+            graphs.append(gen_random_cubic(n + n % 2, 61_000 + i))
+            graphs.append(gen_random_subcubic(n, (3 * n) // 2, 62_000 + i))
+            graphs.append(gen_random_girth6(n, 2 + i % 3, 63_000 + i))
+            d = 4 + i % 3
+            graphs.append(gen_random_bounded_degree(n, (n * d) // 2, d, 64_000 + i))
+        self.check(graphs)
+
+    def test_named_graphs(self):
+        graphs = [make_cycle(k) for k in range(3, 41)]
+        graphs += [make_path(k) for k in range(0, 12)]
+        graphs += [gen_random_forest(n, 65_000 + n) for n in range(1, 60, 7)]
+        graphs += [
+            make_complete_bipartite(a, b) for a in range(1, 6) for b in range(a, 7)
+        ]
+        graphs += [make_petersen(), make_dodecahedron(), make_circular_ladder(9)]
+        graphs.append(make_lcf(14, [5, -5]))  # Heawood
+        self.check(graphs)
+        assert girth(make_lcf(14, [5, -5])) == 6
+        assert girth(make_complete_bipartite(1, 6)) is None
+        assert girth(make_complete_bipartite(2, 2)) == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(max_n=30))
+    def test_random_graphs(self, g):
+        assert girth(g) == girth_by_bfs_from_every_root(g)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    def test_only_short_cycle_on_highest_ids(self, k):
+        # the one cycle shorter than 8 is found only from its smallest
+        # vertex, the search that sees nothing but the last k ids
+        g = disjoint_union(
+            gen_random_forest(40, 66_000), make_cycle(12), make_cycle(8),
+            make_cycle(k),
+        )
+        assert girth(g) == k == girth_by_bfs_from_every_root(g)
+
+    def test_square_before_the_only_triangle(self):
+        # 4-cycle 0-1-2-3, then a path to the triangle 5-6-7
+        g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5),
+                      (5, 6), (6, 7), (7, 5)])
+        assert girth(g) == 3 == girth_by_bfs_from_every_root(g)
+
+    def test_dense_triangle_free(self):
+        g = make_complete_bipartite(50, 50)
+        assert girth(g) == 4
 
 
 class TestK33Plus:
@@ -337,6 +423,66 @@ class TestEdgeListFormat:
     def test_three_fields(self):
         with pytest.raises(GraphParseError):
             parse_graph("0 1 2\n")
+
+
+class TestParseErrorLines:
+    """Once every line has been read, a loop, an out-of-range id or a
+    duplicate is reported at the first offending line in file order."""
+
+    def error(self, text, fmt="edge-list"):
+        with pytest.raises(GraphParseError) as exc:
+            parse_graph(text, fmt)
+        return exc.value
+
+    def test_duplicate_far_after_first_copy_reversed(self):
+        filler = "".join(f"{i} {i + 1}\n" for i in range(10, 1010))
+        err = self.error("n 5000\n7 3\n" + filler + "3 7\n")
+        assert err.line == 1003
+        assert str(err) == "line 1003: duplicate edge (3, 7) (first seen on line 2)"
+
+    def test_dimacs_duplicate(self):
+        err = self.error("c dup\np edge 5 3\ne 1 2\ne 4 5\ne 2 1\n", "dimacs")
+        assert str(err) == "line 5: duplicate edge (0, 1) (first seen on line 3)"
+
+    def test_loop_on_last_line_after_comments(self):
+        err = self.error("# a\n# b\nn 4\n0 1\n1 2\n# tail\n\n2 2\n")
+        assert str(err) == "line 8: loop at vertex 2"
+
+    def test_out_of_range_on_last_line_after_comments(self):
+        err = self.error("# a\nn 4\n0 1\n# tail\n1 4\n")
+        assert str(err) == "line 5: vertex id 4 outside declared range 0..3"
+
+    def test_dimacs_loop_and_out_of_range_on_last_line(self):
+        err = self.error("c a\np edge 3 2\ne 1 2\nc b\ne 3 3\n", "dimacs")
+        assert str(err) == "line 5: loop at vertex 2"
+        err = self.error("c a\np edge 3 2\ne 1 2\nc b\ne 2 4\n", "dimacs")
+        assert str(err) == "line 5: vertex id 3 outside declared range 0..2"
+
+    def test_first_offending_line_wins(self):
+        assert self.error("n 4\n0 1\n1 0\n2 2\n").line == 3
+        assert self.error("n 4\n0 1\n2 2\n1 0\n").line == 3
+        assert self.error("n 4\n0 9\n1 0\n0 1\n").line == 2
+        # a malformed line is reported even after an earlier loop
+        assert str(self.error("n 4\n2 2\n0 x\n")).startswith("line 3: non-integer")
+
+    def test_dimacs_edge_count_checked_before_loops(self):
+        err = self.error("p edge 3 2\ne 2 2\n", "dimacs")
+        assert err.line is None
+        assert "declares 2 edges, found 1" in str(err)
+
+
+class TestConstructionOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(max_n=12), st.randoms(use_true_random=False))
+    def test_shuffled_reversed_edges_build_the_same_graph(self, g, rng):
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+        rng.shuffle(edges)
+        h = Graph(g.n, edges)
+        assert h.adj == g.adj and h.edges == g.edges
+        assert all(list(nbrs) == sorted(nbrs) for nbrs in h.adj)
+        text = f"n {g.n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        p = parse_graph(text)
+        assert p.adj == g.adj and p.edges == g.edges
 
 
 class TestDimacsFormat:

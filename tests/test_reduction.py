@@ -22,10 +22,13 @@ from strongmatch import (
     write_edge_list,
 )
 from strongmatch.cli import main
+from strongmatch.graph import _census
 
 from bruteforce import replay_trace
 from corpus import build_instance, small_corpus
 from util import (
+    census_by_walk,
+    disjoint_union,
     make_circular_ladder,
     make_cycle,
     make_dodecahedron,
@@ -309,6 +312,52 @@ class TestCensusAgreement:
             assert summary[1] == f"bound={rep.thm2_bound}"
             assert rep.thm2_bound == thm2_of(g)
             assert rep.components == len(connected_components(g))
+
+    def check_census(self, graphs):
+        for g in graphs:
+            iso, n33 = census_by_walk(g)
+            assert _census(g) == (iso, n33), g
+            rep = count_invariants(g)
+            assert (rep.isolated, rep.n33plus) == (iso, n33)
+
+    def test_census_without_walk_agrees(self):
+        graphs = [make_mixed()]
+        graphs += [build_instance(*entry) for entry in small_corpus()]
+        self.check_census(graphs)
+
+    def test_k33plus_that_is_not_a_component(self):
+        # vertex 6 has degree 2 and neighbors 0 and 3; vertex 1 is on the
+        # far side, so its pendant leaves the 7-vertex ball around 6 open
+        k33 = list(gen_k33plus().edges)
+        pendants = [Graph(8, k33 + [(x, 7)]) for x in (6, 0, 1)]
+        # a K33+ block with a tail, and the blocks of the extremal cubic graph
+        tailed = Graph(10, k33 + [(6, 7), (7, 8), (8, 9)])
+        graphs = pendants + [tailed, gen_extremal_cubic()]
+        self.check_census(graphs)
+        assert all(_census(g)[1] == 0 for g in graphs)
+
+    def test_k33plus_components_beside_high_degree(self):
+        star = Graph(7, [(0, i) for i in range(1, 7)])
+        k5 = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+        g = disjoint_union(star, gen_k33plus(), k5, gen_k33plus(), Graph(2, []))
+        self.check_census([g])
+        assert _census(g) == (2, 2)
+
+    def test_closed_ball_that_is_not_k33plus(self):
+        # degree multiset {3^6, 2} on 7 vertices and a closed ball around
+        # the degree-2 vertex, but a prism with one rung subdivided, not K33+
+        g = Graph(
+            7,
+            [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+             (0, 3), (1, 4), (2, 6), (5, 6)],
+        )
+        self.check_census([g])
+        assert _census(g) == (0, 0)
+
+    def test_isolated_only_and_empty(self):
+        self.check_census([Graph(5, []), Graph(0, [])])
+        assert _census(Graph(5, [])) == (5, 0)
+        assert _census(Graph(0, [])) == (0, 0)
 
     def test_mixed_graph_exercises_every_term(self):
         g = make_mixed()

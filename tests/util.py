@@ -93,9 +93,15 @@ def make_mixed() -> Graph:
     )
 
 
-def thm2_of(g: Graph) -> int:
-    """ceil((n - i - n33plus) / 6), counted here rather than by the library."""
+def census_by_walk(g: Graph) -> tuple[int, int]:
+    """Isolated vertices and K33+ components, read off a component walk."""
     comps = connected_components(g)
     iso = sum(1 for c in comps if len(c) == 1)
     n33 = sum(1 for c in comps if len(c) == 7 and is_k33plus(g, c))
+    return iso, n33
+
+
+def thm2_of(g: Graph) -> int:
+    """ceil((n - i - n33plus) / 6), counted here rather than by the library."""
+    iso, n33 = census_by_walk(g)
     return -(-(g.n - iso - n33) // 6)

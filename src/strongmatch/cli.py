@@ -494,8 +494,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args keeps no state between calls, and help and usage text are
+# formatted when printed, so every call of main shares one parser
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except _CliError as e:

@@ -282,6 +282,15 @@ def is_k33plus(g: Graph, component: Sequence[int]) -> bool:
     return True
 
 
+def _incident_lists(g: Graph) -> list[list[int]]:
+    """``incident[v]``: the indices into ``g.edges`` of the edges at v."""
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    return incident
+
+
 def _component_of(g: Graph, s: int) -> list[int]:
     seen = {s}
     queue = deque((s,))

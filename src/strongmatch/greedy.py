@@ -17,19 +17,12 @@ from .graph import (
     Edge,
     Graph,
     GraphError,
+    _incident_lists,
     _isolated_after,
     connected_components,
     girth,
     normalize_edge,
 )
-
-
-def _incident_lists(g: Graph) -> list[list[int]]:
-    incident: list[list[int]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(g.edges):
-        incident[u].append(i)
-        incident[v].append(i)
-    return incident
 
 
 def greedy_induced_matching(g: Graph) -> list[Edge]:

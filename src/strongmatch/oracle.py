@@ -12,7 +12,7 @@ bitmask; larger inputs are rejected rather than silently attempted.
 
 from __future__ import annotations
 
-from .graph import Edge, Graph, GraphError
+from .graph import Edge, Graph, GraphError, _incident_lists
 
 ORACLE_EDGE_CAP = 64
 DEFAULT_BUDGET = 10_000_000
@@ -31,10 +31,7 @@ def _conflict_masks(g: Graph) -> list[int]:
     indices into ``g.edges`` that conflict with edge i (i excluded).
     Symmetric and loop-free by construction."""
     edges = g.edges
-    incident: list[list[int]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(edges):
-        incident[u].append(i)
-        incident[v].append(i)
+    incident = _incident_lists(g)
     masks = [0] * len(edges)
     for i, (u, v) in enumerate(edges):
         mask = 0

@@ -45,21 +45,27 @@ of isolated vertices it creates assumes every earlier rule is exhausted.
 The order <= 12 threshold similarly precludes the degenerate order-7
 components that R1, R8 and R9 would otherwise have to special-case.
 
-Implementation: per-vertex alive flags, dynamic degrees, and per-rule
-candidate heaps with lazy revalidation.  After a deletion only vertices
-within distance 2 are reclassified; patterns spanning larger distances (R4)
-are symmetric, so rechecking the near side suffices.  Candidates for R1,
-R10 and R11 are scanned once up front, which is sound because vertex
-deletion never creates a subgraph.  Before any rule fires, a capped BFS
-probes its component; components that have shrunk to order <= 12 are
-diverted to the oracle.  This realizes the per-component recursion of the
-scheme above in near-linear total time.
+Implementation: per-vertex alive flags, dynamic degrees, and one table of
+candidate heaps, heaps[FRAG..R11], walked in priority order; R12 just takes
+the smallest vertex still alive.  Scanned heaps (R1, R10, R11) are filled
+once up front, which is sound because vertex deletion never creates a
+subgraph, and their anchors are looked up afresh when popped.  Classified
+heaps (FRAG, R2..R9) hold end-vertices and degree-2 vertices filed by
+_classify and lazily revalidated: an anchor whose class has moved is
+refiled, and when it moves to an earlier rule the walk restarts at FRAG.
+After a deletion only vertices within distance 2 are reclassified; patterns
+spanning larger distances (R4) are symmetric, so rechecking the near side
+suffices.  Every rule fires through one path: a capped BFS probes the
+anchor's component and diverts one that has shrunk to order <= 12 to the
+oracle; otherwise the first of the rule's options (two for R9, the four
+cycle edges for R11, one elsewhere) that consumes at most 6 vertices per
+matched edge is committed.  This realizes the per-component recursion of
+the scheme above in near-linear total time.
 
-There is no fallback path: a rule step that would consume more than 6
-vertices per matched edge, or an R9/R11 step that finds no admissible edge,
-raises LedgerViolationError.  Patching such a step over with a component
-solve would pass ledger_check, which exempts component steps from the
-per-step cap, and so hide a rule bug.
+There is no fallback path: a rule step none of whose options passes the
+6-per-edge guard raises LedgerViolationError.  Patching such a step over
+with a component solve would pass ledger_check, which exempts component
+steps from the per-step cap, and so hide a rule bug.
 """
 
 from __future__ import annotations
@@ -86,10 +92,6 @@ BRUTE_FORCE_THRESHOLD = 12
 # which are consumed like any other small component
 _FRAG = 0
 _R1, _R2, _R3, _R4, _R5, _R6, _R7, _R8, _R9, _R10, _R11, _R12 = range(1, 13)
-_RULE_NAMES = {
-    _R1: "R1", _R2: "R2", _R3: "R3", _R4: "R4", _R5: "R5", _R6: "R6",
-    _R7: "R7", _R8: "R8", _R9: "R9", _R10: "R10", _R11: "R11", _R12: "R12",
-}
 
 
 class LedgerViolationError(RuntimeError):
@@ -233,10 +235,14 @@ class _Engine:
         self.oracle_budget = oracle_budget
         self.steps: list[ReductionStep] = []
         self.matching: list[Edge] = []
-        # heaps[rule] holds candidate anchor vertices, lazily revalidated
-        self.heaps: list[list[int]] = [[] for _ in range(12)]
-        self.r10_heap: list[int] = []
-        self.r11_heap: list[int] = []
+        # heaps[rule] holds candidate anchor vertices for FRAG..R11
+        self.heaps: list[list[int]] = [[] for _ in range(_R12)]
+        # the scanned heaps' pattern lookups; every other heap is classified
+        self.finders = {
+            _R1: self._detect_k33,
+            _R10: self._find_triangle,
+            _R11: self._find_c4,
+        }
         self.r12_ptr = 0
         self.n_deg1 = 0
         self.mark = [0] * n
@@ -281,10 +287,8 @@ class _Engine:
         heaps = self.heaps
         for v in active:
             d = deg[v]
-            if d == 1:
-                heappush(heaps[self._classify_deg1(v)], v)
-            elif d == 2:
-                cls = self._classify_deg2(v)
+            if d <= 2:
+                cls = self._classify(v)
                 if cls is not None:
                     heappush(heaps[cls], v)
             # a K33+ subgraph puts every branch vertex on a 4-cycle, so only
@@ -323,45 +327,45 @@ class _Engine:
                         break
                 if tri and not tri_pushed[u]:
                     tri_pushed[u] = 1
-                    heappush(self.r10_heap, u)
+                    heappush(self.heaps[_R10], u)
                 if c4:
                     on_c4[u] = 1
                     on_c4[v] = 1
                     if not c4_pushed[u]:
                         c4_pushed[u] = 1
-                        heappush(self.r11_heap, u)
+                        heappush(self.heaps[_R11], u)
         return on_c4
 
     # -- candidate classification -----------------------------------------
 
-    def _classify_deg1(self, u: int) -> int:
-        """Current rule for an end-vertex anchor: R2/R3/R4/R5 or FRAG."""
+    def _classify(self, u: int) -> Optional[int]:
+        """Current rule for an alive anchor: FRAG or R2..R5 for an
+        end-vertex, R6..R9 for a degree-2 vertex, and None for a degree-2
+        vertex next to an end-vertex (which owns the local pattern) or a
+        vertex of degree 3."""
         adj = self.adj
         alive = self.alive
         deg = self.deg
-        v = -1
-        for w in adj[u]:
-            if alive[w]:
-                v = w
-                break
-        dv = deg[v]
-        if dv == 1:
-            return _FRAG
-        if dv == 2:
-            return _R2
-        for w in adj[v]:
-            if w != u and alive[w] and deg[w] == 1:
-                return _R3
-        if self.n_deg1 >= 2 and self._r4_partner(u) is not None:
-            return _R4
-        return _R5
-
-    def _classify_deg2(self, u: int) -> Optional[int]:
-        """Current rule for a degree-2 anchor: R6/R7/R8/R9, or None when a
-        degree-1 neighbor owns the local pattern."""
-        adj = self.adj
-        alive = self.alive
-        deg = self.deg
+        d = deg[u]
+        if d == 1:
+            v = -1
+            for w in adj[u]:
+                if alive[w]:
+                    v = w
+                    break
+            dv = deg[v]
+            if dv == 1:
+                return _FRAG
+            if dv == 2:
+                return _R2
+            for w in adj[v]:
+                if w != u and alive[w] and deg[w] == 1:
+                    return _R3
+            if self.n_deg1 >= 2 and self._r4_partner(u) is not None:
+                return _R4
+            return _R5
+        if d != 2:
+            return None
         v1 = v2 = -1
         for w in adj[u]:
             if alive[w]:
@@ -519,61 +523,26 @@ class _Engine:
     def _step_once(self) -> bool:
         heaps = self.heaps
         alive = self.alive
-        deg = self.deg
-        while True:
-            frag = heaps[_FRAG]
-            while frag:
-                u = frag[0]
-                if not alive[u] or deg[u] != 1:
-                    heappop(frag)
-                    continue
-                v = next(w for w in self.adj[u] if alive[w])
-                if deg[v] != 1:
-                    heappop(frag)
-                    heappush(heaps[self._classify_deg1(u)], u)
-                    continue
-                self._consume_component(sorted((u, v)))
-                return True
-            r1 = heaps[_R1]
-            while r1:
-                u = r1[0]
-                if alive[u] and deg[u] >= 2:
-                    pat = self._detect_k33(u)
-                    if pat is not None:
-                        self._fire_r1(u, pat)
-                        return True
-                heappop(r1)
+        finders = self.finders
+        rule = _FRAG
+        while rule < _R12:
+            h = heaps[rule]
+            find = finders.get(rule)
             restart = False
-            for rule in (_R2, _R3, _R4, _R5):
-                h = heaps[rule]
-                while h:
-                    u = h[0]
-                    if not alive[u] or deg[u] != 1:
-                        heappop(h)
-                        continue
-                    actual = self._classify_deg1(u)
-                    if actual == rule:
-                        self._fire_deg1(rule, u)
+            while h:
+                u = h[0]
+                if not alive[u]:
+                    heappop(h)
+                elif find is not None:
+                    pat = find(u)
+                    if pat is not None:
+                        self._fire(rule, u, pat)
                         return True
                     heappop(h)
-                    heappush(heaps[actual], u)
-                    if actual < rule:
-                        restart = True
-                        break
-                if restart:
-                    break
-            if restart:
-                continue
-            for rule in (_R6, _R7, _R8, _R9):
-                h = heaps[rule]
-                while h:
-                    u = h[0]
-                    if not alive[u] or deg[u] != 2:
-                        heappop(h)
-                        continue
-                    actual = self._classify_deg2(u)
+                else:
+                    actual = self._classify(u)
                     if actual == rule:
-                        self._fire_deg2(rule, u)
+                        self._fire(rule, u, None)
                         return True
                     heappop(h)
                     if actual is not None:
@@ -581,37 +550,19 @@ class _Engine:
                         if actual < rule:
                             restart = True
                             break
-                if restart:
-                    break
-            if restart:
-                continue
-            # beyond this point no vertex of degree 1 or 2 is left anywhere,
-            # so every remaining component is cubic
-            h = self.r10_heap
-            while h:
-                a = h[0]
-                tri = self._find_triangle(a) if alive[a] else None
-                if tri is not None:
-                    self._fire_r10(a, tri)
-                    return True
-                heappop(h)
-            h = self.r11_heap
-            while h:
-                a = h[0]
-                cyc = self._find_c4(a) if alive[a] else None
-                if cyc is not None:
-                    self._fire_r11(cyc)
-                    return True
-                heappop(h)
-            ptr = self.r12_ptr
-            n = self.g.n
-            while ptr < n and (not alive[ptr] or deg[ptr] == 0):
-                ptr += 1
-            self.r12_ptr = ptr
-            if ptr < n:
-                self._fire_r12(ptr)
-                return True
-            return False
+            rule = _FRAG if restart else rule + 1
+        # no vertex of degree 1 or 2 is left anywhere, and no triangle or
+        # 4-cycle, so every remaining component is cubic of girth >= 5
+        ptr = self.r12_ptr
+        n = self.g.n
+        deg = self.deg
+        while ptr < n and (not alive[ptr] or deg[ptr] == 0):
+            ptr += 1
+        self.r12_ptr = ptr
+        if ptr < n:
+            self._fire(_R12, ptr, None)
+            return True
+        return False
 
     def _find_triangle(self, a: int) -> Optional[int]:
         """Smallest b completing an alive triangle a-b-c, or None."""
@@ -642,133 +593,78 @@ class _Engine:
 
     # -- rule firing -------------------------------------------------------
 
-    def _alive_closed(self, v: int) -> list[int]:
+    def _alive_closed(self, v: int) -> set[int]:
         alive = self.alive
-        out = [v]
+        out = {v}
         for w in self.adj[v]:
             if alive[w]:
-                out.append(w)
+                out.add(w)
         return out
 
-    def _small_diverted(self, anchor: int) -> bool:
-        comp = self._probe(anchor)
-        if comp is None:
-            return False
-        self._consume_component(sorted(comp))
-        return True
+    def _fire(self, rule: int, u: int, pat) -> None:
+        """Fire ``rule`` at anchor u; ``pat`` is the scanned heaps' pattern
+        (R1's K33+, R10's second triangle vertex, R11's 4-cycle).
 
-    def _guarded_commit(
-        self, rule: int, anchor: int, removal: set[int], added: list[Edge]
-    ) -> None:
-        iso = _isolated_after(self.adj, self.alive, removal)
-        if len(removal) + len(iso) > 6 * len(added):
-            raise LedgerViolationError(
-                f"rule {_RULE_NAMES[rule]} at vertex {anchor} would break "
-                f"the 6-per-edge ledger"
-            )
-        self._commit(_RULE_NAMES[rule], removal, added, iso)
-
-    def _fire_r1(self, u: int, pat) -> None:
-        if self._small_diverted(u):
+        A component that has shrunk to order <= BRUTE_FORCE_THRESHOLD goes
+        to the oracle (every FRAG lands here).  Otherwise the first option
+        that consumes at most 6 vertices per matched edge is committed.
+        """
+        comp = self._probe(u)
+        if comp is not None:
+            self._consume_component(sorted(comp))
             return
-        a1, b1, side_a, side_b = pat
-        removal = {a1, b1, *side_a, *side_b}
-        self._guarded_commit(_R1, u, removal, [_k33plus_edge(side_a, side_b)])
-
-    def _fire_deg1(self, rule: int, u: int) -> None:
-        if self._small_diverted(u):
-            return
-        alive = self.alive
         adj = self.adj
-        v = next(w for w in adj[u] if alive[w])
-        if rule == _R4:
-            u2 = self._r4_partner(u)
-            if u2 is None:
-                # partner vanished between classification and firing; the
-                # dispatcher will reclassify on the next pass
-                heappush(self.heaps[self._classify_deg1(u)], u)
-                return
-            v2 = next(w for w in adj[u2] if alive[w])
-            removal = set(self._alive_closed(v)) | set(self._alive_closed(v2))
-            added = sorted((normalize_edge(u, v), normalize_edge(u2, v2)))
-            self._guarded_commit(_R4, u, removal, added)
-            return
-        removal = set(self._alive_closed(v))
-        if rule == _R3:
-            deg = self.deg
-            mate = min(
-                w for w in adj[v] if alive[w] and deg[w] == 1
-            )
-            added = [normalize_edge(mate, v)]
-        else:
-            added = [normalize_edge(u, v)]
-        self._guarded_commit(rule, u, removal, added)
-
-    def _fire_deg2(self, rule: int, u: int) -> None:
-        if self._small_diverted(u):
-            return
         alive = self.alive
-        adj = self.adj
         deg = self.deg
-        nbrs = [w for w in adj[u] if alive[w]]
-        v1, v2 = nbrs
-        if rule == _R6:
-            mate = v1 if deg[v1] == 2 else v2
-            removal = set(self._alive_closed(u)) | set(self._alive_closed(mate))
-            self._guarded_commit(_R6, u, removal, [normalize_edge(u, mate)])
-            return
-        if rule == _R7:
-            removal = set(self._alive_closed(v1))
-            self._guarded_commit(_R7, u, removal, [normalize_edge(u, v1)])
-            return
-        if rule == _R8:
-            removal = set(self._alive_closed(v1)) | set(self._alive_closed(u))
-            self._guarded_commit(_R8, u, removal, [normalize_edge(u, v1)])
-            return
-        # R9: pick the side whose deletion isolates at most one vertex
-        base = set(self._alive_closed(u))
-        side1 = base | set(self._alive_closed(v1))
-        iso1 = _isolated_after(adj, alive, side1)
-        if len(iso1) <= 1:
-            self._commit("R9", side1, [normalize_edge(u, v1)], iso1)
-            return
-        side2 = base | set(self._alive_closed(v2))
-        iso2 = _isolated_after(adj, alive, side2)
-        if len(iso2) <= 1:
-            self._commit("R9", side2, [normalize_edge(u, v2)], iso2)
-            return
-        raise LedgerViolationError(
-            f"rule R9 at vertex {u}: both sides isolate more than one vertex"
-        )
-
-    def _fire_r10(self, a: int, b: int) -> None:
-        if self._small_diverted(a):
-            return
-        removal = set(self._alive_closed(a)) | set(self._alive_closed(b))
-        self._guarded_commit(_R10, a, removal, [normalize_edge(a, b)])
-
-    def _fire_r11(self, cyc: tuple[int, int, int, int]) -> None:
-        a = cyc[0]
-        if self._small_diverted(a):
-            return
-        v1, v2, v3, v4 = cyc
-        for (p, q) in ((v1, v2), (v2, v3), (v3, v4), (v4, v1)):
-            removal = set(self._alive_closed(p)) | set(self._alive_closed(q))
-            iso = _isolated_after(self.adj, self.alive, removal)
-            if not iso:
-                self._commit("R11", removal, [normalize_edge(p, q)], iso)
+        closed = self._alive_closed
+        # options: (removal, added) pairs in the order the rule tries them
+        if rule == _R1:
+            a1, b1, side_a, side_b = pat
+            options = [({a1, b1, *side_a, *side_b}, [_k33plus_edge(side_a, side_b)])]
+        elif rule <= _R5:
+            v = next(w for w in adj[u] if alive[w])
+            removal = closed(v)
+            if rule == _R4:
+                u2 = self._r4_partner(u)
+                v2 = next(w for w in adj[u2] if alive[w])
+                removal |= closed(v2)
+                added = sorted((normalize_edge(u, v), normalize_edge(u2, v2)))
+            elif rule == _R3:
+                mate = min(w for w in adj[v] if alive[w] and deg[w] == 1)
+                added = [normalize_edge(mate, v)]
+            else:
+                added = [normalize_edge(u, v)]
+            options = [(removal, added)]
+        elif rule <= _R9:
+            v1, v2 = [w for w in adj[u] if alive[w]]
+            if rule == _R6:
+                mate = v1 if deg[v1] == 2 else v2
+                options = [(closed(u) | closed(mate), [normalize_edge(u, mate)])]
+            elif rule == _R7:
+                options = [(closed(v1), [normalize_edge(u, v1)])]
+            else:
+                # R8 matches u with v1; R9 tries either neighbor
+                mates = (v1,) if rule == _R8 else (v1, v2)
+                options = [
+                    (closed(u) | closed(v), [normalize_edge(u, v)]) for v in mates
+                ]
+        elif rule == _R11:
+            options = [
+                (closed(p) | closed(q), [normalize_edge(p, q)])
+                for p, q in zip(pat, pat[1:] + pat[:1])
+            ]
+        else:
+            # R10 matches the triangle edge u-pat, R12 u and a neighbor
+            v = pat if rule == _R10 else next(w for w in adj[u] if alive[w])
+            options = [(closed(u) | closed(v), [normalize_edge(u, v)])]
+        for removal, added in options:
+            iso = _isolated_after(adj, alive, removal)
+            if len(removal) + len(iso) <= 6 * len(added):
+                self._commit(f"R{rule}", removal, added, iso)
                 return
         raise LedgerViolationError(
-            f"rule R11 at vertex {a}: every cycle edge isolates a vertex"
+            f"rule R{rule} at vertex {u} would break the 6-per-edge ledger"
         )
-
-    def _fire_r12(self, u: int) -> None:
-        if self._small_diverted(u):
-            return
-        alive = self.alive
-        v = next(w for w in self.adj[u] if alive[w])
-        removal = set(self._alive_closed(u)) | set(self._alive_closed(v))
-        self._guarded_commit(_R12, u, removal, [normalize_edge(u, v)])
 
     # -- committing --------------------------------------------------------
 
@@ -804,11 +700,8 @@ class _Engine:
                         touched.add(x)
         heaps = self.heaps
         for t in sorted(touched):
-            d = deg[t]
-            if d == 1:
-                heappush(heaps[self._classify_deg1(t)], t)
-            elif d == 2:
-                cls = self._classify_deg2(t)
+            if deg[t] <= 2:
+                cls = self._classify(t)
                 if cls is not None:
                     heappush(heaps[cls], t)
         self._record(rule_name, sorted(removal), sorted(added), len(iso))

@@ -381,6 +381,37 @@ class TestFuzz:
         assert json.loads(out)["fail"] == 0
 
 
+PARSER_ARGVS = [["--help"], ["match", "--bogus"], ["gen", "nope"], []]
+PARSER_ARGVS += [
+    [command, "--help"] for command in ("stats", "match", "exact", "verify", "gen", "fuzz")
+]
+
+
+class TestParserReuse:
+    """main shares one parser across calls; help and usage errors read byte
+    for byte as from a parser built for the call, with the same exit code."""
+
+    @pytest.mark.parametrize(
+        "argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments"
+    )
+    def test_same_as_fresh_parser(self, capsys, argv):
+        def outcome(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            out, err = capsys.readouterr()
+            return exc.value.code, out, err
+
+        fresh = outcome(strongmatch.cli._build_parser().parse_args)
+        assert fresh[1] or fresh[2]
+        assert outcome(main) == fresh
+        assert outcome(main) == fresh
+
+    def test_main_builds_no_parser(self, run, k33_file, monkeypatch):
+        monkeypatch.setattr(strongmatch.cli, "_build_parser", None)
+        assert run(["stats", k33_file])[0] == 0
+        assert run(["match", k33_file])[0] == 0
+
+
 class TestEntryPoint:
     def test_console_script_pipeline(self):
         gen = subprocess.run(

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import strongmatch.reduction
@@ -16,6 +18,7 @@ from strongmatch import (
     gen_extremal_cubic,
     gen_k33plus,
     gen_random_cubic,
+    gen_random_girth6,
     gen_random_subcubic,
     ledger_check,
     verify_induced_matching,
@@ -209,6 +212,37 @@ class TestRuleSelection:
                     assert len(step.removed) + step.isolated_created <= budget
 
 
+ALL_RULES = {f"R{k}" for k in range(1, 13)} | {"COMPONENT-BRUTE", "COMPONENT-K33PLUS"}
+
+
+def golden_corpus() -> list[Graph]:
+    graphs = [gen_random_cubic(200, 1000 + s) for s in range(30)]
+    graphs += [gen_random_subcubic(300, 400, 2000 + s) for s in range(30)]
+    graphs += [gen_random_girth6(200, 3, 3000 + s) for s in range(10)]
+    graphs.append(make_mixed())
+    # on the first R9 needs its second neighbor, on the second R11 a later
+    # cycle edge: their first options would break the 6-per-edge ledger
+    graphs += [gen_random_cubic(28, seed) for seed in (108217, 98017)]
+    return graphs
+
+
+class TestTraceGolden:
+    """Every step of every trace over a fixed corpus on which all fourteen
+    rule names fire, pinned by the sha256 of the concatenated trace text."""
+
+    SHA256 = "f2899485e7b51cfdc49fa55ca6f6f33027b7282cc8db6ec85a46d81ecf34801e"
+
+    def test_corpus_traces(self):
+        digest = hashlib.sha256()
+        fired = set()
+        for g in golden_corpus():
+            _, trace = find_induced_matching_subcubic(g)
+            digest.update(format_trace(trace).encode())
+            fired.update(step.rule for step in trace.steps)
+        assert fired == ALL_RULES
+        assert digest.hexdigest() == self.SHA256
+
+
 class TestLedgerCheck:
     def test_synthetic_valid_trace(self):
         g = make_cycle(5)
@@ -369,9 +403,14 @@ class TestCensusAgreement:
         assert {"R1", "COMPONENT-K33PLUS"} <= rules
 
 
+LOUD_CASES = [(first, g) for first, g, _ in RULE_CASES]
+LOUD_CASES.append(("R1", gen_extremal_cubic()))
+
+
 class TestLoudFailure:
     """A step that breaks the 6-per-edge accounting raises; nothing patches
-    it over with a component solve."""
+    it over with a component solve.  Each case's first step is a rule step
+    on a component past the oracle threshold."""
 
     @pytest.fixture
     def broken_rule(self, monkeypatch):
@@ -383,18 +422,19 @@ class TestLoudFailure:
 
         monkeypatch.setattr(strongmatch.reduction, "_isolated_after", over_budget)
 
-    def test_engine_raises(self, broken_rule):
-        # order 13 is past the oracle threshold, so R2 fires first
-        with pytest.raises(LedgerViolationError):
-            find_induced_matching_subcubic(make_path(13))
+    @pytest.mark.parametrize("first,g", LOUD_CASES, ids=[c[0] for c in LOUD_CASES])
+    def test_engine_raises(self, broken_rule, first, g):
+        with pytest.raises(LedgerViolationError, match=f"rule {first} at vertex"):
+            find_induced_matching_subcubic(g)
 
-    def test_cli_exits_1(self, broken_rule, tmp_path, capsys):
-        p = tmp_path / "p13.el"
-        p.write_text(write_edge_list(make_path(13), []))
+    @pytest.mark.parametrize("first,g", LOUD_CASES, ids=[c[0] for c in LOUD_CASES])
+    def test_cli_exits_1(self, broken_rule, tmp_path, capsys, first, g):
+        p = tmp_path / "g.el"
+        p.write_text(write_edge_list(g, []))
         assert main(["match", str(p)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert "ledger violation" in err
+        assert f"ledger violation: rule {first} at vertex" in err
 
 
 class TestPreconditionsAndBudget:

@@ -30,6 +30,7 @@ from .generators import (
 from .graph import (
     Graph,
     GraphError,
+    connected_components,
     count_invariants,
     parse_graph,
     verify_induced_matching,
@@ -105,6 +106,7 @@ def _emit(lines: list[str]) -> None:
 def cmd_stats(args) -> int:
     g = _load_graph(args.input, args.format)
     rep = count_invariants(g)
+    components = len(connected_components(g))
     if args.json:
         obj = {
             "n": rep.n,
@@ -114,7 +116,7 @@ def cmd_stats(args) -> int:
             "max_degree": rep.max_degree,
             "min_degree": g.min_degree(),
             "girth": _girth_repr(rep.girth),
-            "components": rep.components,
+            "components": components,
         }
         print(json.dumps(obj))
     else:
@@ -126,7 +128,7 @@ def cmd_stats(args) -> int:
             f"max_degree={rep.max_degree}",
             f"min_degree={g.min_degree()}",
             f"girth={_girth_repr(rep.girth)}",
-            f"components={rep.components}",
+            f"components={components}",
         ])
     return EXIT_OK
 

@@ -11,6 +11,8 @@ from collections import deque
 from .graph import Edge, Graph, GraphError
 
 _MASK64 = (1 << 64) - 1
+_ATTEMPT_FACTOR = 20
+_CUBIC_ATTEMPTS = 1000
 
 
 class SplitMix64:
@@ -144,14 +146,14 @@ def gen_odd_regular_extremal(delta: int) -> tuple[Graph, list[str]]:
 
 
 def gen_random_bounded_degree(
-    n: int, target_m: int, max_degree: int, seed: int, attempt_factor: int = 20
+    n: int, target_m: int, max_degree: int, seed: int
 ) -> Graph:
     """Random simple graph by attempt-limited edge insertion under a degree cap.
 
     Draws endpoint pairs from SplitMix64(seed); an attempt is kept when it is
     not a loop, not a duplicate, and both endpoints have degree below
     max_degree.  Stops after target_m accepted edges or
-    attempt_factor * (target_m + 1) attempts, so m <= target_m and near-full
+    _ATTEMPT_FACTOR * (target_m + 1) attempts, so m <= target_m and near-full
     degree sequences simply come out sparser.
     """
     if n < 0:
@@ -162,7 +164,7 @@ def gen_random_bounded_degree(
     adj: list[set[int]] = [set() for _ in range(n)]
     degree = [0] * n
     edges: list[Edge] = []
-    attempts = attempt_factor * (target_m + 1)
+    attempts = _ATTEMPT_FACTOR * (target_m + 1)
     while len(edges) < target_m and attempts > 0 and n >= 2:
         attempts -= 1
         u = below(n)
@@ -184,18 +186,18 @@ def gen_random_subcubic(n: int, target_m: int, seed: int) -> Graph:
     return gen_random_bounded_degree(n, target_m, 3, seed)
 
 
-def gen_random_cubic(n: int, seed: int, max_attempts: int = 1000) -> Graph:
+def gen_random_cubic(n: int, seed: int) -> Graph:
     """Random cubic graph via the pairing model with rejection.
 
     Three stubs per vertex are shuffled and paired consecutively; an attempt
     is rejected wholesale if any pair is a loop or duplicate edge.  The
     acceptance rate tends to e^-2, independent of n.  Raises GraphError when
-    n is odd, n < 4, or max_attempts rejections occur.
+    n is odd, n < 4, or _CUBIC_ATTEMPTS rejections occur.
     """
     if n < 4 or n % 2:
         raise GraphError(f"cubic graphs need even n >= 4, got {n}")
     rng = SplitMix64(seed)
-    for _ in range(max_attempts):
+    for _ in range(_CUBIC_ATTEMPTS):
         stubs = [v for v in range(n) for _ in range(3)]
         rng.shuffle(stubs)
         seen: set[Edge] = set()
@@ -212,7 +214,7 @@ def gen_random_cubic(n: int, seed: int, max_attempts: int = 1000) -> Graph:
             seen.add(key)
         if ok:
             return Graph(n, sorted(seen))
-    raise GraphError(f"no simple cubic pairing found in {max_attempts} attempts")
+    raise GraphError(f"no simple cubic pairing found in {_CUBIC_ATTEMPTS} attempts")
 
 
 def gen_random_girth6(n: int, max_degree: int, seed: int) -> Graph:

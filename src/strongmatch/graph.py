@@ -242,10 +242,10 @@ def _triangle_or_square(adj: Sequence[Sequence[int]]) -> Optional[int]:
 def is_k33plus(g: Graph, component: Sequence[int]) -> bool:
     """Test whether a component of g is K33+ (K_{3,3} with one edge subdivided).
 
-    The target graph has 7 vertices, 10 edges, degree multiset {3,3,3,3,3,3,2};
-    the degree-2 vertex u sits on the subdivided edge between branch vertices
-    a1 and b1.  The check verifies that exact structure, which determines the
-    graph completely.
+    The structure test is _k33plus_at at the component's vertex of least
+    degree, with the component as the alive graph: a hit spans 7 vertices
+    and fixes every edge at its six branch vertices, so on a component of
+    order 7 it is exactly K33+.
 
     Raises GraphError if ``component`` is not a connected component of g.
     """
@@ -257,29 +257,53 @@ def is_k33plus(g: Graph, component: Sequence[int]) -> bool:
         raise GraphError("vertex set is not a connected component of the graph")
     if len(comp) != 7:
         return False
-    degs = sorted(g.degree(v) for v in comp)
-    if degs != [2, 3, 3, 3, 3, 3, 3]:
-        return False
-    u = next(v for v in comp if g.degree(v) == 2)
-    a1, b1 = g.adj[u]
-    if g.has_edge(a1, b1):
-        return False
-    side_b = [w for w in g.adj[a1] if w != u]
-    side_a = [w for w in g.adj[b1] if w != u]
-    if len(side_b) != 2 or len(side_a) != 2:
-        return False
-    six = {a1, b1, *side_a, *side_b}
-    if len(six) != 6 or u in six:
-        return False
-    a_all = tuple(sorted([a1, *side_a]))
-    b_all = tuple(sorted([b1, *side_b]))
-    for a in side_a:
-        if g.adj[a] != b_all:
-            return False
-    for b in side_b:
-        if g.adj[b] != a_all:
-            return False
-    return True
+    deg = {v: len(g.adj[v]) for v in comp}
+    alive = dict.fromkeys(comp, 1)
+    u = min(comp, key=deg.__getitem__)
+    return _k33plus_at(g.adj, alive, deg, u) is not None
+
+
+def _k33plus_at(adj, alive, deg, u: int):
+    """K33+ subgraph with subdivision vertex u in the alive graph.
+
+    ``alive[v]`` and ``deg[v]`` are v's alive flag and alive degree.
+    Returns (a1, b1, side_a, side_b) or None.  In a subcubic graph the six
+    branch vertices have no edges outside the subgraph, so checking exact
+    alive neighborhoods is a complete test.
+    """
+    if deg[u] < 2:
+        return None
+    nbrs_u = [w for w in adj[u] if alive[w]]
+    for a1 in nbrs_u:
+        if deg[a1] != 3:
+            continue
+        for b1 in nbrs_u:
+            if b1 == a1 or deg[b1] != 3 or b1 in adj[a1]:
+                continue
+            side_b = [w for w in adj[a1] if alive[w] and w != u]
+            if len(side_b) != 2:
+                continue
+            side_a = [w for w in adj[b1] if alive[w] and w != u]
+            if len(side_a) != 2:
+                continue
+            six = {a1, b1, *side_a, *side_b}
+            if len(six) != 6 or u in six:
+                continue
+            b_all = sorted((b1, *side_b))
+            a_all = sorted((a1, *side_a))
+            ok = True
+            for a in side_a:
+                if sorted(w for w in adj[a] if alive[w]) != b_all:
+                    ok = False
+                    break
+            if ok:
+                for b in side_b:
+                    if sorted(w for w in adj[b] if alive[w]) != a_all:
+                        ok = False
+                        break
+            if ok:
+                return a1, b1, sorted(side_a), sorted(side_b)
+    return None
 
 
 def _incident_lists(g: Graph) -> list[list[int]]:
@@ -307,7 +331,6 @@ def _component_of(g: Graph, s: int) -> list[int]:
 class BoundReport:
     """Exact invariants of a graph plus every applicable size guarantee.
 
-    ``components`` counts connected components, isolated vertices included.
     ``girth`` is None for acyclic graphs.  A bound field is None when its
     hypothesis fails; ``reasons`` maps each absent field to a short
     explanation ("not cubic", "girth < 6", "not forest").  Rational fields
@@ -318,7 +341,6 @@ class BoundReport:
     m: int
     isolated: int
     n33plus: int
-    components: int
     max_degree: int
     girth: Optional[int]
     thm2_bound: int
@@ -339,7 +361,7 @@ def _census(g: Graph) -> tuple[int, int]:
     Both are local, so no component walk is needed.  A K33+ component is
     the closed 7-vertex set {u} | N(u) | N(a1) | N(b1) around its only
     degree-2 vertex u, whose neighbors are a1 and b1; each such closed set
-    that passes is_k33plus is counted once, from its u.
+    that passes is_k33plus (and so _k33plus_at) is counted once, from its u.
     """
     adj = g.adj
     n33 = 0
@@ -387,14 +409,14 @@ def count_invariants(g: Graph) -> BoundReport:
 
     thm2_bound = ceil((n - isolated - n33plus) / 6) is the guarantee met by
     the reduction engine on subcubic inputs, where n33plus counts components
-    isomorphic to K33+.  thm1_bound = ceil(m / 9) applies to cubic graphs,
+    isomorphic to K33+ (found by _census with _k33plus_at, no component
+    walk).  thm1_bound = ceil(m / 9) applies to cubic graphs,
     prop1_bound = ceil((n - isolated) / (D^2/4 + D + 1)) to graphs of girth
     at least 6 (D = max degree), and the greedy bounds m / (2D(D-1) + 1) and
     m / (2D - 1) to arbitrary graphs and forests respectively.
     """
     n = g.n
     m = g.m
-    components = len(connected_components(g))
     isolated, n33 = _census(g)
     dmax = g.max_degree()
     gi = girth(g)
@@ -430,7 +452,6 @@ def count_invariants(g: Graph) -> BoundReport:
         m=m,
         isolated=isolated,
         n33plus=n33,
-        components=components,
         max_degree=dmax,
         girth=gi,
         thm2_bound=thm2,

@@ -17,8 +17,9 @@ components emit one edge (COMPONENT-K33PLUS), components of order <= 12 are
 solved exactly by the oracle (COMPONENT-BRUTE), and larger components go
 through rules R1..R12 in fixed priority:
 
-  R1   a K33+ subgraph: match one central edge, delete its six degree-3
-       branch vertices (the degree-2 subdivision vertex survives)
+  R1   a K33+ subgraph, found by graph._k33plus_at like a K33+ component:
+       match one central edge, delete its six degree-3 branch vertices
+       (the degree-2 subdivision vertex survives)
   R2   end-vertex u with a degree-2 neighbor v: match uv, delete N[v]
   R3   vertex v adjacent to two end-vertices: match v with the smallest,
        delete N[v]
@@ -71,6 +72,7 @@ steps from the per-step cap, and so hide a rule bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
 from typing import NamedTuple, Optional
 
@@ -80,6 +82,7 @@ from .graph import (
     GraphError,
     _census,
     _isolated_after,
+    _k33plus_at,
     _thm2_bound,
     connected_components,
     normalize_edge,
@@ -237,9 +240,11 @@ class _Engine:
         self.matching: list[Edge] = []
         # heaps[rule] holds candidate anchor vertices for FRAG..R11
         self.heaps: list[list[int]] = [[] for _ in range(_R12)]
+        # adj, alive and deg change in place and are never rebound
+        self.k33plus_at = partial(_k33plus_at, self.adj, self.alive, self.deg)
         # the scanned heaps' pattern lookups; every other heap is classified
         self.finders = {
-            _R1: self._detect_k33,
+            _R1: self.k33plus_at,
             _R10: self._find_triangle,
             _R11: self._find_c4,
         }
@@ -294,7 +299,7 @@ class _Engine:
             # a K33+ subgraph puts every branch vertex on a 4-cycle, so only
             # vertices next to one can anchor R1; this keeps the scan cheap
             if d >= 2 and any(on_c4[w] for w in adj[v]):
-                if self._detect_k33(v) is not None:
+                if self.k33plus_at(v) is not None:
                     heappush(heaps[_R1], v)
 
     def _scan_short_cycles(self, active: list[int]) -> bytearray:
@@ -410,50 +415,6 @@ class _Engine:
                 best = w
         return best if best >= 0 else None
 
-    def _detect_k33(self, u: int):
-        """K33+ subgraph with subdivision vertex u in the alive graph.
-
-        Returns (a1, b1, side_a, side_b) or None.  In a subcubic graph the
-        six branch vertices have no edges outside the subgraph, so checking
-        exact alive neighborhoods is a complete test.
-        """
-        adj = self.adj
-        alive = self.alive
-        deg = self.deg
-        if deg[u] < 2:
-            return None
-        nbrs_u = [w for w in adj[u] if alive[w]]
-        for a1 in nbrs_u:
-            if deg[a1] != 3:
-                continue
-            for b1 in nbrs_u:
-                if b1 == a1 or deg[b1] != 3 or b1 in adj[a1]:
-                    continue
-                side_b = [w for w in adj[a1] if alive[w] and w != u]
-                if len(side_b) != 2:
-                    continue
-                side_a = [w for w in adj[b1] if alive[w] and w != u]
-                if len(side_a) != 2:
-                    continue
-                six = {a1, b1, *side_a, *side_b}
-                if len(six) != 6 or u in six:
-                    continue
-                b_all = sorted((b1, *side_b))
-                a_all = sorted((a1, *side_a))
-                ok = True
-                for a in side_a:
-                    if sorted(w for w in adj[a] if alive[w]) != b_all:
-                        ok = False
-                        break
-                if ok:
-                    for b in side_b:
-                        if sorted(w for w in adj[b] if alive[w]) != a_all:
-                            ok = False
-                            break
-                if ok:
-                    return a1, b1, sorted(side_a), sorted(side_b)
-        return None
-
     # -- probes and small components --------------------------------------
 
     def _probe(self, s: int) -> Optional[list[int]]:
@@ -492,7 +453,7 @@ class _Engine:
         if len(comp) == 7:
             # a K33+ subgraph on 7 alive vertices of a subcubic graph is the
             # whole component, so testing at its degree-2 vertex is exact
-            pat = self._detect_k33(min(comp, key=deg.__getitem__))
+            pat = self.k33plus_at(min(comp, key=deg.__getitem__))
         if pat is not None:
             rule = "COMPONENT-K33PLUS"
             _, _, side_a, side_b = pat

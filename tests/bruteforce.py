@@ -6,6 +6,7 @@ so that agreement with the library is meaningful evidence.
 """
 
 from collections import deque
+from functools import cache
 from itertools import combinations, permutations
 from typing import Optional
 
@@ -149,7 +150,11 @@ _K33PLUS_REF_EDGES = frozenset(
 
 
 def is_k33plus_by_isomorphism(g: Graph, component) -> bool:
-    """Exhaustive isomorphism test against a hand-built reference K33+."""
+    """Exhaustive isomorphism test against a hand-built reference K33+.
+
+    The component's edges, relabeled to 0..6 in vertex order, must be one
+    of the 7! relabelings of the reference; those are enumerated once.
+    """
     comp = sorted(component)
     if len(comp) != 7:
         return False
@@ -159,13 +164,15 @@ def is_k33plus_by_isomorphism(g: Graph, component) -> bool:
         for w in g.adj[v]:
             if w in local and w > v:
                 sub_edges.add((local[v], local[w]))
-    if len(sub_edges) != 10:
-        return False
-    for perm in permutations(range(7)):
-        mapped = {tuple(sorted((perm[u], perm[v]))) for u, v in sub_edges}
-        if mapped == _K33PLUS_REF_EDGES:
-            return True
-    return False
+    return frozenset(sub_edges) in _k33plus_labelings()
+
+
+@cache
+def _k33plus_labelings() -> frozenset:
+    return frozenset(
+        frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in _K33PLUS_REF_EDGES)
+        for perm in permutations(range(7))
+    )
 
 
 def replay_trace(g: Graph, trace: ReductionTrace) -> list:

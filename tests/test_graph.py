@@ -8,6 +8,7 @@ from strongmatch import (
     Graph,
     GraphError,
     GraphParseError,
+    SplitMix64,
     connected_components,
     count_invariants,
     gen_extremal_cubic,
@@ -269,6 +270,40 @@ class TestK33Plus:
         g = Graph(7, [(perm[u], perm[v]) for u, v in base.edges])
         assert is_k33plus(g, range(7))
         assert is_k33plus_by_isomorphism(g, range(7))
+
+    def test_agrees_with_isomorphism_reference(self):
+        # every 7-vertex component of random graphs of max degree 3 to 6,
+        # and relabeled copies of K33+ as it is, with one edge added and
+        # with one edge removed, each beside a path
+        k33 = list(gen_k33plus().edges)
+        absent = [
+            (u, v) for u in range(7) for v in range(u + 1, 7) if (u, v) not in k33
+        ]
+        variants = [k33] + [k33 + [e] for e in absent]
+        variants += [[f for f in k33 if f != e] for e in k33]
+        graphs = [
+            gen_random_bounded_degree(7, 6 + s % 9, 3 + s % 4, 90_000 + s)
+            for s in range(1200)
+        ]
+        graphs += [
+            gen_random_bounded_degree(40, 20 + s % 5, 3 + s % 4, 91_000 + s)
+            for s in range(400)
+        ]
+        for s in range(16):
+            perm = list(range(7))
+            SplitMix64(s).shuffle(perm)
+            for edges in variants:
+                copy = Graph(7, [(perm[u], perm[v]) for u, v in edges])
+                graphs.append(disjoint_union(make_path(s + 1), copy))
+        checked = found = 0
+        for g in graphs:
+            for comp in connected_components(g):
+                if len(comp) == 7:
+                    expected = is_k33plus_by_isomorphism(g, comp)
+                    assert is_k33plus(g, comp) == expected, (g.edges, comp)
+                    checked += 1
+                    found += expected
+        assert checked > 1000 and found > 30
 
 
 class TestCountInvariants:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 
@@ -28,7 +29,7 @@ from strongmatch.cli import main
 from strongmatch.graph import _census
 
 from bruteforce import replay_trace
-from corpus import build_instance, small_corpus
+from corpus import build_instance, determinism_corpus, small_corpus
 from util import (
     census_by_walk,
     disjoint_union,
@@ -243,6 +244,33 @@ class TestTraceGolden:
         assert digest.hexdigest() == self.SHA256
 
 
+class TestRestart:
+    """The two graphs known to need _step_once's restart: an end-vertex
+    filed under R5 gains an R4 partner at distance 4 without being touched
+    itself, is refiled under R4 when its heap is reached, and the walk
+    starts over from FRAG.  Without the restart, R6 fires at the small
+    graph's fourth step instead."""
+
+    def test_subcubic_trace(self):
+        _, trace = run_checked(gen_random_subcubic(28, 31, 3002328))
+        assert format_trace(trace) == (
+            "rule=COMPONENT-BRUTE removed=13,16,17 added=13-16 isolated=0\n"
+            "rule=R5 removed=0,12,20,27 added=0-20 isolated=0\n"
+            "rule=R2 removed=5,7,21 added=5-21 isolated=0\n"
+            "rule=R4 removed=3,4,9,10,11,14,18 added=3-10,9-11 isolated=1\n"
+            "rule=COMPONENT-BRUTE removed=1,2,6,8,15,22,23,24,25,26 "
+            "added=1-6,8-26,22-23 isolated=0\n"
+            "matching=8 bound=5 ok=true\n"
+        )
+
+    def test_girth6_trace(self):
+        _, trace = run_checked(gen_random_girth6(227, 3, 931407))
+        digest = hashlib.sha256(format_trace(trace).encode()).hexdigest()
+        assert digest == (
+            "99aaa20c71ed5aa0143644d295dd2781fcf735534b6a89324d61b97598cc155e"
+        )
+
+
 class TestLedgerCheck:
     def test_synthetic_valid_trace(self):
         g = make_cycle(5)
@@ -336,7 +364,7 @@ class TestFormatTrace:
 
 
 class TestCensusAgreement:
-    def test_bound_and_components_agree(self):
+    def test_bound_and_components_agree(self, tmp_path, capsys):
         graphs = [make_mixed()]
         graphs += [build_instance(*entry) for entry in small_corpus()]
         for g in graphs:
@@ -345,7 +373,15 @@ class TestCensusAgreement:
             summary = format_trace(ReductionTrace(g, ())).split()
             assert summary[1] == f"bound={rep.thm2_bound}"
             assert rep.thm2_bound == thm2_of(g)
-            assert rep.components == len(connected_components(g))
+        # components are counted where they are printed, by stats
+        graphs = [make_mixed()]
+        graphs += [build_instance(*entry) for entry in determinism_corpus()]
+        path = tmp_path / "g.el"
+        for g in graphs:
+            path.write_text(write_edge_list(g))
+            assert main(["stats", str(path), "--json"]) == 0
+            stats = json.loads(capsys.readouterr().out)
+            assert stats["components"] == len(connected_components(g))
 
     def check_census(self, graphs):
         for g in graphs:

@@ -6,8 +6,9 @@ from strongmatch import (
     gen_extremal_cubic,
     gen_k33plus,
     gen_random_subcubic,
-    is_k33plus,
 )
+
+from bruteforce import is_k33plus_by_isomorphism
 
 
 def make_path(k: int) -> Graph:
@@ -94,10 +95,14 @@ def make_mixed() -> Graph:
 
 
 def census_by_walk(g: Graph) -> tuple[int, int]:
-    """Isolated vertices and K33+ components, read off a component walk."""
+    """Isolated vertices and K33+ components, read off a component walk.
+
+    K33+ is recognized by the isomorphism reference, which shares no code
+    with the library's is_k33plus.
+    """
     comps = connected_components(g)
     iso = sum(1 for c in comps if len(c) == 1)
-    n33 = sum(1 for c in comps if len(c) == 7 and is_k33plus(g, c))
+    n33 = sum(1 for c in comps if is_k33plus_by_isomorphism(g, c))
     return iso, n33
 
 

@@ -30,6 +30,7 @@ from .generators import (
 from .graph import (
     Graph,
     GraphError,
+    _bound_report,
     connected_components,
     count_invariants,
     parse_graph,
@@ -138,7 +139,14 @@ def cmd_stats(args) -> int:
 
 def cmd_match(args) -> int:
     g = _load_graph(args.input, args.format)
-    rep = count_invariants(g)
+    if args.json or args.method == "girth6":
+        rep = count_invariants(g)
+    else:
+        # text output shows only the method's bound, and only the girth-6
+        # bound needs the girth; the others may be taken as for an acyclic
+        # graph, since the forest method accepts nothing else and the
+        # reduction and greedy bounds ignore the girth
+        rep = _bound_report(g, None)
     trace = None
     try:
         if args.method == "reduction":

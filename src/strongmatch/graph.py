@@ -159,19 +159,22 @@ def girth(g: Graph) -> Optional[int]:
     and the smallest vertex s of a shortest cycle C sees all of C among the
     vertices >= s, where the BFS from s reports |C|.
 
-    A local pass over the roots in vertex order comes first: a triangle
-    returns 3 at once, and if the pass ends with none, two neighbors of a
-    root that share a second common neighbor give 4.  Only then does the
-    BFS run, knowing the girth is at least 5, and it stops at the first
-    5-cycle.  The local pass marks vertices in two stamp arrays and builds
-    no sets, so it costs O(n D^2) for maximum degree D; the BFS costs
-    O(n + m) per root, cut short once 2 dist[v] + 1 reaches the best cycle
-    found.
+    A local pass over the roots in vertex order comes first (_short_cycles,
+    which also seeds the reduction engine's R10 and R11 heaps): a triangle
+    returns 3 at once, and if the pass ends with none, a 4-cycle gives 4.
+    Only then does the BFS run, knowing the girth is at least 5, and it
+    stops at the first 5-cycle.  The local pass marks vertices in three
+    stamp arrays (N(s), the vertices reached, and the neighbor of s that
+    reached each) and builds no sets, so it costs O(n D^2) for maximum
+    degree D; the BFS costs O(n + m) per root, cut short once 2 dist[v] + 1
+    reaches the best cycle found.
     """
     adj = g.adj
-    short = _triangle_or_square(adj)
-    if short is not None:
-        return short
+    triangles, squares, _ = _short_cycles(adj, stop_at_triangle=True)
+    if triangles:
+        return 3
+    if squares:
+        return 4
     n = g.n
     best: Optional[int] = None
     dist = [0] * n
@@ -207,18 +210,29 @@ def girth(g: Graph) -> Optional[int]:
     return best
 
 
-def _triangle_or_square(adj: Sequence[Sequence[int]]) -> Optional[int]:
-    """3 if the graph has a triangle, else 4 if it has a 4-cycle, else None.
+def _short_cycles(
+    adj: Sequence[Sequence[int]], stop_at_triangle: bool = False
+) -> tuple[list[int], list[int], bytearray]:
+    """Smallest vertices of the triangles and of the 4-cycles, ascending,
+    and ``on_c4``, which flags every vertex on a 4-cycle.
 
     Each cycle is looked for from its smallest vertex s, through the
-    neighbors of s above it: a vertex above s reached from two of them
-    closes a 4-cycle, and one that is itself a neighbor of s closes a
-    triangle.
+    neighbors of s above it, so a root with fewer than two neighbors above
+    it is skipped: a vertex above s reached from two of them closes a
+    4-cycle, and one that is itself a neighbor of s closes a triangle.
+    Three stamp arrays, tagged s + 1, stand in for per-root sets: ``near``
+    marks N(s), ``seen`` the vertices reached so far, and ``via`` holds the
+    neighbor that first reached each of them, the fourth vertex of a 4-cycle
+    closed at a later reach.  O(n D^2) for maximum degree D.  With
+    ``stop_at_triangle`` the pass ends at the first triangle found.
     """
     n = len(adj)
     near = [0] * n
-    reached = [0] * n
-    square = False
+    seen = [0] * n
+    via = [0] * n
+    on_c4 = bytearray(n)
+    tri_roots: list[int] = []
+    c4_roots: list[int] = []
     for s in range(n):
         nbrs = adj[s]
         if len(nbrs) < 2 or nbrs[-2] < s:
@@ -226,17 +240,29 @@ def _triangle_or_square(adj: Sequence[Sequence[int]]) -> Optional[int]:
         tag = s + 1
         for a in nbrs:
             near[a] = tag
+        tri = c4 = False
         for a in nbrs:
             if a < s:
                 continue
             for w in adj[a]:
-                if w > s:
-                    if near[w] == tag:
-                        return 3
-                    if reached[w] == tag:
-                        square = True
-                    reached[w] = tag
-    return 4 if square else None
+                if w <= s:
+                    continue
+                if near[w] == tag:
+                    if stop_at_triangle:
+                        return [s], [], on_c4
+                    tri = True
+                if seen[w] == tag:
+                    c4 = True
+                    on_c4[a] = on_c4[w] = on_c4[via[w]] = 1
+                else:
+                    seen[w] = tag
+                    via[w] = a
+        if tri:
+            tri_roots.append(s)
+        if c4:
+            c4_roots.append(s)
+            on_c4[s] = 1
+    return tri_roots, c4_roots, on_c4
 
 
 def is_k33plus(g: Graph, component: Sequence[int]) -> bool:
@@ -415,11 +441,15 @@ def count_invariants(g: Graph) -> BoundReport:
     at least 6 (D = max degree), and the greedy bounds m / (2D(D-1) + 1) and
     m / (2D - 1) to arbitrary graphs and forests respectively.
     """
+    return _bound_report(g, girth(g))
+
+
+def _bound_report(g: Graph, gi: Optional[int]) -> BoundReport:
+    """count_invariants(g), given the girth gi of g (None: acyclic)."""
     n = g.n
     m = g.m
     isolated, n33 = _census(g)
     dmax = g.max_degree()
-    gi = girth(g)
     reasons: dict[str, str] = {}
 
     thm2 = _thm2_bound(n, isolated, n33)

@@ -38,8 +38,12 @@ def greedy_induced_matching(g: Graph) -> list[Edge]:
     queue: ``buckets[d]`` is a heap of the ids filed when their count was d,
     and a pointer moves up past empty buckets and down to any count that
     drops below it.  Entries whose edge died or whose count moved on are
-    skipped when popped.  Time and memory are O(m + sum |conf|) = O(mD^2),
-    with a log m factor on each filing for the per-bucket id order.
+    skipped when popped, and the loop stops as soon as no live edge is
+    left, so the stale entries still filed then are never popped.  The
+    conflict lists share one flat list, edge i's being
+    ``conf[start[i]:start[i + 1]]``, so no list object is kept per edge.
+    Time and memory are O(m + sum |conf|) = O(mD^2), with a log m factor on
+    each filing for the per-bucket id order.
     """
     edges = g.edges
     m = len(edges)
@@ -47,24 +51,29 @@ def greedy_induced_matching(g: Graph) -> list[Edge]:
         return []
     adj = g.adj
     incident = _incident_lists(g)
-    # conf[i]: edges touching N(u) | N(v), which is N[u] | N[v]; it holds i
-    conf: list[list[int]] = []
+    # conf[start[i]:start[i + 1]]: the edges touching N(u) | N(v), which is
+    # N[u] | N[v], for edge i = uv; it holds i
+    conf: list[int] = []
+    start = [0]
+    cdeg: list[int] = []
     for u, v in edges:
         span: set[int] = set()
         for x in adj[u]:
             span.update(incident[x])
         for x in adj[v]:
             span.update(incident[x])
-        conf.append(list(span))
-    cdeg = [len(c) - 1 for c in conf]
+        conf.extend(span)
+        start.append(len(conf))
+        cdeg.append(len(span) - 1)
     alive = bytearray(b"\x01" * m)
     buckets: list[list[int]] = [[] for _ in range(max(cdeg) + 1)]
     for i, k in enumerate(cdeg):
         buckets[k].append(i)  # ascending ids: already a heap
     chosen: list[Edge] = []
     d = 0
-    top = len(buckets)
-    while d < top:
+    live = m
+    # while an edge lives, its count is at least d and it is filed there
+    while live:
         bucket = buckets[d]
         while bucket:
             i = heappop(bucket)
@@ -74,10 +83,11 @@ def greedy_induced_matching(g: Graph) -> list[Edge]:
             d += 1
             continue
         chosen.append(edges[i])
-        killed = [j for j in conf[i] if alive[j]]
+        killed = [j for j in conf[start[i]:start[i + 1]] if alive[j]]
+        live -= len(killed)
         for j in killed:
             alive[j] = 0
-        hits = [t for j in killed for t in conf[j] if alive[t]]
+        hits = [t for j in killed for t in conf[start[j]:start[j + 1]] if alive[t]]
         for t in hits:
             cdeg[t] -= 1
         for t in set(hits):

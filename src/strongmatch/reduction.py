@@ -50,7 +50,13 @@ Implementation: per-vertex alive flags, dynamic degrees, and one table of
 candidate heaps, heaps[FRAG..R11], walked in priority order; R12 just takes
 the smallest vertex still alive.  Scanned heaps (R1, R10, R11) are filled
 once up front, which is sound because vertex deletion never creates a
-subgraph, and their anchors are looked up afresh when popped.  Classified
+subgraph, and their anchors are looked up afresh when popped.  The R10 and
+R11 anchors are the smallest vertices of the triangles and 4-cycles, from
+the one pass graph._short_cycles that girth also runs; that is enough,
+because the smallest vertex of an alive short cycle stays filed until it
+fires, so the smallest anchor with an alive pattern is always one.  R1
+anchors are tested only next to 4-cycle vertices, as every K33+ branch
+vertex lies on a 4-cycle.  Classified
 heaps (FRAG, R2..R9) hold end-vertices and degree-2 vertices filed by
 _classify and lazily revalidated: an anchor whose class has moved is
 refiled, and when it moves to an earlier rule the walk restarts at FRAG.
@@ -74,6 +80,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
+from itertools import compress
 from typing import NamedTuple, Optional
 
 from .graph import (
@@ -83,6 +90,7 @@ from .graph import (
     _census,
     _isolated_after,
     _k33plus_at,
+    _short_cycles,
     _thm2_bound,
     connected_components,
     normalize_edge,
@@ -272,74 +280,37 @@ class _Engine:
         adj = self.adj
         deg = self.deg
         alive = self.alive
-        active: list[int] = []
         for comp in connected_components(self.g):
             if len(comp) == 1:
                 self.initial_isolated += 1
                 alive[comp[0]] = 0
-                continue
-            if len(comp) <= BRUTE_FORCE_THRESHOLD:
+            elif len(comp) <= BRUTE_FORCE_THRESHOLD:
                 rule = self._consume_component(comp)
                 if rule == "COMPONENT-K33PLUS":
                     self.initial_n33 += 1
-            else:
-                active.extend(comp)
-        active.sort()
-        for v in active:
-            if deg[v] == 1:
-                self.n_deg1 += 1
-        on_c4 = self._scan_short_cycles(active)
+        # what is left alive makes up the components of order > 12
+        active = list(compress(range(self.g.n), alive))
+        self.n_deg1 += sum(1 for v in active if deg[v] == 1)
         heaps = self.heaps
         for v in active:
-            d = deg[v]
-            if d <= 2:
+            if deg[v] <= 2:
                 cls = self._classify(v)
                 if cls is not None:
-                    heappush(heaps[cls], v)
-            # a K33+ subgraph puts every branch vertex on a 4-cycle, so only
-            # vertices next to one can anchor R1; this keeps the scan cheap
-            if d >= 2 and any(on_c4[w] for w in adj[v]):
-                if self.k33plus_at(v) is not None:
-                    heappush(heaps[_R1], v)
-
-    def _scan_short_cycles(self, active: list[int]) -> bytearray:
+                    heaps[cls].append(v)  # ascending ids: already a heap
         # triangles and 4-cycles only ever disappear, so one scan suffices;
         # every short cycle gets an anchor entry at its smallest vertex
-        adj = self.adj
-        n = self.g.n
-        tri_pushed = bytearray(n)
-        c4_pushed = bytearray(n)
-        on_c4 = bytearray(n)
-        for u in active:
-            nbrs_u = adj[u]
-            for v in nbrs_u:
-                if v < u:
-                    continue
-                tri = False
-                c4 = False
-                for x in nbrs_u:
-                    if x != v and x in adj[v]:
-                        tri = True
-                        break
-                for x in nbrs_u:
-                    if x == v:
-                        continue
-                    for w in adj[v]:
-                        if w != u and w != x and w in adj[x]:
-                            c4 = True
-                            break
-                    if c4:
-                        break
-                if tri and not tri_pushed[u]:
-                    tri_pushed[u] = 1
-                    heappush(self.heaps[_R10], u)
-                if c4:
-                    on_c4[u] = 1
-                    on_c4[v] = 1
-                    if not c4_pushed[u]:
-                        c4_pushed[u] = 1
-                        heappush(self.heaps[_R11], u)
-        return on_c4
+        triangles, squares, on_c4 = _short_cycles(adj)
+        heaps[_R10] = [s for s in triangles if alive[s]]
+        heaps[_R11] = [s for s in squares if alive[s]]
+        # a K33+ subgraph puts every branch vertex on a 4-cycle, so only
+        # vertices next to one can anchor R1; this keeps the scan cheap
+        near_c4 = {
+            v
+            for x in compress(range(self.g.n), on_c4)
+            for v in adj[x]
+            if alive[v] and deg[v] >= 2
+        }
+        heaps[_R1] = sorted(v for v in near_c4 if self.k33plus_at(v) is not None)
 
     # -- candidate classification -----------------------------------------
 

@@ -55,6 +55,28 @@ def girth_by_bfs_from_every_root(g: Graph) -> Optional[int]:
     return best
 
 
+def short_cycles_by_enumeration(g: Graph) -> tuple[set, set]:
+    """Every triangle and every 4-cycle of g, each as the frozenset of its
+    vertices.
+
+    A triangle is an edge uv plus a common neighbor w; a 4-cycle is a path
+    b-a-d plus a common neighbor c of b and d other than a.  Every cycle is
+    met from each of its vertices, with no root order and no stamps.
+    """
+    nbrs = [set(a) for a in g.adj]
+    triangles = {
+        frozenset((u, v, w)) for u, v in g.edges for w in nbrs[u] & nbrs[v]
+    }
+    squares = {
+        frozenset((a, b, c, d))
+        for a in range(g.n)
+        for b, d in combinations(g.adj[a], 2)
+        for c in nbrs[b] & nbrs[d]
+        if c != a
+    }
+    return triangles, squares
+
+
 def max_induced_matching_by_subsets(g: Graph) -> int:
     """Largest valid edge subset, checked only via verify_induced_matching."""
     m = g.m

@@ -25,11 +25,13 @@ from strongmatch import (
     verify_induced_matching,
     write_edge_list,
 )
+from strongmatch.graph import _short_cycles
 
 from bruteforce import (
     girth_by_bfs_from_every_root,
     girth_by_enumeration,
     is_k33plus_by_isomorphism,
+    short_cycles_by_enumeration,
 )
 from corpus import build_instance, determinism_corpus, small_corpus
 from util import (
@@ -229,6 +231,70 @@ class TestGirthAgainstFullBfs:
     def test_dense_triangle_free(self):
         g = make_complete_bipartite(50, 50)
         assert girth(g) == 4
+
+
+@st.composite
+def bounded_graphs(draw, max_n=24, max_degree=6):
+    """Random graphs of maximum degree at most ``max_degree``: drawn edges
+    are kept while both ends still have room."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not possible:
+        return Graph(n, [])
+    deg = [0] * n
+    edges = []
+    for u, v in draw(st.lists(st.sampled_from(possible), unique=True)):
+        if deg[u] < max_degree and deg[v] < max_degree:
+            deg[u] += 1
+            deg[v] += 1
+            edges.append((u, v))
+    return Graph(n, edges)
+
+
+class TestShortCycles:
+    """_short_cycles, the pass behind girth's local step and the reduction
+    engine's R1/R10/R11 anchors, against enumerated triangles and 4-cycles."""
+
+    def check(self, g):
+        triangles, squares = short_cycles_by_enumeration(g)
+        tri_roots, c4_roots, on_c4 = _short_cycles(g.adj)
+        assert tri_roots == sorted({min(t) for t in triangles}), g
+        assert c4_roots == sorted({min(c) for c in squares}), g
+        union = set().union(*squares)
+        assert [v for v in range(g.n) if on_c4[v]] == sorted(union), g
+        first, _, _ = _short_cycles(g.adj, stop_at_triangle=True)
+        assert first == tri_roots[:1], g
+        gi = girth(g)
+        assert gi == girth_by_bfs_from_every_root(g), g
+        assert (gi == 3) == bool(triangles), g
+        assert (gi == 4) == (not triangles and bool(squares)), g
+
+    def test_corpora(self):
+        for entry in small_corpus() + determinism_corpus():
+            self.check(build_instance(*entry))
+
+    def test_named_graphs(self):
+        k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+        named = [
+            make_circular_ladder(4),  # Q3
+            k4,
+            make_complete_bipartite(3, 3),
+            gen_k33plus(),
+            make_circular_ladder(3),  # the prism
+            make_petersen(),
+            make_lcf(14, [5, -5]),  # Heawood
+        ]
+        for g in named:
+            self.check(g)
+        # a root with exactly two neighbors above it, and the neighbor that
+        # first reached the far corner, both on the 4-cycle
+        tri_roots, c4_roots, on_c4 = _short_cycles(make_cycle(4).adj)
+        assert (tri_roots, c4_roots, list(on_c4)) == ([], [0], [1, 1, 1, 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(bounded_graphs())
+    def test_random_graphs(self, g):
+        self.check(g)
 
 
 class TestK33Plus:

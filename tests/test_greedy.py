@@ -1,3 +1,4 @@
+import hashlib
 from math import ceil
 
 import pytest
@@ -92,6 +93,16 @@ class TestGeneralGreedy:
     def test_deterministic(self):
         g = gen_random_bounded_degree(40, 80, 5, 7)
         assert greedy_induced_matching(g) == greedy_induced_matching(g)
+
+    def test_mid_size_sha256(self):
+        # about 20k edges at maximum degree 6: the flat conflict list holds
+        # up to 61 entries per edge, and the queue runs over a thousand rounds
+        g = gen_random_bounded_degree(7_000, 20_000, 6, 1_080_003)
+        assert (g.m, g.max_degree()) == (20_000, 6)
+        text = ",".join(f"{u}-{v}" for u, v in greedy_induced_matching(g))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4a2ec136eddb589a1b79688b2c4b12bda898e57b6d3a1ddac2dd4afa3ea17542"
+        )
 
 
 class TestGeneralGreedyMatchesRescan:

@@ -271,6 +271,29 @@ class TestRestart:
         )
 
 
+class TestMidSizeGolden:
+    """format_trace on 20k-vertex graphs, where setup scans, heap order and
+    the R12 pointer run at a scale the small goldens do not reach."""
+
+    @pytest.mark.parametrize(
+        "make,digest",
+        [
+            (
+                lambda: gen_random_subcubic(20_000, 30_000, 1_080_001),
+                "f60df6181e9a3c9fe098fe8e1bc29cb9b7a21c67880a3686698ea6735a869989",
+            ),
+            (
+                lambda: gen_random_cubic(20_000, 1_080_002),
+                "35c425cebb1bbc59ac8a6eb552118e5dd854882df03f09f08645dc55a2e0775d",
+            ),
+        ],
+        ids=["subcubic", "cubic"],
+    )
+    def test_trace_sha256(self, make, digest):
+        _, trace = find_induced_matching_subcubic(make())
+        assert hashlib.sha256(format_trace(trace).encode()).hexdigest() == digest
+
+
 class TestLedgerCheck:
     def test_synthetic_valid_trace(self):
         g = make_cycle(5)

@@ -139,13 +139,13 @@ def cmd_stats(args) -> int:
 
 def cmd_match(args) -> int:
     g = _load_graph(args.input, args.format)
-    if args.json or args.method == "girth6":
+    if args.json:
         rep = count_invariants(g)
     else:
-        # text output shows only the method's bound, and only the girth-6
-        # bound needs the girth; the others may be taken as for an acyclic
-        # graph, since the forest method accepts nothing else and the
-        # reduction and greedy bounds ignore the girth
+        # text output shows only the method's bound, which may be taken as
+        # for an acyclic graph: the forest method accepts nothing else, the
+        # girth-6 method checks the girth itself and rejects girth < 6, and
+        # the reduction and greedy bounds ignore the girth
         rep = _bound_report(g, None)
     trace = None
     try:

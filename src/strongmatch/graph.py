@@ -430,6 +430,49 @@ def _isolated_after(
     return iso
 
 
+def _alive_closed(adj, alive, v: int) -> set[int]:
+    """v with its alive neighbors."""
+    out = {v}
+    for w in adj[v]:
+        if alive[w]:
+            out.add(w)
+    return out
+
+
+def _delete(adj, alive, deg, removal: set[int], iso: list[int]) -> set[int]:
+    """Delete ``removal`` and the vertices ``iso`` it isolates (from
+    _isolated_after) from the alive graph, where ``deg[v]`` is v's alive
+    degree: clear their alive flags, lower their alive neighbors' degrees,
+    and return the alive vertices at distance at most 2 of the deleted set.
+    """
+    for v in removal:
+        alive[v] = 0
+    ring1 = []
+    for v in removal:
+        for w in adj[v]:
+            if alive[w]:
+                deg[w] -= 1
+                ring1.append(w)
+    for w in iso:
+        alive[w] = 0
+    touched = set()
+    for w in ring1:
+        if alive[w]:
+            touched.add(w)
+            for x in adj[w]:
+                if alive[x]:
+                    touched.add(x)
+    return touched
+
+
+def _conflicts(adj, incident, u: int, v: int) -> set[int]:
+    """Ids of the edges that conflict with the edge uv, uv itself included:
+    those meeting N(u) | N(v), which is N[u] | N[v].  ``incident`` is
+    _incident_lists(g)."""
+    at = incident.__getitem__
+    return set().union(*map(at, adj[u]), *map(at, adj[v]))
+
+
 def count_invariants(g: Graph) -> BoundReport:
     """Compute the BoundReport for g.
 

@@ -17,6 +17,9 @@ from .graph import (
     Edge,
     Graph,
     GraphError,
+    _alive_closed,
+    _conflicts,
+    _delete,
     _incident_lists,
     _isolated_after,
     connected_components,
@@ -51,17 +54,13 @@ def greedy_induced_matching(g: Graph) -> list[Edge]:
         return []
     adj = g.adj
     incident = _incident_lists(g)
-    # conf[start[i]:start[i + 1]]: the edges touching N(u) | N(v), which is
-    # N[u] | N[v], for edge i = uv; it holds i
+    # conf[start[i]:start[i + 1]]: the edges conflicting with edge i, i
+    # itself included
     conf: list[int] = []
     start = [0]
     cdeg: list[int] = []
     for u, v in edges:
-        span: set[int] = set()
-        for x in adj[u]:
-            span.update(incident[x])
-        for x in adj[v]:
-            span.update(incident[x])
+        span = _conflicts(adj, incident, u, v)
         conf.extend(span)
         start.append(len(conf))
         cdeg.append(len(span) - 1)
@@ -143,10 +142,8 @@ def forest_greedy_induced_matching(g: Graph) -> list[Edge]:
             if not alive[i]:
                 continue
             chosen.append(g.edges[i])
-            region = {v, p, *adj[v], *adj[p]}
-            for x in region:
-                for j in incident[x]:
-                    alive[j] = 0
+            for j in _conflicts(adj, incident, v, p):
+                alive[j] = 0
     return sorted(chosen)
 
 
@@ -161,6 +158,10 @@ def girth6_induced_matching(g: Graph) -> list[Edge]:
     Without end-vertices, take the smallest edge uv and delete N[u] and
     N[v]: at most 2D <= (D + 2)^2 / 4 vertices, and the girth condition
     means nothing becomes isolated.  Raises GraphError when girth < 6.
+
+    The alive graph is kept as in the reduction engine, with the shared
+    graph._alive_closed, graph._isolated_after and graph._delete; pendant
+    counts are refreshed on the vertices that graph._delete reports.
     """
     gv = girth(g)
     if gv is not None and gv < 6:
@@ -168,7 +169,7 @@ def girth6_induced_matching(g: Graph) -> list[Edge]:
     n = g.n
     adj = g.adj
     deg = g.degrees()
-    alive = bytearray(b"\x01" * n) if n else bytearray()
+    alive = bytearray(b"\x01" * n)
     for v in range(n):
         if deg[v] == 0:
             alive[v] = 0
@@ -189,8 +190,7 @@ def girth6_induced_matching(g: Graph) -> list[Edge]:
         if heap:
             v = heap[0][1]
             u = min(w for w in adj[v] if alive[w] and deg[w] == 1)
-            removal = {v}
-            removal.update(w for w in adj[v] if alive[w])
+            removal = _alive_closed(adj, alive, v)
         else:
             while ptr < n and (not alive[ptr] or deg[ptr] == 0):
                 ptr += 1
@@ -198,31 +198,12 @@ def girth6_induced_matching(g: Graph) -> list[Edge]:
                 break
             u = ptr
             v = min(w for w in adj[u] if alive[w])
-            removal = {u, v}
-            removal.update(w for w in adj[u] if alive[w])
-            removal.update(w for w in adj[v] if alive[w])
+            removal = _alive_closed(adj, alive, u) | _alive_closed(adj, alive, v)
         chosen.append(normalize_edge(u, v))
         iso = _isolated_after(adj, alive, removal)
-        for r in removal:
-            alive[r] = 0
-        ring1 = set()
-        for r in removal:
-            for w in adj[r]:
-                if alive[w]:
-                    deg[w] -= 1
-                    ring1.add(w)
-        for w in iso:
-            alive[w] = 0
-            ring1.discard(w)
-        touched = set(ring1)
-        for w in ring1:
-            for x in adj[w]:
-                if alive[x]:
-                    touched.add(x)
-        for t in touched:
+        for t in _delete(adj, alive, deg, removal, iso):
             k = sum(1 for w in adj[t] if alive[w] and deg[w] == 1)
-            if k != kcount[t]:
-                kcount[t] = k
+            kcount[t] = k
             if k > 0:
                 heappush(heap, (-k, t))
     return sorted(chosen)

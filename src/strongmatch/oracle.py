@@ -12,7 +12,7 @@ bitmask; larger inputs are rejected rather than silently attempted.
 
 from __future__ import annotations
 
-from .graph import Edge, Graph, GraphError, _incident_lists
+from .graph import Edge, Graph, GraphError, _conflicts, _incident_lists
 
 ORACLE_EDGE_CAP = 64
 DEFAULT_BUDGET = 10_000_000
@@ -28,22 +28,15 @@ class BudgetExceededError(RuntimeError):
 
 def _conflict_masks(g: Graph) -> list[int]:
     """Conflict graph of g's edges: ``masks[i]`` is the bitmask of the
-    indices into ``g.edges`` that conflict with edge i (i excluded).
-    Symmetric and loop-free by construction."""
-    edges = g.edges
+    indices into ``g.edges`` that conflict with edge i (i excluded), from
+    the shared relation graph._conflicts.  Symmetric and loop-free by
+    construction."""
+    adj = g.adj
     incident = _incident_lists(g)
-    masks = [0] * len(edges)
-    for i, (u, v) in enumerate(edges):
-        mask = 0
-        # conflicting edges are those with an endpoint in N[u] union N[v]
-        for x in (u, v):
-            for j in incident[x]:
-                mask |= 1 << j
-            for w in g.adj[x]:
-                for j in incident[w]:
-                    mask |= 1 << j
-        masks[i] = mask & ~(1 << i)
-    return masks
+    return [
+        sum(1 << j for j in _conflicts(adj, incident, u, v) if j != i)
+        for i, (u, v) in enumerate(g.edges)
+    ]
 
 
 def exact_strong_matching_number(

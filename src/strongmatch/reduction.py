@@ -60,7 +60,9 @@ vertex lies on a 4-cycle.  Classified
 heaps (FRAG, R2..R9) hold end-vertices and degree-2 vertices filed by
 _classify and lazily revalidated: an anchor whose class has moved is
 refiled, and when it moves to an earlier rule the walk restarts at FRAG.
-After a deletion only vertices within distance 2 are reclassified; patterns
+R4 is searched for directly at each end-vertex past R3: a BFS of depth 4
+looks for a second end-vertex at distance exactly 4.  After a deletion
+(graph._delete) only vertices within distance 2 are reclassified; patterns
 spanning larger distances (R4) are symmetric, so rechecking the near side
 suffices.  Every rule fires through one path: a capped BFS probes the
 anchor's component and diverts one that has shrunk to order <= 12 to the
@@ -87,7 +89,9 @@ from .graph import (
     Edge,
     Graph,
     GraphError,
+    _alive_closed,
     _census,
+    _delete,
     _isolated_after,
     _k33plus_at,
     _short_cycles,
@@ -158,9 +162,8 @@ def find_induced_matching_subcubic(
         )
     eng = _Engine(g, oracle_budget)
     eng.run()
-    steps = tuple(eng.steps)
-    trace = ReductionTrace(original=g, steps=steps)
-    return sorted(eng.matching), trace
+    trace = ReductionTrace(original=g, steps=tuple(eng.steps))
+    return trace.matching, trace
 
 
 def ledger_check(trace: ReductionTrace) -> LedgerResult:
@@ -241,15 +244,15 @@ class _Engine:
         n = g.n
         self.g = g
         self.adj = g.adj
-        self.alive = bytearray(b"\x01" * n) if n else bytearray()
+        self.alive = bytearray(b"\x01" * n)
         self.deg = g.degrees()
         self.oracle_budget = oracle_budget
         self.steps: list[ReductionStep] = []
-        self.matching: list[Edge] = []
         # heaps[rule] holds candidate anchor vertices for FRAG..R11
         self.heaps: list[list[int]] = [[] for _ in range(_R12)]
         # adj, alive and deg change in place and are never rebound
         self.k33plus_at = partial(_k33plus_at, self.adj, self.alive, self.deg)
+        self.closed = partial(_alive_closed, self.adj, self.alive)
         # the scanned heaps' pattern lookups; every other heap is classified
         self.finders = {
             _R1: self.k33plus_at,
@@ -257,7 +260,6 @@ class _Engine:
             _R11: self._find_c4,
         }
         self.r12_ptr = 0
-        self.n_deg1 = 0
         self.mark = [0] * n
         self.mark_gen = 0
         self.initial_isolated = 0
@@ -269,7 +271,7 @@ class _Engine:
         self._setup()
         while self._step_once():
             pass
-        total = len(self.matching)
+        total = sum(len(step.added) for step in self.steps)
         need = _thm2_bound(self.g.n, self.initial_isolated, self.initial_n33)
         if total < need:
             raise LedgerViolationError(
@@ -289,10 +291,8 @@ class _Engine:
                 if rule == "COMPONENT-K33PLUS":
                     self.initial_n33 += 1
         # what is left alive makes up the components of order > 12
-        active = list(compress(range(self.g.n), alive))
-        self.n_deg1 += sum(1 for v in active if deg[v] == 1)
         heaps = self.heaps
-        for v in active:
+        for v in compress(range(self.g.n), alive):
             if deg[v] <= 2:
                 cls = self._classify(v)
                 if cls is not None:
@@ -337,7 +337,7 @@ class _Engine:
             for w in adj[v]:
                 if w != u and alive[w] and deg[w] == 1:
                     return _R3
-            if self.n_deg1 >= 2 and self._r4_partner(u) is not None:
+            if self._r4_partner(u) is not None:
                 return _R4
             return _R5
         if d != 2:
@@ -444,8 +444,6 @@ class _Engine:
                 normalize_edge(comp[u], comp[v]) for u, v in witness
             )
         for v in comp:
-            if deg[v] == 1:
-                self.n_deg1 -= 1
             alive[v] = 0
         self._record(rule, comp, added, 0)
         return rule
@@ -525,14 +523,6 @@ class _Engine:
 
     # -- rule firing -------------------------------------------------------
 
-    def _alive_closed(self, v: int) -> set[int]:
-        alive = self.alive
-        out = {v}
-        for w in self.adj[v]:
-            if alive[w]:
-                out.add(w)
-        return out
-
     def _fire(self, rule: int, u: int, pat) -> None:
         """Fire ``rule`` at anchor u; ``pat`` is the scanned heaps' pattern
         (R1's K33+, R10's second triangle vertex, R11's 4-cycle).
@@ -548,7 +538,7 @@ class _Engine:
         adj = self.adj
         alive = self.alive
         deg = self.deg
-        closed = self._alive_closed
+        closed = self.closed
         # options: (removal, added) pairs in the order the rule tries them
         if rule == _R1:
             a1, b1, side_a, side_b = pat
@@ -603,35 +593,9 @@ class _Engine:
     def _commit(
         self, rule_name: str, removal: set[int], added: list[Edge], iso: list[int]
     ) -> None:
-        adj = self.adj
-        alive = self.alive
         deg = self.deg
-        for v in removal:
-            if deg[v] == 1:
-                self.n_deg1 -= 1
-            alive[v] = 0
-        ring1 = []
-        for v in removal:
-            for w in adj[v]:
-                if alive[w]:
-                    old = deg[w]
-                    deg[w] = old - 1
-                    if old == 2:
-                        self.n_deg1 += 1
-                    elif old == 1:
-                        self.n_deg1 -= 1
-                    ring1.append(w)
-        for w in iso:
-            alive[w] = 0
-        touched = set()
-        for w in ring1:
-            if alive[w]:
-                touched.add(w)
-                for x in adj[w]:
-                    if alive[x]:
-                        touched.add(x)
         heaps = self.heaps
-        for t in sorted(touched):
+        for t in _delete(self.adj, self.alive, deg, removal, iso):
             if deg[t] <= 2:
                 cls = self._classify(t)
                 if cls is not None:
@@ -649,4 +613,3 @@ class _Engine:
                 isolated_created=iso_count,
             )
         )
-        self.matching.extend(added)

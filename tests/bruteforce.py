@@ -205,16 +205,59 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> list:
     deletions actually isolate, and every vertex is accounted for by the
     end.  Returns the accumulated matching.
     """
+    matching = []
+    for _, step, _ in _replay(g, trace):
+        matching.extend(step.added)
+    return matching
+
+
+def r4_priority_violations(g: Graph, trace: ReductionTrace) -> list:
+    """Indices of the R5 steps of a trace taken while R4 applied.
+
+    The trace is replayed as by replay_trace.  Before each R5 step the end
+    vertices of the alive graph are listed afresh, and a step counts when
+    two of them lie at alive-distance exactly 4: R4 outranks R5, and R5's
+    bound on the vertices it isolates assumes no such pair is left.
+    """
+    return [
+        idx
+        for idx, step, alive in _replay(g, trace)
+        if step.rule == "R5" and _has_r4_pair(g, alive)
+    ]
+
+
+def _has_r4_pair(g: Graph, alive: list) -> bool:
+    """Two alive end-vertices at alive-distance exactly 4, by one plain BFS
+    of depth 4 from every alive end-vertex."""
+    adj = g.adj
+    ends = {
+        v for v in range(g.n) if alive[v] and sum(alive[w] for w in adj[v]) == 1
+    }
+    for s in ends:
+        seen = {s}
+        frontier = [s]
+        for _ in range(4):
+            frontier = [
+                w for v in frontier for w in adj[v] if alive[w] and w not in seen
+            ]
+            seen.update(frontier)
+        if ends.intersection(frontier):
+            return True
+    return False
+
+
+def _replay(g: Graph, trace: ReductionTrace):
+    """Yield (index, step, alive) before each step is applied, then apply
+    it with replay_trace's checks; ``alive`` is updated in place."""
     n = g.n
     alive = [bool(g.adj[v]) for v in range(n)]  # engine drops isolated up front
-    matching = []
-    for step in trace.steps:
+    for idx, step in enumerate(trace.steps):
+        yield idx, step, alive
         removed = set(step.removed)
         for v in removed:
             assert alive[v], f"vertex {v} removed twice"
         for u, v in step.added:
             assert u in removed and v in removed
-            matching.append((u, v))
         for v in removed:
             alive[v] = False
         iso = [
@@ -229,4 +272,3 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> list:
         for w in iso:
             alive[w] = False
     assert not any(alive), "trace left vertices unconsumed"
-    return matching

@@ -7,17 +7,21 @@ import sys
 import pytest
 
 import strongmatch.cli
+import strongmatch.graph
+import strongmatch.greedy
 import strongmatch.reduction
 from strongmatch import (
     LedgerResult,
+    count_invariants,
     gen_extremal_cubic,
     gen_k33plus,
+    gen_random_girth6,
     gen_random_subcubic,
     write_edge_list,
 )
 from strongmatch.cli import main
 
-from util import make_mixed
+from util import make_mixed, make_petersen
 
 
 @pytest.fixture
@@ -150,9 +154,9 @@ class TestMatch:
             ("g5000", ["stats", "--json"], 108,
              "12dc9f4a119ab07948b74c7279fe3d41a8cf38a775019a665927723afef7aa79"),
             ("mixed", ["match", "--json"], 1321,
-             "1ae2749d0f4891ee48adabc81300b6498e72ab58cc31f5cb6aa58d8b6624feba"),
-            ("mixed", ["match", "--trace"], 6001,
-             "a47a545814898334a423dec4df27fd23aecc28ce621fa42e4be9f7ae6d29d4d7"),
+             "0ee08cbc8ba6548813e51d83786b930b109023d629805e71ddd7037e6c7d522c"),
+            ("mixed", ["match", "--trace"], 5968,
+             "a09a07d4f08a1f9d917d743a21fa98e355bc3b0c25cd9ab876bea9189eec774d"),
             ("mixed", ["stats", "--json"], 107,
              "83f10d73a268d2acb339fd6ce23d2350a809e4800cf224c5f11280aa90adc98c"),
         ],
@@ -230,6 +234,38 @@ class TestMatch:
         code, _, err = run(["match", p, "--method", "girth6"])
         assert code == 2
         assert "girth" in err
+
+    @pytest.fixture
+    def girths(self, monkeypatch):
+        """Count girth computations, from count_invariants or the greedy."""
+        calls = []
+        real = strongmatch.graph.girth
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(strongmatch.graph, "girth", counting)
+        monkeypatch.setattr(strongmatch.greedy, "girth", counting)
+        return calls
+
+    def test_girth6_text_computes_girth_once(self, run, girths, tmp_path):
+        g = gen_random_girth6(60, 3, 4242)
+        p = write_graph(tmp_path, "g6.el", write_edge_list(g, []))
+        code, out, _ = run(["match", p, "--method", "girth6"])
+        assert code == 0
+        assert len(girths) == 1
+        fields = dict(line.split("=") for line in out.splitlines())
+        assert fields["verified"] == "true"
+        assert int(fields["size"]) >= int(fields["bound"])
+        assert int(fields["bound"]) == count_invariants(g).prop1_bound
+
+    def test_girth6_text_rejects_petersen(self, run, girths, tmp_path):
+        p = write_graph(tmp_path, "petersen.el", write_edge_list(make_petersen(), []))
+        code, out, err = run(["match", p, "--method", "girth6"])
+        assert (code, out) == (2, "")
+        assert err == "girth-6 strategy requires girth >= 6, got 5\n"
+        assert len(girths) == 1
 
 
 class TestExact:

@@ -25,9 +25,16 @@ from strongmatch import (
     verify_induced_matching,
     write_edge_list,
 )
-from strongmatch.graph import _short_cycles
+from strongmatch.graph import (
+    _conflicts,
+    _delete,
+    _incident_lists,
+    _isolated_after,
+    _short_cycles,
+)
 
 from bruteforce import (
+    _edges_conflict,
     girth_by_bfs_from_every_root,
     girth_by_enumeration,
     is_k33plus_by_isomorphism,
@@ -53,6 +60,24 @@ def small_graphs(draw, max_n=8):
     if not possible:
         return Graph(n, [])
     edges = draw(st.lists(st.sampled_from(possible), unique=True))
+    return Graph(n, edges)
+
+
+@st.composite
+def bounded_graphs(draw, max_n=12, max_degree=6):
+    """Random graphs of maximum degree at most ``max_degree``: drawn edges
+    are kept in order while both ends have room."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not possible:
+        return Graph(n, [])
+    deg = [0] * n
+    edges = []
+    for u, v in draw(st.lists(st.sampled_from(possible), unique=True)):
+        if deg[u] < max_degree and deg[v] < max_degree:
+            deg[u] += 1
+            deg[v] += 1
+            edges.append((u, v))
     return Graph(n, edges)
 
 
@@ -430,6 +455,57 @@ class TestCountInvariants:
         rep = count_invariants(Graph(4, []))
         assert rep.isolated == 4
         assert rep.thm2_bound == 0
+
+
+class TestAliveGraphHelpers:
+    """The alive-graph steps shared by the reduction engine and the greedy
+    baselines, against definitions restated from scratch."""
+
+    @staticmethod
+    def check_conflicts(g):
+        incident = _incident_lists(g)
+        for i, (u, v) in enumerate(g.edges):
+            want = {i} | {
+                j for j, f in enumerate(g.edges) if _edges_conflict(g, (u, v), f)
+            }
+            assert _conflicts(g.adj, incident, u, v) == want, (g, u, v)
+
+    def test_conflicts_on_small_corpus(self):
+        for entry in small_corpus():
+            self.check_conflicts(build_instance(*entry))
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_conflicts_on_stars_and_cliques(self, k):
+        self.check_conflicts(make_star(k))
+        self.check_conflicts(
+            Graph(k + 1, [(u, v) for u in range(k + 1) for v in range(u + 1, k + 1)])
+        )
+
+    @given(bounded_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_conflicts_on_random_graphs(self, g):
+        self.check_conflicts(g)
+
+    @given(bounded_graphs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_delete_after_random_removal(self, g, data):
+        adj = g.adj
+        flags = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+        alive = bytearray(flags)
+        deg = [sum(alive[w] for w in adj[v]) for v in range(g.n)]
+        cut = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+        removal = {v for v in range(g.n) if alive[v] and cut[v]}
+        iso = _isolated_after(adj, alive, removal)
+        before = bytes(alive)
+        touched = _delete(adj, alive, deg, removal, iso)
+        gone = removal | set(iso)
+        for v in range(g.n):
+            assert alive[v] == (before[v] and v not in gone)
+            if alive[v]:
+                assert deg[v] == sum(alive[w] for w in adj[v])
+        ring1 = {w for r in removal for w in adj[r] if alive[w]}
+        want = ring1 | {x for w in ring1 for x in adj[w] if alive[x]}
+        assert touched == want
 
 
 class TestVerify:

@@ -28,7 +28,7 @@ from strongmatch import (
 from strongmatch.cli import main
 from strongmatch.graph import _census
 
-from bruteforce import replay_trace
+from bruteforce import r4_priority_violations, replay_trace
 from corpus import build_instance, determinism_corpus, small_corpus
 from util import (
     census_by_walk,
@@ -231,7 +231,7 @@ class TestTraceGolden:
     """Every step of every trace over a fixed corpus on which all fourteen
     rule names fire, pinned by the sha256 of the concatenated trace text."""
 
-    SHA256 = "f2899485e7b51cfdc49fa55ca6f6f33027b7282cc8db6ec85a46d81ecf34801e"
+    SHA256 = "8c5736548a6745bfb763fe61fb0c8888808d1703b833c4cd74b59d0a4232eeb2"
 
     def test_corpus_traces(self):
         digest = hashlib.sha256()
@@ -244,31 +244,68 @@ class TestTraceGolden:
         assert digest.hexdigest() == self.SHA256
 
 
-class TestRestart:
-    """The two graphs known to need _step_once's restart: an end-vertex
-    filed under R5 gains an R4 partner at distance 4 without being touched
-    itself, is refiled under R4 when its heap is reached, and the walk
-    starts over from FRAG.  Without the restart, R6 fires at the small
-    graph's fourth step instead."""
+class TestR4Priority:
+    """R4 outranks R5: no R5 step may be taken while two end-vertices lie
+    at distance exactly 4, which r4_priority_violations checks by replaying
+    the trace.  The two pinned graphs are ones where an undercounted
+    end-vertex total once skipped the R4 search, so that R5 fired first;
+    R4 now fires at the small graph's second step."""
 
     def test_subcubic_trace(self):
-        _, trace = run_checked(gen_random_subcubic(28, 31, 3002328))
+        g = gen_random_subcubic(28, 31, 3002328)
+        _, trace = run_checked(g)
         assert format_trace(trace) == (
             "rule=COMPONENT-BRUTE removed=13,16,17 added=13-16 isolated=0\n"
-            "rule=R5 removed=0,12,20,27 added=0-20 isolated=0\n"
-            "rule=R2 removed=5,7,21 added=5-21 isolated=0\n"
-            "rule=R4 removed=3,4,9,10,11,14,18 added=3-10,9-11 isolated=1\n"
-            "rule=COMPONENT-BRUTE removed=1,2,6,8,15,22,23,24,25,26 "
-            "added=1-6,8-26,22-23 isolated=0\n"
+            "rule=R4 removed=3,4,9,10,11,14,18 added=3-10,9-11 isolated=0\n"
+            "rule=R3 removed=8,15,24,26 added=8-26 isolated=0\n"
+            "rule=R2 removed=2,22,23 added=22-23 isolated=0\n"
+            "rule=COMPONENT-BRUTE removed=0,1,5,6,7,12,19,20,21,25,27 "
+            "added=0-20,1-6,5-21 isolated=0\n"
             "matching=8 bound=5 ok=true\n"
         )
+        assert r4_priority_violations(g, trace) == []
 
     def test_girth6_trace(self):
-        _, trace = run_checked(gen_random_girth6(227, 3, 931407))
+        g = gen_random_girth6(227, 3, 931407)
+        _, trace = run_checked(g)
         digest = hashlib.sha256(format_trace(trace).encode()).hexdigest()
         assert digest == (
-            "99aaa20c71ed5aa0143644d295dd2781fcf735534b6a89324d61b97598cc155e"
+            "96525da4a80429ea16716eeaf6bee59d917212aa77a847639b89471944f1f0d7"
         )
+        assert r4_priority_violations(g, trace) == []
+
+    def test_reference_flags_r5_beside_r4_pair(self):
+        # end-vertices 0 and 4 lie at distance 4 on the path 0-1-2-3-4;
+        # a hand-made trace fires R5 at 0 anyway
+        g = Graph(7, [(0, 1), (1, 2), (1, 5), (2, 3), (3, 4), (3, 6), (5, 6)])
+        steps = [
+            ReductionStep("R5", (0, 1, 2, 5), ((0, 1),), 0),
+            ReductionStep("COMPONENT-BRUTE", (3, 4, 6), ((3, 4),), 0),
+        ]
+        assert r4_priority_violations(g, ReductionTrace(g, tuple(steps))) == [0]
+        _, trace = find_induced_matching_subcubic(g)
+        assert r4_priority_violations(g, trace) == []
+
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            golden_corpus,
+            lambda: [build_instance(*e) for e in small_corpus()],
+            lambda: [build_instance(*e) for e in determinism_corpus()],
+            lambda: [
+                gen_random_subcubic(n, m, 1_090_000 + k)
+                for k, (n, m) in enumerate(
+                    (n, m) for n in range(50, 301, 5) for m in (n * 4 // 3, n * 3 // 2)
+                )
+            ],
+        ],
+        ids=["golden", "small", "determinism", "random"],
+    )
+    def test_no_r5_while_r4_applies(self, corpus):
+        for g in corpus():
+            if g.max_degree() <= 3:
+                _, trace = find_induced_matching_subcubic(g)
+                assert r4_priority_violations(g, trace) == []
 
 
 class TestMidSizeGolden:

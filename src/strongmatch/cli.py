@@ -107,30 +107,20 @@ def _emit(lines: list[str]) -> None:
 def cmd_stats(args) -> int:
     g = _load_graph(args.input, args.format)
     rep = count_invariants(g)
-    components = len(connected_components(g))
+    record = {
+        "n": rep.n,
+        "m": rep.m,
+        "i": rep.isolated,
+        "n33plus": rep.n33plus,
+        "max_degree": rep.max_degree,
+        "min_degree": g.min_degree(),
+        "girth": _girth_repr(rep.girth),
+        "components": len(connected_components(g)),
+    }
     if args.json:
-        obj = {
-            "n": rep.n,
-            "m": rep.m,
-            "i": rep.isolated,
-            "n33plus": rep.n33plus,
-            "max_degree": rep.max_degree,
-            "min_degree": g.min_degree(),
-            "girth": _girth_repr(rep.girth),
-            "components": components,
-        }
-        print(json.dumps(obj))
+        print(json.dumps(record))
     else:
-        _emit([
-            f"n={rep.n}",
-            f"m={rep.m}",
-            f"i={rep.isolated}",
-            f"n33plus={rep.n33plus}",
-            f"max_degree={rep.max_degree}",
-            f"min_degree={g.min_degree()}",
-            f"girth={_girth_repr(rep.girth)}",
-            f"components={components}",
-        ])
+        _emit([f"{key}={value}" for key, value in record.items()])
     return EXIT_OK
 
 

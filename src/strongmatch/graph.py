@@ -8,7 +8,6 @@ that results are reproducible for a fixed input labeling.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, islice
@@ -135,14 +134,12 @@ def connected_components(g: Graph) -> list[list[int]]:
             continue
         seen[s] = 1
         comp = [s]
-        queue = deque((s,))
-        while queue:
-            v = queue.popleft()
+        # the list grows while it is walked; that is the BFS queue
+        for v in comp:
             for w in adj[v]:
                 if not seen[w]:
                     seen[w] = 1
                     comp.append(w)
-                    queue.append(w)
         comp.sort()
         out.append(comp)
     return out
@@ -343,14 +340,13 @@ def _incident_lists(g: Graph) -> list[list[int]]:
 
 def _component_of(g: Graph, s: int) -> list[int]:
     seen = {s}
-    queue = deque((s,))
-    while queue:
-        v = queue.popleft()
+    comp = [s]
+    for v in comp:
         for w in g.adj[v]:
             if w not in seen:
                 seen.add(w)
-                queue.append(w)
-    return sorted(seen)
+                comp.append(w)
+    return sorted(comp)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from .graph import (
     _delete,
     _incident_lists,
     _isolated_after,
-    connected_components,
     girth,
     normalize_edge,
 )
@@ -105,11 +104,9 @@ def forest_greedy_induced_matching(g: Graph) -> list[Edge]:
     taken and everything incident to the two closed neighborhoods dies.
     Processing deepest first means all edges strictly below the taken edge
     are already dead, so a step discards at most 1 + 2(D - 1) live edges,
-    which gives the stated size.  Raises GraphError when g has a cycle.
+    which gives the stated size.  Raises GraphError when g has a cycle: the
+    walk that roots a tree meets it as an edge to a vertex already reached.
     """
-    comps = connected_components(g)
-    if g.m != g.n - len(comps):
-        raise GraphError("forest strategy requires an acyclic graph")
     adj = g.adj
     incident = _incident_lists(g)
     edge_id = {e: i for i, e in enumerate(g.edges)}
@@ -117,19 +114,18 @@ def forest_greedy_induced_matching(g: Graph) -> list[Edge]:
     chosen: list[Edge] = []
     depth = [0] * g.n
     parent = [-1] * g.n
-    for comp in comps:
-        if len(comp) < 2:
+    reached = bytearray(g.n)
+    for root in range(g.n):
+        if reached[root]:
             continue
-        root = comp[0]
-        parent[root] = -1
-        depth[root] = 0
+        reached[root] = 1
         order = [root]
-        qi = 0
-        while qi < len(order):
-            v = order[qi]
-            qi += 1
+        for v in order:
             for w in adj[v]:
                 if w != parent[v]:
+                    if reached[w]:
+                        raise GraphError("forest strategy requires an acyclic graph")
+                    reached[w] = 1
                     parent[w] = v
                     depth[w] = depth[v] + 1
                     order.append(w)
@@ -192,7 +188,9 @@ def girth6_induced_matching(g: Graph) -> list[Edge]:
             u = min(w for w in adj[v] if alive[w] and deg[w] == 1)
             removal = _alive_closed(adj, alive, v)
         else:
-            while ptr < n and (not alive[ptr] or deg[ptr] == 0):
+            # every alive vertex keeps an alive neighbor: isolated ones are
+            # dropped up front and by graph._delete
+            while ptr < n and not alive[ptr]:
                 ptr += 1
             if ptr == n:
                 break

@@ -56,20 +56,36 @@ the one pass graph._short_cycles that girth also runs; that is enough,
 because the smallest vertex of an alive short cycle stays filed until it
 fires, so the smallest anchor with an alive pattern is always one.  R1
 anchors are tested only next to 4-cycle vertices, as every K33+ branch
-vertex lies on a 4-cycle.  Classified
-heaps (FRAG, R2..R9) hold end-vertices and degree-2 vertices filed by
-_classify and lazily revalidated: an anchor whose class has moved is
-refiled, and when it moves to an earlier rule the walk restarts at FRAG.
-R4 is searched for directly at each end-vertex past R3: a BFS of depth 4
-looks for a second end-vertex at distance exactly 4.  After a deletion
-(graph._delete) only vertices within distance 2 are reclassified; patterns
-spanning larger distances (R4) are symmetric, so rechecking the near side
-suffices.  Every rule fires through one path: a capped BFS probes the
-anchor's component and diverts one that has shrunk to order <= 12 to the
-oracle; otherwise the first of the rule's options (two for R9, the four
-cycle edges for R11, one elsewhere) that consumes at most 6 vertices per
-matched edge is committed.  This realizes the per-component recursion of
-the scheme above in near-linear total time.
+vertex lies on a 4-cycle.  Classified heaps (FRAG, R2..R9) hold
+end-vertices and degree-2 vertices, filed by _file under their _classify
+class at setup and wherever graph._delete reports them after a deletion; a
+popped anchor whose class has moved is refiled.  R4 is searched for
+directly at each end-vertex past R3: a BFS of depth 4 looks for a second
+end-vertex at distance exactly 4.
+
+The walk never goes back to an earlier heap.  Call a vertex filed when it
+has a heap entry no later than its class.  A component the oracle consumes
+changes no other class, and graph._delete reports every alive vertex
+within distance 2 of the deleted set, which is filed afresh.  _classify
+reads nothing farther away, except the R3 test (the degree of a sibling
+end-vertex) and the R4 test (an end-vertex at distance exactly 4).  At an
+unreported vertex x these tests can only turn R4 or R5 into R3, R5 into
+R4, or R4 into R5.  In the first two cases the sibling or partner has just
+dropped to degree 1, so the same deletion reported it and filed it under
+R3, or under at most R4, as its own R4 search sees x.  Both relations are
+symmetric, so a pair stays witnessed until one of its ends is reported.
+So every alive vertex of class c has a filed vertex of class at most c:
+itself, a sibling, an R4 partner or that partner's sibling.  As the heaps
+before r are empty when the walk reaches heap r, no alive vertex then has
+a class below r: rules fire in priority order, and a refile only ever goes
+to a later heap.
+
+Every rule fires through one path: a capped BFS probes the anchor's
+component and diverts one that has shrunk to order <= 12 to the oracle;
+otherwise the first of the rule's options (two for R9, the four cycle
+edges for R11, one elsewhere) that consumes at most 6 vertices per matched
+edge is committed.  This realizes the per-component recursion of the
+scheme above in near-linear total time.
 
 There is no fallback path: a rule step none of whose options passes the
 6-per-edge guard raises LedgerViolationError.  Patching such a step over
@@ -291,12 +307,8 @@ class _Engine:
                 if rule == "COMPONENT-K33PLUS":
                     self.initial_n33 += 1
         # what is left alive makes up the components of order > 12
+        self._file(compress(range(self.g.n), alive))
         heaps = self.heaps
-        for v in compress(range(self.g.n), alive):
-            if deg[v] <= 2:
-                cls = self._classify(v)
-                if cls is not None:
-                    heaps[cls].append(v)  # ascending ids: already a heap
         # triangles and 4-cycles only ever disappear, so one scan suffices;
         # every short cycle gets an anchor entry at its smallest vertex
         triangles, squares, on_c4 = _short_cycles(adj)
@@ -313,6 +325,18 @@ class _Engine:
         heaps[_R1] = sorted(v for v in near_c4 if self.k33plus_at(v) is not None)
 
     # -- candidate classification -----------------------------------------
+
+    def _file(self, vertices) -> None:
+        """Push each vertex of degree at most 2 onto the heap of its class;
+        one of class None is left out."""
+        deg = self.deg
+        heaps = self.heaps
+        classify = self._classify
+        for v in vertices:
+            if deg[v] <= 2:
+                cls = classify(v)
+                if cls is not None:
+                    heappush(heaps[cls], v)
 
     def _classify(self, u: int) -> Optional[int]:
         """Current rule for an alive anchor: FRAG or R2..R5 for an
@@ -454,11 +478,9 @@ class _Engine:
         heaps = self.heaps
         alive = self.alive
         finders = self.finders
-        rule = _FRAG
-        while rule < _R12:
+        for rule in range(_R12):
             h = heaps[rule]
             find = finders.get(rule)
-            restart = False
             while h:
                 u = h[0]
                 if not alive[u]:
@@ -476,17 +498,15 @@ class _Engine:
                         return True
                     heappop(h)
                     if actual is not None:
+                        # a later heap, by the argument in the module docstring
                         heappush(heaps[actual], u)
-                        if actual < rule:
-                            restart = True
-                            break
-            rule = _FRAG if restart else rule + 1
         # no vertex of degree 1 or 2 is left anywhere, and no triangle or
-        # 4-cycle, so every remaining component is cubic of girth >= 5
+        # 4-cycle, so every remaining component is cubic of girth >= 5 (no
+        # alive vertex has degree 0: setup drops the isolated vertices, and
+        # graph._delete the ones each step isolates)
         ptr = self.r12_ptr
         n = self.g.n
-        deg = self.deg
-        while ptr < n and (not alive[ptr] or deg[ptr] == 0):
+        while ptr < n and not alive[ptr]:
             ptr += 1
         self.r12_ptr = ptr
         if ptr < n:
@@ -593,13 +613,7 @@ class _Engine:
     def _commit(
         self, rule_name: str, removal: set[int], added: list[Edge], iso: list[int]
     ) -> None:
-        deg = self.deg
-        heaps = self.heaps
-        for t in _delete(self.adj, self.alive, deg, removal, iso):
-            if deg[t] <= 2:
-                cls = self._classify(t)
-                if cls is not None:
-                    heappush(heaps[cls], t)
+        self._file(_delete(self.adj, self.alive, self.deg, removal, iso))
         self._record(rule_name, sorted(removal), sorted(added), len(iso))
 
     def _record(

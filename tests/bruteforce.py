@@ -211,19 +211,71 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> list:
     return matching
 
 
-def r4_priority_violations(g: Graph, trace: ReductionTrace) -> list:
-    """Indices of the R5 steps of a trace taken while R4 applied.
+def priority_violations(g: Graph, trace: ReductionTrace) -> list:
+    """Indices of the rule steps of a trace taken while an earlier rule
+    applied.
 
-    The trace is replayed as by replay_trace.  Before each R5 step the end
-    vertices of the alive graph are listed afresh, and a step counts when
-    two of them lie at alive-distance exactly 4: R4 outranks R5, and R5's
-    bound on the vertices it isolates assumes no such pair is left.
+    The trace is replayed as by replay_trace.  Before each step of R2..R12
+    every alive vertex is classified afresh, by the rule definitions in the
+    reduction engine's docstring and with no engine code: FRAG (an order-2
+    component) and R2..R9 at end-vertices and degree-2 vertices, then R10
+    for an alive triangle and R11 for an alive 4-cycle.  A step counts when
+    a rule before its own applies anywhere: each rule's bound on the
+    vertices it isolates assumes every earlier rule is exhausted.  R1 is
+    left out, as a step and as an earlier rule; a K33+ subgraph of a
+    subcubic graph is there from the start or never, and this module has
+    no K33+ subgraph search.
     """
-    return [
-        idx
-        for idx, step, alive in _replay(g, trace)
-        if step.rule == "R5" and _has_r4_pair(g, alive)
-    ]
+    out = []
+    for idx, step, alive in _replay(g, trace):
+        rule = step.rule
+        if rule.startswith("R") and rule != "R1":
+            if _earliest_rule(g, alive, int(rule[1:])) is not None:
+                out.append(idx)
+    return out
+
+
+def _earliest_rule(g: Graph, alive: list, before: int) -> Optional[int]:
+    """The first rule below ``before`` (FRAG as 0, R2..R11) that applies in
+    the alive graph, or None."""
+    adj = g.adj
+    nbrs = [[w for w in adj[v] if alive[w]] if alive[v] else [] for v in range(g.n)]
+    found = set()
+    for u in range(g.n):
+        if len(nbrs[u]) == 1:
+            v = nbrs[u][0]
+            # FRAG, R2 or R5 by the degree of v, and R3 when v has two
+            # end-vertices
+            found.add({1: 0, 2: 2, 3: 5}[len(nbrs[v])])
+            if sum(len(nbrs[w]) == 1 for w in nbrs[v]) >= 2:
+                found.add(3)
+        elif len(nbrs[u]) == 2:
+            v1, v2 = nbrs[u]
+            if len(nbrs[v1]) == 2 or len(nbrs[v2]) == 2:
+                found.add(6)
+            on_triangle = v2 in nbrs[v1]
+            on_square = any(x != u and x in nbrs[v2] for x in nbrs[v1])
+            if on_triangle:
+                found.add(7)
+            if on_square:
+                found.add(8)
+            if len(nbrs[v1]) == len(nbrs[v2]) == 3 and not (on_triangle or on_square):
+                found.add(9)
+    # the costlier searches run only where they could give the earliest rule
+    if before > 4 and not any(r < 4 for r in found) and _has_r4_pair(g, alive):
+        found.add(4)
+    if before > 10 and not found:
+        sets = [set(ws) for ws in nbrs]
+        if any(sets[u] & sets[v] for u in range(g.n) for v in sets[u]):
+            found.add(10)
+        elif any(
+            (sets[b] & sets[d]) - {a}
+            for a in range(g.n)
+            for b, d in combinations(nbrs[a], 2)
+        ):
+            found.add(11)
+    earliest = min(found, default=None)
+    return earliest if earliest is not None and earliest < before else None
 
 
 def _has_r4_pair(g: Graph, alive: list) -> bool:

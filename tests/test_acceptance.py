@@ -13,8 +13,6 @@ import time
 from fractions import Fraction
 from math import ceil
 
-import pytest
-
 from strongmatch import (
     connected_components,
     count_invariants,

@@ -82,6 +82,14 @@ class TestStats:
         assert obj["i"] == 1
         assert obj["components"] == 2
 
+    def test_stdin_acyclic_text(self, run):
+        code, out, err = run(["stats", "-"], stdin="n 3\n0 1\n")
+        assert code == 0 and err == ""
+        assert out == (
+            "n=3\nm=1\ni=1\nn33plus=0\nmax_degree=1\nmin_degree=0\n"
+            "girth=acyclic\ncomponents=2\n"
+        )
+
     def test_dimacs_format(self, run, tmp_path):
         p = write_graph(tmp_path, "d.col", "p edge 3 2\ne 1 2\ne 2 3\n")
         code, out, _ = run(["stats", p, "--format", "dimacs"])

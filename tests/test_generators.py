@@ -1,7 +1,6 @@
 import pytest
 
 from strongmatch import (
-    Graph,
     GraphError,
     SplitMix64,
     connected_components,

@@ -164,6 +164,12 @@ class TestForestGreedy:
         with pytest.raises(GraphError):
             forest_greedy_induced_matching(make_cycle(6))
 
+    def test_rejects_cycle_in_later_component(self):
+        # the path 0-1-2 is walked first; only the triangle 4-5-6 has a cycle
+        g = Graph(7, [(0, 1), (1, 2), (4, 5), (4, 6), (5, 6)])
+        with pytest.raises(GraphError, match="^forest strategy requires an acyclic graph$"):
+            forest_greedy_induced_matching(g)
+
     def test_meets_forest_bound(self):
         for seed in range(80):
             g = gen_random_forest(45, 400 + seed)

@@ -1,11 +1,12 @@
-"""Static checks on the library source that no linter here covers."""
+"""Static checks on the library and test sources that no linter here covers."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "strongmatch"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "strongmatch"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,7 +38,12 @@ def unused_imports(source: str) -> list[str]:
     )
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+# perfbench/ is left out: it is the benchmark's own code
+@pytest.mark.parametrize(
+    "path",
+    sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name,
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

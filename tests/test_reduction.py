@@ -28,7 +28,7 @@ from strongmatch import (
 from strongmatch.cli import main
 from strongmatch.graph import _census
 
-from bruteforce import r4_priority_violations, replay_trace
+from bruteforce import priority_violations, replay_trace
 from corpus import build_instance, determinism_corpus, small_corpus
 from util import (
     census_by_walk,
@@ -245,11 +245,12 @@ class TestTraceGolden:
 
 
 class TestR4Priority:
-    """R4 outranks R5: no R5 step may be taken while two end-vertices lie
-    at distance exactly 4, which r4_priority_violations checks by replaying
-    the trace.  The two pinned graphs are ones where an undercounted
-    end-vertex total once skipped the R4 search, so that R5 fired first;
-    R4 now fires at the small graph's second step."""
+    """No rule step may be taken while an earlier rule applies, which
+    priority_violations checks by replaying the trace.  The class is named
+    for the first such check, R4 before R5.  The two pinned graphs are ones
+    where an undercounted end-vertex total once skipped the R4 search, so
+    that R5 fired first and an anchor had to be refiled under an earlier
+    rule; R4 now fires at the small graph's second step."""
 
     def test_subcubic_trace(self):
         g = gen_random_subcubic(28, 31, 3002328)
@@ -263,7 +264,7 @@ class TestR4Priority:
             "added=0-20,1-6,5-21 isolated=0\n"
             "matching=8 bound=5 ok=true\n"
         )
-        assert r4_priority_violations(g, trace) == []
+        assert priority_violations(g, trace) == []
 
     def test_girth6_trace(self):
         g = gen_random_girth6(227, 3, 931407)
@@ -272,7 +273,7 @@ class TestR4Priority:
         assert digest == (
             "96525da4a80429ea16716eeaf6bee59d917212aa77a847639b89471944f1f0d7"
         )
-        assert r4_priority_violations(g, trace) == []
+        assert priority_violations(g, trace) == []
 
     def test_reference_flags_r5_beside_r4_pair(self):
         # end-vertices 0 and 4 lie at distance 4 on the path 0-1-2-3-4;
@@ -282,9 +283,37 @@ class TestR4Priority:
             ReductionStep("R5", (0, 1, 2, 5), ((0, 1),), 0),
             ReductionStep("COMPONENT-BRUTE", (3, 4, 6), ((3, 4),), 0),
         ]
-        assert r4_priority_violations(g, ReductionTrace(g, tuple(steps))) == [0]
+        assert priority_violations(g, ReductionTrace(g, tuple(steps))) == [0]
         _, trace = find_induced_matching_subcubic(g)
-        assert r4_priority_violations(g, trace) == []
+        assert priority_violations(g, trace) == []
+
+    @pytest.mark.parametrize(
+        "g,steps",
+        [
+            # 0 hangs off the triangle 1-2-3 (R5); on the path 4-5-6-7 the
+            # end-vertex 4 has a degree-2 neighbor (R2), which comes first
+            (
+                Graph(8, [(0, 1), (1, 2), (1, 3), (2, 3), (4, 5), (5, 6), (6, 7)]),
+                [
+                    ReductionStep("R5", (0, 1, 2, 3), ((0, 1),), 0),
+                    ReductionStep("COMPONENT-BRUTE", (4, 5, 6, 7), ((4, 5),), 0),
+                ],
+            ),
+            # the cube is cubic but full of 4-cycles, so R11 comes before R12
+            (
+                Graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]),
+                [
+                    ReductionStep("R12", (0, 1, 2, 3, 4, 5), ((0, 1),), 0),
+                    ReductionStep("COMPONENT-BRUTE", (6, 7), ((6, 7),), 0),
+                ],
+            ),
+        ],
+        ids=["r5-beside-r2", "r12-beside-4-cycle"],
+    )
+    def test_reference_flags_step_beside_earlier_rule(self, g, steps):
+        assert priority_violations(g, ReductionTrace(g, tuple(steps))) == [0]
+        _, trace = find_induced_matching_subcubic(g)
+        assert priority_violations(g, trace) == []
 
     @pytest.mark.parametrize(
         "corpus",
@@ -305,7 +334,7 @@ class TestR4Priority:
         for g in corpus():
             if g.max_degree() <= 3:
                 _, trace = find_induced_matching_subcubic(g)
-                assert r4_priority_violations(g, trace) == []
+                assert priority_violations(g, trace) == []
 
 
 class TestMidSizeGolden:

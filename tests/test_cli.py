@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -233,15 +235,15 @@ class TestMatch:
 
     def test_forest_rejects_cycle(self, run, tmp_path):
         p = write_graph(tmp_path, "c6.el", "n 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n")
-        code, _, err = run(["match", p, "--method", "forest"])
-        assert code == 2
-        assert "acyclic" in err
+        assert run(["match", p, "--method", "forest"]) == (
+            2, "", "forest strategy requires an acyclic graph\n"
+        )
 
     def test_girth6_rejects_c5(self, run, tmp_path):
         p = write_graph(tmp_path, "c5.el", "n 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
-        code, _, err = run(["match", p, "--method", "girth6"])
-        assert code == 2
-        assert "girth" in err
+        assert run(["match", p, "--method", "girth6"]) == (
+            2, "", "girth-6 strategy requires girth >= 6, got 5\n"
+        )
 
     @pytest.fixture
     def girths(self, monkeypatch):
@@ -298,9 +300,9 @@ class TestExact:
     def test_edge_cap_exit_code(self, run, tmp_path):
         text = "n 70\n" + "".join(f"{i} {(i + 1) % 70}\n" for i in range(70))
         p = write_graph(tmp_path, "c70.el", text)
-        code, _, err = run(["exact", p])
-        assert code == 2
-        assert "64" in err
+        assert run(["exact", p]) == (
+            2, "", "oracle supports at most 64 edges, got 70\n"
+        )
 
 
 class TestVerify:
@@ -338,9 +340,9 @@ class TestVerify:
 
     def test_non_edge_is_input_error(self, run, tmp_path, p5_file):
         m = write_graph(tmp_path, "m.el", "n 5\n0 2\n")
-        code, _, err = run(["verify", p5_file, m])
-        assert code == 2
-        assert "not an edge" in err
+        assert run(["verify", p5_file, m]) == (
+            2, "", "matching edge (0, 2) is not an edge of the graph\n"
+        )
 
     def test_missing_matching_file(self, run, tmp_path, p5_file):
         code, _, err = run(["verify", p5_file, str(tmp_path / "gone.el")])
@@ -390,9 +392,14 @@ class TestGen:
         assert "--delta" in err
 
     def test_odd_regular_rejects_even_delta(self, run):
-        code, _, err = run(["gen", "odd-regular", "--delta", "4"])
-        assert code == 2
-        assert "odd" in err
+        assert run(["gen", "odd-regular", "--delta", "4"]) == (
+            2, "", "delta must be odd and >= 3, got 4\n"
+        )
+
+    def test_random_cubic_rejects_odd_n(self, run):
+        assert run(["gen", "random-cubic", "--n", "3"]) == (
+            2, "", "cubic graphs need even n >= 4, got 3\n"
+        )
 
     def test_determinism(self, run):
         a = run(["gen", "random-cubic", "--n", "16", "--seed", "5"])
@@ -423,6 +430,86 @@ class TestFuzz:
         )
         assert code == 0
         assert json.loads(out)["fail"] == 0
+
+    # each failure is injected through a name the CLI looks up at call time
+
+    @staticmethod
+    def all_failed(family, count, seed):
+        return (
+            f"family={family}\ninstances={count}\npass=0\nfail={count}\n"
+            f"first_failure_seed={seed}\n"
+        )
+
+    def test_understated_size_is_reported(self, run, monkeypatch):
+        real = strongmatch.cli.count_invariants
+
+        def inflated(g):
+            return dataclasses.replace(
+                real(g),
+                thm2_bound=10**6,
+                thm1_bound=10**6,
+                greedy_general_bound=Fraction(10**6),
+            )
+
+        monkeypatch.setattr(strongmatch.cli, "count_invariants", inflated)
+        code, out, err = run(["fuzz", "cubic", "--count", "3", "--size", "8", "--seed", "9"])
+        assert code == 1
+        assert out == self.all_failed("cubic", 3, 9)
+        assert err.splitlines() == [
+            "seed 9: reduction: size 2 below bound 1000000",
+            "seed 9: reduction: size 2 below cubic bound 1000000",
+            "seed 9: greedy: size 2 below bound 1000000",
+            "seed 9: bound thm1=1000000 exceeds exact value 2",
+            "seed 9: bound thm2=1000000 exceeds exact value 2",
+        ]
+
+    def test_bad_witness_is_reported(self, run, monkeypatch):
+        monkeypatch.setattr(
+            strongmatch.cli, "verify_induced_matching", lambda g, matching: (1, 2)
+        )
+        code, out, err = run(["fuzz", "girth6", "--count", "3", "--size", "8", "--seed", "9"])
+        assert code == 1
+        assert out == self.all_failed("girth6", 3, 9)
+        assert err.splitlines() == [
+            "seed 9: reduction: invalid matching, witness (1, 2)",
+            "seed 9: greedy: invalid matching, witness (1, 2)",
+            "seed 9: girth6: invalid matching, witness (1, 2)",
+        ]
+
+    def test_failed_audit_is_reported(self, run, monkeypatch):
+        def failing(trace):
+            return LedgerResult(False, 0), 1
+
+        monkeypatch.setattr(strongmatch.reduction, "_audit", failing)
+        monkeypatch.setattr(strongmatch.cli, "_audit", failing)
+        code, out, err = run(["fuzz", "subcubic", "--count", "3", "--size", "10", "--seed", "9"])
+        assert code == 1
+        assert out == self.all_failed("subcubic", 3, 9)
+        assert err == "seed 9: reduction: ledger check failed at step 0\n"
+
+    def test_failed_precondition_is_reported(self, run, monkeypatch):
+        monkeypatch.setattr(strongmatch.greedy, "girth", lambda g: 5)
+        code, out, err = run(["fuzz", "girth6", "--count", "3", "--size", "10", "--seed", "9"])
+        assert code == 1
+        assert out == self.all_failed("girth6", 3, 9)
+        assert err == (
+            "seed 9: girth6: precondition unexpectedly failed: "
+            "girth-6 strategy requires girth >= 6, got 5\n"
+        )
+
+    def test_one_audit_per_reduction_run(self, run, monkeypatch):
+        calls = []
+        real = strongmatch.reduction._audit
+
+        def counting(trace):
+            calls.append(trace)
+            return real(trace)
+
+        monkeypatch.setattr(strongmatch.reduction, "_audit", counting)
+        monkeypatch.setattr(strongmatch.cli, "_audit", counting)
+        code, _, _ = run(["fuzz", "subcubic", "--count", "4", "--size", "10", "--seed", "9"])
+        assert code == 0
+        assert len(calls) == 4
 
 
 PARSER_ARGVS = [["--help"], ["match", "--bogus"], ["gen", "nope"], []]

@@ -431,6 +431,13 @@ class TestFuzz:
         assert code == 0
         assert json.loads(out)["fail"] == 0
 
+    def test_thm2_not_compared_above_max_degree_three(self, run):
+        # a tree with a degree-4 vertex plus one isolated vertex: optimum 1,
+        # thm2 = 2, which holds only for subcubic graphs
+        code, out, err = run(["fuzz", "forest", "--count", "1", "--size", "8", "--seed", "42"])
+        assert (code, err) == (0, "")
+        assert out == "family=forest\ninstances=1\npass=1\nfail=0\n"
+
     # each failure is injected through a name the CLI looks up at call time
 
     @staticmethod

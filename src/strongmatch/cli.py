@@ -28,6 +28,7 @@ from .generators import (
     gen_random_subcubic,
 )
 from .graph import (
+    BoundReport,
     Graph,
     GraphError,
     _bound_report,
@@ -52,7 +53,6 @@ from .reduction import (
     _audit,
     _format_audited,
     find_induced_matching_subcubic,
-    ledger_check,
 )
 
 EXIT_OK = 0
@@ -127,6 +127,34 @@ def cmd_stats(args) -> int:
 # -- match ------------------------------------------------------------------
 
 
+def _certify(g: Graph, method: str, rep: BoundReport):
+    """Run one method on g and check its result without trusting it.
+
+    Returns ``(matching, bound, witness, audit, trace)``: the method's
+    matching; its guaranteed size, read from ``rep`` only once the method
+    has returned (the forest and girth-6 methods raise GraphError on exactly
+    the graphs whose bound is None); verify_induced_matching's witness, None
+    when the matching is induced; and for the reduction, its trace and the
+    trace's one _audit (ledger verdict and recomputed bound), both None for
+    the other methods.  A method's GraphError propagates.
+    """
+    trace = audit = None
+    if method == "reduction":
+        matching, trace = find_induced_matching_subcubic(g)
+        bound = rep.thm2_bound
+        audit = _audit(trace)
+    elif method == "greedy":
+        matching = greedy_induced_matching(g)
+        bound = ceil(rep.greedy_general_bound)
+    elif method == "forest":
+        matching = forest_greedy_induced_matching(g)
+        bound = ceil(rep.greedy_forest_bound)
+    else:
+        matching = girth6_induced_matching(g)
+        bound = rep.prop1_bound
+    return matching, bound, verify_induced_matching(g, matching), audit, trace
+
+
 def cmd_match(args) -> int:
     g = _load_graph(args.input, args.format)
     if args.json:
@@ -137,29 +165,9 @@ def cmd_match(args) -> int:
         # girth-6 method checks the girth itself and rejects girth < 6, and
         # the reduction and greedy bounds ignore the girth
         rep = _bound_report(g, None)
-    trace = None
-    try:
-        if args.method == "reduction":
-            matching, trace = find_induced_matching_subcubic(g)
-            bound = rep.thm2_bound
-        elif args.method == "greedy":
-            matching = greedy_induced_matching(g)
-            bound = ceil(rep.greedy_general_bound)
-        elif args.method == "forest":
-            matching = forest_greedy_induced_matching(g)
-            bound = ceil(rep.greedy_forest_bound)
-        else:
-            matching = girth6_induced_matching(g)
-            bound = rep.prop1_bound
-    except GraphError as e:
-        raise _CliError(EXIT_INPUT, str(e)) from None
-    witness = verify_induced_matching(g, matching)
+    matching, bound, witness, audit, trace = _certify(g, args.method, rep)
     verified = witness is None
-    ok = verified and len(matching) >= bound
-    # one audit per request: the ledger verdict and the trace summary share it
-    audit = None if trace is None else _audit(trace)
-    if audit is not None and not audit[0].ok:
-        ok = False
+    ok = verified and len(matching) >= bound and (audit is None or audit[0].ok)
     if args.json:
         obj = {
             "n": rep.n,
@@ -212,10 +220,7 @@ def cmd_match(args) -> int:
 
 def cmd_exact(args) -> int:
     g = _load_graph(args.input, args.format)
-    try:
-        value, witness = exact_strong_matching_number(g, args.budget)
-    except GraphError as e:
-        raise _CliError(EXIT_INPUT, str(e)) from None
+    value, witness = exact_strong_matching_number(g, args.budget)
     verified = verify_induced_matching(g, witness) is None and len(witness) == value
     if args.json:
         obj = {
@@ -241,10 +246,7 @@ def cmd_exact(args) -> int:
 def cmd_verify(args) -> int:
     g = _load_graph(args.input, args.format)
     mg = _load_graph(args.matching, "edge-list")
-    try:
-        witness = verify_induced_matching(g, mg.edges)
-    except GraphError as e:
-        raise _CliError(EXIT_INPUT, str(e)) from None
+    witness = verify_induced_matching(g, mg.edges)
     if args.json:
         obj = {
             "verified": witness is None,
@@ -265,39 +267,36 @@ def cmd_verify(args) -> int:
 def cmd_gen(args) -> int:
     name = args.name
     seed = args.seed
-    try:
-        if name == "k33plus":
-            g, comments = gen_k33plus(), [f"gen={name}"]
-        elif name == "extremal-cubic":
-            g, comments = gen_extremal_cubic(), [f"gen={name}"]
-        elif name == "c5-blowup":
-            if args.delta is None:
-                raise _CliError(EXIT_INPUT, f"{name} requires --delta")
-            g, comments = gen_c5_blowup(args.delta), [
-                f"gen={name} delta={args.delta}"
-            ]
-        elif name == "odd-regular":
-            if args.delta is None:
-                raise _CliError(EXIT_INPUT, f"{name} requires --delta")
-            g, extra = gen_odd_regular_extremal(args.delta)
-            comments = [f"gen={name} delta={args.delta}", *extra]
-        elif name == "random-subcubic":
-            target = args.target_m if args.target_m is not None else (3 * args.n) // 2
-            g = gen_random_subcubic(args.n, target, seed)
-            comments = [f"gen={name} n={args.n} target_m={target} seed={seed}"]
-        elif name == "random-cubic":
-            g = gen_random_cubic(args.n, seed)
-            comments = [f"gen={name} n={args.n} seed={seed}"]
-        elif name == "random-girth6":
-            g = gen_random_girth6(args.n, args.max_degree, seed)
-            comments = [
-                f"gen={name} n={args.n} max_degree={args.max_degree} seed={seed}"
-            ]
-        else:
-            g = gen_random_forest(args.n, seed)
-            comments = [f"gen={name} n={args.n} seed={seed}"]
-    except GraphError as e:
-        raise _CliError(EXIT_INPUT, str(e)) from None
+    if name == "k33plus":
+        g, comments = gen_k33plus(), [f"gen={name}"]
+    elif name == "extremal-cubic":
+        g, comments = gen_extremal_cubic(), [f"gen={name}"]
+    elif name == "c5-blowup":
+        if args.delta is None:
+            raise _CliError(EXIT_INPUT, f"{name} requires --delta")
+        g, comments = gen_c5_blowup(args.delta), [
+            f"gen={name} delta={args.delta}"
+        ]
+    elif name == "odd-regular":
+        if args.delta is None:
+            raise _CliError(EXIT_INPUT, f"{name} requires --delta")
+        g, extra = gen_odd_regular_extremal(args.delta)
+        comments = [f"gen={name} delta={args.delta}", *extra]
+    elif name == "random-subcubic":
+        target = args.target_m if args.target_m is not None else (3 * args.n) // 2
+        g = gen_random_subcubic(args.n, target, seed)
+        comments = [f"gen={name} n={args.n} target_m={target} seed={seed}"]
+    elif name == "random-cubic":
+        g = gen_random_cubic(args.n, seed)
+        comments = [f"gen={name} n={args.n} seed={seed}"]
+    elif name == "random-girth6":
+        g = gen_random_girth6(args.n, args.max_degree, seed)
+        comments = [
+            f"gen={name} n={args.n} max_degree={args.max_degree} seed={seed}"
+        ]
+    else:
+        g = gen_random_forest(args.n, seed)
+        comments = [f"gen={name} n={args.n} seed={seed}"]
     sys.stdout.write(write_edge_list(g, comments))
     return EXIT_OK
 
@@ -324,42 +323,34 @@ def _fuzz_instance(family: str, size: int, instance_seed: int) -> list[str]:
         g = gen_random_forest(size, instance_seed)
 
     rep = count_invariants(g)
-    outputs: list[tuple[str, int]] = []
-
-    def run(label, fn, bound):
+    methods = ["reduction"] if rep.max_degree <= 3 else []
+    methods.append("greedy")
+    if family in ("forest", "girth6"):
+        methods.append(family)
+    sizes: list[tuple[str, int]] = []
+    for method in methods:
         try:
-            got = fn(g)
+            matching, bound, witness, audit, _ = _certify(g, method, rep)
         except GraphError as e:
-            problems.append(f"{label}: precondition unexpectedly failed: {e}")
-            return
-        w = verify_induced_matching(g, got)
-        if w is not None:
-            problems.append(f"{label}: invalid matching, witness {w}")
-        if bound is not None and len(got) < bound:
-            problems.append(f"{label}: size {len(got)} below bound {bound}")
-        outputs.append((label, len(got)))
-
-    if g.max_degree() <= 3:
-        run(
-            "reduction",
-            lambda gg: _reduction_with_ledger(gg, problems),
-            rep.thm2_bound,
-        )
-        if g.is_cubic():
-            thm1 = rep.thm1_bound
-            for label, got in outputs:
-                if label == "reduction" and got < thm1:
-                    problems.append(f"reduction: size {got} below cubic bound {thm1}")
-    run("greedy", greedy_induced_matching, ceil(rep.greedy_general_bound))
-    if family == "forest":
-        run("forest", forest_greedy_induced_matching, ceil(rep.greedy_forest_bound))
-    if family == "girth6":
-        run("girth6", girth6_induced_matching, rep.prop1_bound)
+            problems.append(f"{method}: precondition unexpectedly failed: {e}")
+            continue
+        got = len(matching)
+        if audit is not None and not audit[0].ok:
+            problems.append(
+                f"reduction: ledger check failed at step {audit[0].violation_step}"
+            )
+        if witness is not None:
+            problems.append(f"{method}: invalid matching, witness {witness}")
+        if got < bound:
+            problems.append(f"{method}: size {got} below bound {bound}")
+        if method == "reduction" and g.is_cubic() and got < rep.thm1_bound:
+            problems.append(f"reduction: size {got} below cubic bound {rep.thm1_bound}")
+        sizes.append((method, got))
     if g.m <= ORACLE_FUZZ_EDGE_CAP:
         exact, _ = exact_strong_matching_number(g)
-        for label, got in outputs:
+        for method, got in sizes:
             if got > exact:
-                problems.append(f"{label}: size {got} exceeds exact value {exact}")
+                problems.append(f"{method}: size {got} exceeds exact value {exact}")
         # thm2 is a guarantee only for max degree at most 3
         for bname, b in (
             ("thm1", rep.thm1_bound),
@@ -369,14 +360,6 @@ def _fuzz_instance(family: str, size: int, instance_seed: int) -> list[str]:
             if b is not None and b > exact:
                 problems.append(f"bound {bname}={b} exceeds exact value {exact}")
     return problems
-
-
-def _reduction_with_ledger(g: Graph, problems: list[str]):
-    matching, trace = find_induced_matching_subcubic(g)
-    res = ledger_check(trace)
-    if not res.ok:
-        problems.append(f"reduction: ledger check failed at step {res.violation_step}")
-    return matching
 
 
 def cmd_fuzz(args) -> int:

@@ -274,9 +274,7 @@ def cmd_gen(args) -> int:
     elif name == "c5-blowup":
         if args.delta is None:
             raise _CliError(EXIT_INPUT, f"{name} requires --delta")
-        g, comments = gen_c5_blowup(args.delta), [
-            f"gen={name} delta={args.delta}"
-        ]
+        g, comments = gen_c5_blowup(args.delta), [f"gen={name} delta={args.delta}"]
     elif name == "odd-regular":
         if args.delta is None:
             raise _CliError(EXIT_INPUT, f"{name} requires --delta")
@@ -291,9 +289,7 @@ def cmd_gen(args) -> int:
         comments = [f"gen={name} n={args.n} seed={seed}"]
     elif name == "random-girth6":
         g = gen_random_girth6(args.n, args.max_degree, seed)
-        comments = [
-            f"gen={name} n={args.n} max_degree={args.max_degree} seed={seed}"
-        ]
+        comments = [f"gen={name} n={args.n} max_degree={args.max_degree} seed={seed}"]
     else:
         g = gen_random_forest(args.n, seed)
         comments = [f"gen={name} n={args.n} seed={seed}"]
@@ -323,7 +319,9 @@ def _fuzz_instance(family: str, size: int, instance_seed: int) -> list[str]:
         g = gen_random_forest(size, instance_seed)
 
     rep = count_invariants(g)
-    methods = ["reduction"] if rep.max_degree <= 3 else []
+    # the reduction runs, and thm2 is a guarantee, only for max degree <= 3
+    subcubic = rep.max_degree <= 3
+    methods = ["reduction"] if subcubic else []
     methods.append("greedy")
     if family in ("forest", "girth6"):
         methods.append(family)
@@ -351,10 +349,9 @@ def _fuzz_instance(family: str, size: int, instance_seed: int) -> list[str]:
         for method, got in sizes:
             if got > exact:
                 problems.append(f"{method}: size {got} exceeds exact value {exact}")
-        # thm2 is a guarantee only for max degree at most 3
         for bname, b in (
             ("thm1", rep.thm1_bound),
-            ("thm2", rep.thm2_bound if rep.max_degree <= 3 else None),
+            ("thm2", rep.thm2_bound if subcubic else None),
             ("prop1", rep.prop1_bound),
         ):
             if b is not None and b > exact:

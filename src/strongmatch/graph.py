@@ -85,14 +85,8 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def degrees(self) -> list[int]:
         return [len(nbrs) for nbrs in self.adj]
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -105,9 +99,6 @@ class Graph:
 
     def min_degree(self) -> int:
         return min((len(nbrs) for nbrs in self.adj), default=0)
-
-    def isolated_count(self) -> int:
-        return sum(1 for nbrs in self.adj if not nbrs)
 
     def is_cubic(self) -> bool:
         return self.n > 0 and all(len(nbrs) == 3 for nbrs in self.adj)

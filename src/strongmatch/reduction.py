@@ -115,7 +115,7 @@ from .graph import (
     connected_components,
     normalize_edge,
 )
-from .oracle import DEFAULT_BUDGET, exact_strong_matching_number
+from .oracle import exact_strong_matching_number
 
 BRUTE_FORCE_THRESHOLD = 12
 
@@ -163,20 +163,21 @@ class LedgerResult(NamedTuple):
     violation_step: Optional[int]
 
 
-def find_induced_matching_subcubic(
-    g: Graph, oracle_budget: int = DEFAULT_BUDGET
-) -> tuple[list[Edge], ReductionTrace]:
+def find_induced_matching_subcubic(g: Graph) -> tuple[list[Edge], ReductionTrace]:
     """Induced matching of size >= ceil((n - i - n33plus)/6), with trace.
 
     Deterministic for a fixed labeling.  Raises GraphError when g has a
     vertex of degree > 3, LedgerViolationError if a step ever breaks the
-    accounting (theoretically unreachable; a rule bug surfaces here).
+    accounting (theoretically unreachable; a rule bug surfaces here).  The
+    oracle runs on its default budget: a component sent to it has at most
+    12 vertices and so at most 18 edges, and a search that branches in two
+    on each edge expands fewer than 2^19 nodes, far below DEFAULT_BUDGET.
     """
     if g.max_degree() > 3:
         raise GraphError(
             f"reduction requires max degree <= 3, got {g.max_degree()}"
         )
-    eng = _Engine(g, oracle_budget)
+    eng = _Engine(g)
     eng.run()
     trace = ReductionTrace(original=g, steps=tuple(eng.steps))
     return trace.matching, trace
@@ -256,13 +257,12 @@ def _k33plus_edge(side_a: list[int], side_b: list[int]) -> Edge:
 
 
 class _Engine:
-    def __init__(self, g: Graph, oracle_budget: int):
+    def __init__(self, g: Graph):
         n = g.n
         self.g = g
         self.adj = g.adj
         self.alive = bytearray(b"\x01" * n)
         self.deg = g.degrees()
-        self.oracle_budget = oracle_budget
         self.steps: list[ReductionStep] = []
         # heaps[rule] holds candidate anchor vertices for FRAG..R11
         self.heaps: list[list[int]] = [[] for _ in range(_R12)]
@@ -463,7 +463,7 @@ class _Engine:
                     if w > v and alive[w]:
                         sub_edges.append((lv, local[w]))
             sub = Graph(len(comp), sub_edges)
-            _, witness = exact_strong_matching_number(sub, self.oracle_budget)
+            _, witness = exact_strong_matching_number(sub)
             added = sorted(
                 normalize_edge(comp[u], comp[v]) for u, v in witness
             )

@@ -78,8 +78,8 @@ class TestExtremalCubic:
 
     def test_hub_attachment(self):
         g = gen_extremal_cubic()
-        assert g.neighbors(28) == (6, 13, 29)
-        assert g.neighbors(29) == (20, 27, 28)
+        assert g.adj[28] == (6, 13, 29)
+        assert g.adj[29] == (20, 27, 28)
 
     def test_blocks_are_k33plus(self):
         g = gen_extremal_cubic()

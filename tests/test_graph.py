@@ -93,7 +93,6 @@ class TestConstruction:
     def test_neighbors_sorted(self):
         g = Graph(5, [(0, 4), (0, 1), (0, 3)])
         assert g.adj[0] == (1, 3, 4)
-        assert g.neighbors(0) == (1, 3, 4)
 
     def test_loop_rejected(self):
         with pytest.raises(GraphError):
@@ -113,7 +112,7 @@ class TestConstruction:
 
     def test_degree_queries(self):
         g = make_star(3)
-        assert g.degree(0) == 3
+        assert len(g.adj[0]) == 3
         assert g.degrees() == [3, 1, 1, 1]
         assert g.max_degree() == 3
         assert g.min_degree() == 1
@@ -124,10 +123,6 @@ class TestConstruction:
         assert g.m == 0
         assert g.max_degree() == 0
         assert girth(g) is None
-
-    def test_isolated_count(self):
-        g = Graph(5, [(0, 1)])
-        assert g.isolated_count() == 3
 
     def test_equality_and_hash(self):
         a = Graph(3, [(0, 1)])

@@ -2,11 +2,13 @@
 
 import ast
 from pathlib import Path
+from typing import Callable, Optional
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "strongmatch"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,11 +30,7 @@ def unused_imports(source: str) -> list[str]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
+    used.update(exported_names(tree))
     return sorted(
         f"line {line}: {name}" for name, line in imported.items() if name not in used
     )
@@ -48,27 +46,38 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def exported_names(tree: ast.Module) -> set[str]:
+    """The names listed in the module's ``__all__``."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
 def test_checker_flags_an_unused_import():
     source = "from os import path, sep\nimport sys\n__all__ = ['sep']\n"
     assert unused_imports(source) == ["line 1: path", "line 2: sys"]
 
 
-def private_definitions(tree: ast.Module) -> list[ast.AST]:
-    """Module-level private names and private methods defined in ``tree``.
-
-    Dunder names are not private helpers and are left out.
-    """
-    out: list[ast.AST] = []
+def definitions(tree: ast.Module) -> list[tuple[Optional[str], ast.AST]]:
+    """Module-level definitions and class methods in ``tree``, each with the
+    name of its class (None at module level)."""
+    out: list[tuple[Optional[str], ast.AST]] = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            out.append(node)
+            out.append((None, node))
         elif isinstance(node, ast.Assign):
-            out.extend(t for t in node.targets if isinstance(t, ast.Name))
+            out.extend((None, t) for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            out.append(node.target)
+            out.append((None, node.target))
         if isinstance(node, ast.ClassDef):
-            out.extend(f for f in node.body if isinstance(f, ast.FunctionDef))
-    return [d for d in out if _is_private(_defined_name(d))]
+            out.extend(
+                (node.name, f) for f in node.body if isinstance(f, ast.FunctionDef)
+            )
+    return out
 
 
 def _defined_name(node: ast.AST) -> str:
@@ -79,29 +88,47 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
-def orphaned_private_names(sources: dict[str, str]) -> list[str]:
-    """Private definitions that no code outside their own body refers to.
+def unread_definitions(
+    sources: dict[str, str],
+    wanted: Callable[[Optional[str], str], bool],
+    readers: dict[str, str],
+) -> list[str]:
+    """Definitions in ``sources`` picked by ``wanted(class name, name)`` that
+    no code outside their own body refers to.
 
-    A reference is a loaded name or an attribute read anywhere in
-    ``sources`` (file name -> text); uses inside the definition itself,
-    such as a recursive call, do not count.
+    A reference is an attribute read anywhere in ``sources`` or ``readers``
+    (file name -> text; ``readers`` are only searched for references) or,
+    for a module-level definition, also a loaded name; uses inside the
+    definition itself, such as a recursive call, do not count.
     """
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    refs: dict[str, list[int]] = {}
-    for tree in trees.values():
+    loads: dict[str, list[int]] = {}
+    attrs: dict[str, list[int]] = {}
+    for tree in [*trees.values(), *map(ast.parse, readers.values())]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                refs.setdefault(node.id, []).append(id(node))
+                loads.setdefault(node.id, []).append(id(node))
             elif isinstance(node, ast.Attribute):
-                refs.setdefault(node.attr, []).append(id(node))
-    orphans = []
+                attrs.setdefault(node.attr, []).append(id(node))
+    unread = []
     for fname, tree in trees.items():
-        for definition in private_definitions(tree):
+        for owner, definition in definitions(tree):
             name = _defined_name(definition)
+            if not wanted(owner, name):
+                continue
+            refs = attrs.get(name, [])
+            if owner is None:
+                refs = refs + loads.get(name, [])
             own = {id(n) for n in ast.walk(definition)}
-            if all(ref in own for ref in refs.get(name, ())):
-                orphans.append(f"{fname}:{definition.lineno}: {name}")
-    return sorted(orphans)
+            if all(ref in own for ref in refs):
+                unread.append(f"{fname}:{definition.lineno}: {name}")
+    return sorted(unread)
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """Private definitions, dunder names aside, that no code outside their
+    own body refers to."""
+    return unread_definitions(sources, lambda owner, name: _is_private(name), {})
 
 
 def test_no_orphaned_private_names():
@@ -121,4 +148,45 @@ def test_checker_flags_an_orphaned_private_name():
     }
     assert orphaned_private_names(sources) == [
         "a.py:2: _SPARE", "a.py:3: _walk", "a.py:7: _dead",
+    ]
+
+
+def public_names(init_source: str) -> Callable[[Optional[str], str], bool]:
+    """unread_definitions' ``wanted`` for the names in ``__all__`` of
+    ``init_source`` and the public methods of the class Graph."""
+    exported = exported_names(ast.parse(init_source))
+
+    def wanted(owner: Optional[str], name: str) -> bool:
+        if owner is None:
+            return name in exported
+        return owner == "Graph" and not name.startswith("_")
+
+    return wanted
+
+
+def test_public_names_have_a_reader():
+    """Every ``__all__`` name and every public Graph method is read in src/
+    outside its own definition, or in perfbench/ (the benchmark, which this
+    test only reads)."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    readers = {
+        p.name: p.read_text(encoding="utf-8") for p in PERFBENCH.glob("*.py")
+    }
+    wanted = public_names(sources["__init__.py"])
+    assert unread_definitions(sources, wanted, readers) == []
+
+
+def test_checker_flags_an_unread_public_name():
+    sources = {
+        "a.py": (
+            "def kept(): pass\ndef spare(k):\n    return spare(k - 1)\n"
+            "class Graph:\n    def used(self): pass\n    def idle(self): pass\n"
+            "class Other:\n    def spare(self): pass\n"
+        ),
+        "__init__.py": "from a import kept, spare\n__all__ = ['kept', 'spare']\n",
+    }
+    readers = {"bench.py": "from a import kept\nkept().used()\nidle = 1\nprint(idle)\n"}
+    wanted = public_names(sources["__init__.py"])
+    assert unread_definitions(sources, wanted, readers) == [
+        "a.py:2: spare", "a.py:6: idle",
     ]

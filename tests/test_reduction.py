@@ -7,7 +7,6 @@ import strongmatch.reduction
 from strongmatch import (
     Graph,
     GraphError,
-    BudgetExceededError,
     LedgerViolationError,
     ReductionStep,
     ReductionTrace,
@@ -567,10 +566,6 @@ class TestPreconditionsAndBudget:
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
         with pytest.raises(GraphError):
             find_induced_matching_subcubic(g)
-
-    def test_budget_propagates_from_component_oracle(self):
-        with pytest.raises(BudgetExceededError):
-            find_induced_matching_subcubic(make_petersen(), oracle_budget=0)
 
 
 class TestDeterminism:

@@ -170,8 +170,9 @@ def find_induced_matching_subcubic(g: Graph) -> tuple[list[Edge], ReductionTrace
     vertex of degree > 3, LedgerViolationError if a step ever breaks the
     accounting (theoretically unreachable; a rule bug surfaces here).  The
     oracle runs on its default budget: a component sent to it has at most
-    12 vertices and so at most 18 edges, and a search that branches in two
-    on each edge expands fewer than 2^19 nodes, far below DEFAULT_BUDGET.
+    12 vertices and so at most 18 edges, and its search, which branches in
+    two on one edge per node, then expands fewer than 2^19 nodes, far below
+    DEFAULT_BUDGET.
     """
     if g.max_degree() > 3:
         raise GraphError(

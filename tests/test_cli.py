@@ -53,6 +53,21 @@ def k33_file(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def audits(monkeypatch):
+    """Count trace audits, wherever the CLI reaches them from."""
+    calls = []
+    real = strongmatch.reduction._audit
+
+    def counting(trace):
+        calls.append(trace)
+        return real(trace)
+
+    monkeypatch.setattr(strongmatch.reduction, "_audit", counting)
+    monkeypatch.setattr(strongmatch.cli, "_audit", counting)
+    return calls
+
+
 def write_graph(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -188,20 +203,6 @@ class TestMatch:
         assert code == 0
         assert len(out) == length
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    @pytest.fixture
-    def audits(self, monkeypatch):
-        """Count trace audits, wherever the CLI reaches them from."""
-        calls = []
-        real = strongmatch.reduction._audit
-
-        def counting(trace):
-            calls.append(trace)
-            return real(trace)
-
-        monkeypatch.setattr(strongmatch.reduction, "_audit", counting)
-        monkeypatch.setattr(strongmatch.cli, "_audit", counting)
-        return calls
 
     @pytest.mark.parametrize("flags", [[], ["--json"], ["--trace"], ["--trace", "--json"]])
     def test_one_audit_per_request(self, run, audits, extremal_file, flags):
@@ -504,19 +505,10 @@ class TestFuzz:
             "girth-6 strategy requires girth >= 6, got 5\n"
         )
 
-    def test_one_audit_per_reduction_run(self, run, monkeypatch):
-        calls = []
-        real = strongmatch.reduction._audit
-
-        def counting(trace):
-            calls.append(trace)
-            return real(trace)
-
-        monkeypatch.setattr(strongmatch.reduction, "_audit", counting)
-        monkeypatch.setattr(strongmatch.cli, "_audit", counting)
+    def test_one_audit_per_reduction_run(self, run, audits):
         code, _, _ = run(["fuzz", "subcubic", "--count", "4", "--size", "10", "--seed", "9"])
         assert code == 0
-        assert len(calls) == 4
+        assert len(audits) == 4
 
 
 PARSER_ARGVS = [["--help"], ["match", "--bogus"], ["gen", "nope"], []]

@@ -136,7 +136,8 @@ def _certify(g: Graph, method: str, rep: BoundReport):
     the graphs whose bound is None); verify_induced_matching's witness, None
     when the matching is induced; and for the reduction, its trace and the
     trace's one _audit (ledger verdict and recomputed bound), both None for
-    the other methods.  A method's GraphError propagates.
+    the other methods.  A method's GraphError propagates; a matching edge
+    that is not an edge of g raises _CliError with the violation exit code.
     """
     trace = audit = None
     if method == "reduction":
@@ -152,7 +153,11 @@ def _certify(g: Graph, method: str, rep: BoundReport):
     else:
         matching = girth6_induced_matching(g)
         bound = rep.prop1_bound
-    return matching, bound, verify_induced_matching(g, matching), audit, trace
+    try:
+        witness = verify_induced_matching(g, matching)
+    except GraphError as e:
+        raise _CliError(EXIT_VIOLATION, f"{method}: invalid matching: {e}") from e
+    return matching, bound, witness, audit, trace
 
 
 def cmd_match(args) -> int:
@@ -331,6 +336,9 @@ def _fuzz_instance(family: str, size: int, instance_seed: int) -> list[str]:
             matching, bound, witness, audit, _ = _certify(g, method, rep)
         except GraphError as e:
             problems.append(f"{method}: precondition unexpectedly failed: {e}")
+            continue
+        except _CliError as e:
+            problems.append(e.message)
             continue
         got = len(matching)
         if audit is not None and not audit[0].ok:

@@ -8,11 +8,11 @@ that results are reproducible for a fixed input labeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
 from operator import eq
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Edge = tuple[int, int]
 
@@ -148,7 +148,7 @@ def girth(g: Graph) -> Optional[int]:
     vertices >= s, where the BFS from s reports |C|.
 
     A local pass over the roots in vertex order comes first (_short_cycles,
-    which also seeds the reduction engine's R10 and R11 heaps): a triangle
+    which also seeds the reduction engine's R10 and R11 anchors): a triangle
     returns 3 at once, and if the pass ends with none, a 4-cycle gives 4.
     Only then does the BFS run, knowing the girth is at least 5, and it
     stops at the first 5-cycle.  The local pass marks vertices in three
@@ -345,9 +345,8 @@ class BoundReport:
     """Exact invariants of a graph plus every applicable size guarantee.
 
     ``girth`` is None for acyclic graphs.  A bound field is None when its
-    hypothesis fails; ``reasons`` maps each absent field to a short
-    explanation ("not cubic", "girth < 6", "not forest").  Rational fields
-    are exact Fractions; integer bounds are ceilings.
+    hypothesis fails.  Rational fields are exact Fractions; integer bounds
+    are ceilings.
     """
 
     n: int
@@ -361,7 +360,6 @@ class BoundReport:
     prop1_bound: Optional[int]
     greedy_general_bound: Fraction
     greedy_forest_bound: Optional[Fraction]
-    reasons: Mapping[str, str] = field(default_factory=dict)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -480,7 +478,6 @@ def _bound_report(g: Graph, gi: Optional[int]) -> BoundReport:
     m = g.m
     isolated, n33 = _census(g)
     dmax = g.max_degree()
-    reasons: dict[str, str] = {}
 
     thm2 = _thm2_bound(n, isolated, n33)
 
@@ -488,14 +485,12 @@ def _bound_report(g: Graph, gi: Optional[int]) -> BoundReport:
         thm1: Optional[int] = _ceil_div(m, 9)
     else:
         thm1 = None
-        reasons["thm1_bound"] = "not cubic"
 
     if gi is None or gi >= 6:
         # (n - i) / (D^2/4 + D + 1) == 4 (n - i) / (D + 2)^2
         prop1: Optional[int] = _ceil_div(4 * (n - isolated), (dmax + 2) ** 2)
     else:
         prop1 = None
-        reasons["prop1_bound"] = "girth < 6"
 
     greedy_general = Fraction(m, 2 * dmax * (dmax - 1) + 1)
 
@@ -505,7 +500,6 @@ def _bound_report(g: Graph, gi: Optional[int]) -> BoundReport:
         )
     else:
         forest_bound = None
-        reasons["greedy_forest_bound"] = "not forest"
 
     return BoundReport(
         n=n,
@@ -519,7 +513,6 @@ def _bound_report(g: Graph, gi: Optional[int]) -> BoundReport:
         prop1_bound=prop1,
         greedy_general_bound=greedy_general,
         greedy_forest_bound=forest_bound,
-        reasons=reasons,
     )
 
 

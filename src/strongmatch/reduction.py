@@ -46,39 +46,42 @@ of isolated vertices it creates assumes every earlier rule is exhausted.
 The order <= 12 threshold similarly precludes the degenerate order-7
 components that R1, R8 and R9 would otherwise have to special-case.
 
-Implementation: per-vertex alive flags, dynamic degrees, and one table of
-candidate heaps, heaps[FRAG..R11], walked in priority order; R12 just takes
-the smallest vertex still alive.  Scanned heaps (R1, R10, R11) are filled
-once up front, which is sound because vertex deletion never creates a
-subgraph, and their anchors are looked up afresh when popped.  The R10 and
-R11 anchors are the smallest vertices of the triangles and 4-cycles, from
-the one pass graph._short_cycles that girth also runs; that is enough,
-because the smallest vertex of an alive short cycle stays filed until it
-fires, so the smallest anchor with an alive pattern is always one.  R1
-anchors are tested only next to 4-cycle vertices, as every K33+ branch
-vertex lies on a 4-cycle.  Classified heaps (FRAG, R2..R9) hold
-end-vertices and degree-2 vertices, filed by _file under their _classify
-class at setup and wherever graph._delete reports them after a deletion; a
-popped anchor whose class has moved is refiled.  R4 is searched for
+Implementation: per-vertex alive flags, dynamic degrees, and one heap of
+candidate anchors for FRAG..R11 with integer keys rule * n + vertex, so
+the smallest key is the smallest anchor of the earliest rule that has one;
+R12 just takes the smallest vertex still alive.  Each popped entry goes
+through one lookup that returns the anchor's current class and the
+pattern _fire builds its options from.  End-vertices and degree-2
+vertices are filed by _file under their _classify class (FRAG, R2..R9) at
+setup and wherever graph._delete reports them after a deletion; a popped
+anchor whose class has moved is refiled with one push.  R4 is searched for
 directly at each end-vertex past R3: a BFS of depth 4 looks for a second
-end-vertex at distance exactly 4.
+end-vertex at distance exactly 4.  R1, R10 and R11 anchors are filed once
+up front, which is sound because vertex deletion never creates a subgraph,
+and their patterns are searched for afresh when popped.  The R10 and R11
+anchors are the smallest vertices of the triangles and 4-cycles, from the
+one pass graph._short_cycles that girth also runs; that is enough, because
+the smallest vertex of an alive short cycle stays filed until it fires, so
+the smallest anchor with an alive pattern is always one.  R1 anchors are
+tested only next to 4-cycle vertices, as every K33+ branch vertex lies on
+a 4-cycle.
 
-The walk never goes back to an earlier heap.  Call a vertex filed when it
-has a heap entry no later than its class.  A component the oracle consumes
-changes no other class, and graph._delete reports every alive vertex
-within distance 2 of the deleted set, which is filed afresh.  _classify
-reads nothing farther away, except the R3 test (the degree of a sibling
-end-vertex) and the R4 test (an end-vertex at distance exactly 4).  At an
-unreported vertex x these tests can only turn R4 or R5 into R3, R5 into
-R4, or R4 into R5.  In the first two cases the sibling or partner has just
-dropped to degree 1, so the same deletion reported it and filed it under
-R3, or under at most R4, as its own R4 search sees x.  Both relations are
-symmetric, so a pair stays witnessed until one of its ends is reported.
-So every alive vertex of class c has a filed vertex of class at most c:
-itself, a sibling, an R4 partner or that partner's sibling.  As the heaps
-before r are empty when the walk reaches heap r, no alive vertex then has
-a class below r: rules fire in priority order, and a refile only ever goes
-to a later heap.
+The queue never goes back to an earlier rule.  Call a vertex filed when
+it has a queue entry under a rule no later than its class.  A component
+the oracle consumes changes no other class, and graph._delete reports
+every alive vertex within distance 2 of the deleted set, which is filed
+afresh.  _classify reads nothing farther away, except the R3 test (the
+degree of a sibling end-vertex) and the R4 test (an end-vertex at distance
+exactly 4).  At an unreported vertex x these tests can only turn R4 or R5
+into R3, R5 into R4, or R4 into R5.  In the first two cases the sibling or
+partner has just dropped to degree 1, so the same deletion reported it and
+filed it under R3, or under at most R4, as its own R4 search sees x.  Both
+relations are symmetric, so a pair stays witnessed until one of its ends
+is reported.  So every alive vertex of class c has a filed vertex of class
+at most c: itself, a sibling, an R4 partner or that partner's sibling.
+While the smallest key is under rule r, no entry is left under an earlier
+rule, so no alive vertex has a class below r: rules fire in priority
+order, and a refile only ever goes to a later rule.
 
 Every rule fires through one path: a capped BFS probes the anchor's
 component and diverts one that has shrunk to order <= 12 to the oracle;
@@ -97,7 +100,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import compress
 from typing import NamedTuple, Optional
 
@@ -261,26 +264,19 @@ class _Engine:
     def __init__(self, g: Graph):
         n = g.n
         self.g = g
+        self.n = n
         self.adj = g.adj
         self.alive = bytearray(b"\x01" * n)
         self.deg = g.degrees()
         self.steps: list[ReductionStep] = []
-        # heaps[rule] holds candidate anchor vertices for FRAG..R11
-        self.heaps: list[list[int]] = [[] for _ in range(_R12)]
+        # candidate anchors for FRAG..R11, each keyed rule * n + vertex
+        self.queue: list[int] = []
         # adj, alive and deg change in place and are never rebound
         self.k33plus_at = partial(_k33plus_at, self.adj, self.alive, self.deg)
         self.closed = partial(_alive_closed, self.adj, self.alive)
-        # the scanned heaps' pattern lookups; every other heap is classified
-        self.finders = {
-            _R1: self.k33plus_at,
-            _R10: self._find_triangle,
-            _R11: self._find_c4,
-        }
         self.r12_ptr = 0
         self.mark = [0] * n
         self.mark_gen = 0
-        self.initial_isolated = 0
-        self.initial_n33 = 0
 
     # -- setup ------------------------------------------------------------
 
@@ -289,61 +285,80 @@ class _Engine:
         while self._step_once():
             pass
         total = sum(len(step.added) for step in self.steps)
-        need = _thm2_bound(self.g.n, self.initial_isolated, self.initial_n33)
+        need = _thm2_bound(self.n, *_census(self.g))
         if total < need:
             raise LedgerViolationError(
                 f"matching of size {total} falls short of guarantee {need}"
             )
 
     def _setup(self) -> None:
+        n = self.n
         adj = self.adj
         deg = self.deg
         alive = self.alive
         for comp in connected_components(self.g):
             if len(comp) == 1:
-                self.initial_isolated += 1
                 alive[comp[0]] = 0
             elif len(comp) <= BRUTE_FORCE_THRESHOLD:
-                rule = self._consume_component(comp)
-                if rule == "COMPONENT-K33PLUS":
-                    self.initial_n33 += 1
+                self._consume_component(comp)
         # what is left alive makes up the components of order > 12
-        self._file(compress(range(self.g.n), alive))
-        heaps = self.heaps
+        self._file(compress(range(n), alive))
+        queue = self.queue
         # triangles and 4-cycles only ever disappear, so one scan suffices;
         # every short cycle gets an anchor entry at its smallest vertex
         triangles, squares, on_c4 = _short_cycles(adj)
-        heaps[_R10] = [s for s in triangles if alive[s]]
-        heaps[_R11] = [s for s in squares if alive[s]]
+        queue += [_R10 * n + s for s in triangles if alive[s]]
+        queue += [_R11 * n + s for s in squares if alive[s]]
         # a K33+ subgraph puts every branch vertex on a 4-cycle, so only
         # vertices next to one can anchor R1; this keeps the scan cheap
         near_c4 = {
             v
-            for x in compress(range(self.g.n), on_c4)
+            for x in compress(range(n), on_c4)
             for v in adj[x]
             if alive[v] and deg[v] >= 2
         }
-        heaps[_R1] = sorted(v for v in near_c4 if self.k33plus_at(v) is not None)
+        queue += [_R1 * n + v for v in near_c4 if self.k33plus_at(v) is not None]
+        heapify(queue)
 
     # -- candidate classification -----------------------------------------
 
     def _file(self, vertices) -> None:
-        """Push each vertex of degree at most 2 onto the heap of its class;
-        one of class None is left out."""
+        """Queue each vertex of degree at most 2 under its class; one of
+        class None is left out."""
         deg = self.deg
-        heaps = self.heaps
+        n = self.n
+        queue = self.queue
         classify = self._classify
         for v in vertices:
             if deg[v] <= 2:
-                cls = classify(v)
+                cls, _ = classify(v)
                 if cls is not None:
-                    heappush(heaps[cls], v)
+                    heappush(queue, cls * n + v)
 
-    def _classify(self, u: int) -> Optional[int]:
-        """Current rule for an alive anchor: FRAG or R2..R5 for an
-        end-vertex, R6..R9 for a degree-2 vertex, and None for a degree-2
-        vertex next to an end-vertex (which owns the local pattern) or a
-        vertex of degree 3."""
+    def _lookup(self, rule: int, u: int) -> tuple[Optional[int], object]:
+        """(class, pattern) of an alive anchor queued under ``rule``.
+
+        For FRAG and R2..R9 that is _classify(u).  R1, R10 and R11 anchors
+        are searched afresh, as (rule, pattern) while their K33+, triangle
+        or 4-cycle is alive and (None, None) once it has gone.
+        """
+        if rule == _R1:
+            pat = self.k33plus_at(u)
+        elif rule == _R10:
+            pat = self._find_triangle(u)
+        elif rule == _R11:
+            pat = self._find_c4(u)
+        else:
+            return self._classify(u)
+        return (None, None) if pat is None else (rule, pat)
+
+    def _classify(self, u: int) -> tuple[Optional[int], object]:
+        """Current (rule, pattern) of an alive anchor: FRAG or R2..R5 for
+        an end-vertex, R6..R9 for a degree-2 vertex, and (None, None) for a
+        degree-2 vertex next to an end-vertex (which owns the local
+        pattern) or a vertex of degree 3.  The pattern is the pairs (x, v)
+        that _fire matches; FRAG has none, as its component goes to the
+        oracle."""
         adj = self.adj
         alive = self.alive
         deg = self.deg
@@ -356,17 +371,20 @@ class _Engine:
                     break
             dv = deg[v]
             if dv == 1:
-                return _FRAG
+                return _FRAG, None
             if dv == 2:
-                return _R2
+                return _R2, ((u, v),)
             for w in adj[v]:
                 if w != u and alive[w] and deg[w] == 1:
-                    return _R3
-            if self._r4_partner(u) is not None:
-                return _R4
-            return _R5
+                    mate = min(x for x in adj[v] if alive[x] and deg[x] == 1)
+                    return _R3, ((mate, v),)
+            u2 = self._r4_partner(u)
+            if u2 is not None:
+                v2 = next(w for w in adj[u2] if alive[w])
+                return _R4, ((u, v), (u2, v2))
+            return _R5, ((u, v),)
         if d != 2:
-            return None
+            return None, None
         v1 = v2 = -1
         for w in adj[u]:
             if alive[w]:
@@ -375,15 +393,15 @@ class _Engine:
                 else:
                     v2 = w
         if deg[v1] == 1 or deg[v2] == 1:
-            return None
+            return None, None
         if deg[v1] == 2 or deg[v2] == 2:
-            return _R6
+            return _R6, ((u, v1 if deg[v1] == 2 else v2),)
         if v2 in adj[v1]:
-            return _R7
+            return _R7, ((u, v1),)
         for x in adj[v1]:
             if x != u and alive[x] and x in adj[v2]:
-                return _R8
-        return _R9
+                return _R8, ((u, v1),)
+        return _R9, ((u, v1), (u, v2))
 
     def _r4_partner(self, u: int) -> Optional[int]:
         """Smallest end-vertex at alive-distance exactly 4 from u, or None."""
@@ -435,8 +453,9 @@ class _Engine:
                         return None
         return comp
 
-    def _consume_component(self, comp: list[int]) -> str:
-        """Steps (b)/(c): emit the single K33+ edge or brute-force exactly.
+    def _consume_component(self, comp: list[int]) -> None:
+        """Consume a small component whole: emit its single edge when it is
+        K33+ (COMPONENT-K33PLUS), else solve it exactly (COMPONENT-BRUTE).
 
         ``comp`` must be a sorted, whole alive component of order >= 2;
         closed components have no outside neighbors, so no vertex outside
@@ -471,63 +490,53 @@ class _Engine:
         for v in comp:
             alive[v] = 0
         self._record(rule, comp, added, 0)
-        return rule
 
     # -- the step dispatcher ----------------------------------------------
 
     def _step_once(self) -> bool:
-        heaps = self.heaps
+        queue = self.queue
         alive = self.alive
-        finders = self.finders
-        for rule in range(_R12):
-            h = heaps[rule]
-            find = finders.get(rule)
-            while h:
-                u = h[0]
-                if not alive[u]:
-                    heappop(h)
-                elif find is not None:
-                    pat = find(u)
-                    if pat is not None:
-                        self._fire(rule, u, pat)
-                        return True
-                    heappop(h)
-                else:
-                    actual = self._classify(u)
-                    if actual == rule:
-                        self._fire(rule, u, None)
-                        return True
-                    heappop(h)
-                    if actual is not None:
-                        # a later heap, by the argument in the module docstring
-                        heappush(heaps[actual], u)
+        n = self.n
+        while queue:
+            rule, u = divmod(queue[0], n)
+            cls, pat = self._lookup(rule, u) if alive[u] else (None, None)
+            if cls == rule:
+                self._fire(rule, u, pat)
+                return True
+            if cls is None:
+                heappop(queue)
+            else:
+                # a later rule, by the argument in the module docstring
+                heapreplace(queue, cls * n + u)
         # no vertex of degree 1 or 2 is left anywhere, and no triangle or
         # 4-cycle, so every remaining component is cubic of girth >= 5 (no
         # alive vertex has degree 0: setup drops the isolated vertices, and
         # graph._delete the ones each step isolates)
         ptr = self.r12_ptr
-        n = self.g.n
         while ptr < n and not alive[ptr]:
             ptr += 1
         self.r12_ptr = ptr
         if ptr < n:
-            self._fire(_R12, ptr, None)
+            v = next(w for w in self.adj[ptr] if alive[w])
+            self._fire(_R12, ptr, ((ptr, v),))
             return True
         return False
 
-    def _find_triangle(self, a: int) -> Optional[int]:
-        """Smallest b completing an alive triangle a-b-c, or None."""
+    def _find_triangle(self, a: int) -> Optional[tuple[Edge]]:
+        """The edge a-b, for the smallest b completing an alive triangle
+        a-b-c, or None."""
         adj = self.adj
         alive = self.alive
         nbrs = [w for w in adj[a] if alive[w]]
         for i, b in enumerate(nbrs):
             for c in nbrs[i + 1:]:
                 if c in adj[b]:
-                    return b
+                    return ((a, b),)
         return None
 
-    def _find_c4(self, a: int) -> Optional[tuple[int, int, int, int]]:
-        """Lexicographically smallest alive 4-cycle (a, n1, x, n2), or None."""
+    def _find_c4(self, a: int) -> Optional[tuple[Edge, ...]]:
+        """The edges, in cycle order, of the lexicographically smallest
+        alive 4-cycle (a, n1, x, n2), or None."""
         adj = self.adj
         alive = self.alive
         nbrs = [w for w in adj[a] if alive[w]]
@@ -539,14 +548,14 @@ class _Engine:
                         if best_x < 0 or x < best_x:
                             best_x = x
                 if best_x >= 0:
-                    return (a, n1, best_x, n2)
+                    return ((a, n1), (n1, best_x), (best_x, n2), (n2, a))
         return None
 
     # -- rule firing -------------------------------------------------------
 
     def _fire(self, rule: int, u: int, pat) -> None:
-        """Fire ``rule`` at anchor u; ``pat`` is the scanned heaps' pattern
-        (R1's K33+, R10's second triangle vertex, R11's 4-cycle).
+        """Fire ``rule`` at anchor u with the pattern its lookup returned:
+        R1's K33+, or pairs (x, v) of vertices to match.
 
         A component that has shrunk to order <= BRUTE_FORCE_THRESHOLD goes
         to the oracle (every FRAG lands here).  Otherwise the first option
@@ -556,52 +565,24 @@ class _Engine:
         if comp is not None:
             self._consume_component(sorted(comp))
             return
-        adj = self.adj
-        alive = self.alive
-        deg = self.deg
         closed = self.closed
         # options: (removal, added) pairs in the order the rule tries them
         if rule == _R1:
             a1, b1, side_a, side_b = pat
             options = [({a1, b1, *side_a, *side_b}, [_k33plus_edge(side_a, side_b)])]
-        elif rule <= _R5:
-            v = next(w for w in adj[u] if alive[w])
-            removal = closed(v)
-            if rule == _R4:
-                u2 = self._r4_partner(u)
-                v2 = next(w for w in adj[u2] if alive[w])
-                removal |= closed(v2)
-                added = sorted((normalize_edge(u, v), normalize_edge(u2, v2)))
-            elif rule == _R3:
-                mate = min(w for w in adj[v] if alive[w] and deg[w] == 1)
-                added = [normalize_edge(mate, v)]
-            else:
-                added = [normalize_edge(u, v)]
-            options = [(removal, added)]
-        elif rule <= _R9:
-            v1, v2 = [w for w in adj[u] if alive[w]]
-            if rule == _R6:
-                mate = v1 if deg[v1] == 2 else v2
-                options = [(closed(u) | closed(mate), [normalize_edge(u, mate)])]
-            elif rule == _R7:
-                options = [(closed(v1), [normalize_edge(u, v1)])]
-            else:
-                # R8 matches u with v1; R9 tries either neighbor
-                mates = (v1,) if rule == _R8 else (v1, v2)
-                options = [
-                    (closed(u) | closed(v), [normalize_edge(u, v)]) for v in mates
-                ]
-        elif rule == _R11:
-            options = [
-                (closed(p) | closed(q), [normalize_edge(p, q)])
-                for p, q in zip(pat, pat[1:] + pat[:1])
-            ]
+        elif rule <= _R5 or rule == _R7:
+            # R2..R5, R7: one option, matching every pair x-v and deleting
+            # each N[v]
+            removal = set()
+            for _, v in pat:
+                removal |= closed(v)
+            options = [(removal, [normalize_edge(x, v) for x, v in pat])]
         else:
-            # R10 matches the triangle edge u-pat, R12 u and a neighbor
-            v = pat if rule == _R10 else next(w for w in adj[u] if alive[w])
-            options = [(closed(u) | closed(v), [normalize_edge(u, v)])]
+            # R6, R8..R12: each pair is an option, matching it and deleting
+            # both closed neighborhoods
+            options = [(closed(x) | closed(v), [normalize_edge(x, v)]) for x, v in pat]
         for removal, added in options:
-            iso = _isolated_after(adj, alive, removal)
+            iso = _isolated_after(self.adj, self.alive, removal)
             if len(removal) + len(iso) <= 6 * len(added):
                 self._commit(f"R{rule}", removal, added, iso)
                 return

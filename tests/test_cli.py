@@ -221,6 +221,17 @@ class TestMatch:
         assert out.splitlines()[1] == "matching=1 bound=1 ok=false"
         assert "guarantee or verification failure" in err
 
+    def test_non_edge_matching_is_a_violation(self, run, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            strongmatch.cli, "greedy_induced_matching", lambda g: [(0, g.n - 1)]
+        )
+        p = write_graph(tmp_path, "p5.el", "n 5\n0 1\n1 2\n2 3\n3 4\n")
+        assert run(["match", p, "--method", "greedy"]) == (
+            1,
+            "",
+            "greedy: invalid matching: matching edge (0, 4) is not an edge of the graph\n",
+        )
+
     def test_trace_flag_without_reduction_is_null(self, run, extremal_file):
         code, out, _ = run(
             ["match", extremal_file, "--method", "greedy", "--json", "--trace"]
@@ -483,6 +494,18 @@ class TestFuzz:
             "seed 9: greedy: invalid matching, witness (1, 2)",
             "seed 9: girth6: invalid matching, witness (1, 2)",
         ]
+
+    def test_non_edge_matching_is_reported(self, run, monkeypatch):
+        monkeypatch.setattr(
+            strongmatch.cli, "greedy_induced_matching", lambda g: [(0, g.n - 1)]
+        )
+        code, out, err = run(["fuzz", "subcubic", "--count", "2", "--size", "10", "--seed", "9"])
+        assert code == 1
+        assert out == self.all_failed("subcubic", 2, 9)
+        assert err == (
+            "seed 9: greedy: invalid matching: "
+            "matching edge (0, 9) is not an edge of the graph\n"
+        )
 
     def test_failed_audit_is_reported(self, run, monkeypatch):
         def failing(trace):

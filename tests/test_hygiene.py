@@ -9,6 +9,9 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "strongmatch"
 PERFBENCH = TESTS.parent / "perfbench"
+# the sources the per-file checks cover; perfbench/ is left out, as it is
+# the benchmark's own code
+CHECKED = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,14 +39,42 @@ def unused_imports(source: str) -> list[str]:
     )
 
 
-# perfbench/ is left out: it is the benchmark's own code
-@pytest.mark.parametrize(
-    "path",
-    sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
-    ids=lambda p: p.name,
-)
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def redefined_names(source: str) -> list[str]:
+    """Functions and classes bound a second time in the same module or class
+    body, by line of the later binding; the earlier one is dead code."""
+    found: list[tuple[int, str]] = []
+    scopes: list[tuple[str, ast.AST]] = [("", ast.parse(source))]
+    for prefix, scope in scopes:
+        seen = set()
+        for node in scope.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name in seen:
+                    found.append((node.lineno, prefix + node.name))
+                seen.add(node.name)
+                if isinstance(node, ast.ClassDef):
+                    scopes.append((f"{prefix}{node.name}.", node))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
+def test_no_redefined_names(path):
+    assert redefined_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_a_redefined_name():
+    source = (
+        "def f(): pass\nclass C:\n    def m(self): pass\n    def m(self): pass\n"
+        "    class D:\n        def g(self): pass\n        def g(self): pass\n"
+        "def g(): pass\nclass C: pass\nasync def f(): pass\n"
+    )
+    assert redefined_names(source) == [
+        "line 4: C.m", "line 7: C.D.g", "line 9: C", "line 10: f",
+    ]
 
 
 def exported_names(tree: ast.Module) -> set[str]:

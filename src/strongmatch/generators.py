@@ -2,17 +2,75 @@
 
 All randomness comes from SplitMix64 below, so every generator is a pure
 function of its arguments and produces identical graphs on any platform.
+
+SplitMix64's k-th output is mix(seed + k * gamma mod 2^64), a pure function
+of k, so the generator computes its outputs a block at a time: one Python
+int holds a block's states in 128-bit lanes, and each step of mix runs once
+over the whole int.  A lane is masked back to 64 bits before each multiply,
+so a 64 x 64-bit product stays inside its 128-bit lane and no carry crosses
+into the next one; the stream is the one a draw-by-draw loop gives.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import deque
+from collections.abc import Iterator
+from functools import partial
+from itertools import chain, islice, repeat
+from operator import le, mod
 
 from .graph import Edge, Graph, GraphError
 
-_MASK64 = (1 << 64) - 1
 _ATTEMPT_FACTOR = 20
 _CUBIC_ATTEMPTS = 1000
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+# block sizes in lanes double from the first to the last, so an instance
+# that draws a few values computes only a few
+_FIRST_LANES = 64
+_MAX_LANES = 4096
+
+# lanes -> (ones, steps, mask) with, in lane k, 1, (k + 1) * gamma mod 2^64
+# and 2^64 - 1; only the schedule's sizes are ever cached
+_LANE_CONSTANTS: dict[int, tuple[int, int, int]] = {}
+
+
+def _lane_constants(lanes: int) -> tuple[int, int, int]:
+    consts = _LANE_CONSTANTS.get(lanes)
+    if consts is None:
+        ones = int.from_bytes((b"\1" + bytes(15)) * lanes, "little")
+        steps = int.from_bytes(
+            b"".join(
+                ((k + 1) * _GAMMA & _MASK64).to_bytes(16, "little")
+                for k in range(lanes)
+            ),
+            "little",
+        )
+        consts = (ones, steps, ones * _MASK64)
+        _LANE_CONSTANTS[lanes] = consts
+    return consts
+
+
+def _blocks(state: int) -> Iterator[array]:
+    """The outputs after ``state``, as arrays of growing length."""
+    lanes = _FIRST_LANES
+    while True:
+        ones, steps, mask = _lane_constants(lanes)
+        z = (ones * state + steps) & mask
+        z = (((z ^ (z >> 30)) & mask) * _MIX1) & mask
+        z = (((z ^ (z >> 27)) & mask) * _MIX2) & mask
+        z ^= z >> 31
+        words = array("Q", z.to_bytes(16 * lanes, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        yield words[::2]
+        state = (state + lanes * _GAMMA) & _MASK64
+        lanes = min(2 * lanes, _MAX_LANES)
 
 
 class SplitMix64:
@@ -21,34 +79,51 @@ class SplitMix64:
     state := state + 0x9E3779B97F4A7C15 (mod 2^64), output mixed with two
     xor-shift-multiply rounds.  Chosen for portability: the algorithm is a
     dozen lines of 64-bit arithmetic, reproducible in any language.
+
+    Output k depends only on seed + k * gamma, so the outputs are made in
+    blocks of 64 to 4096 at once (see the module docstring): each block is
+    mixed in 128-bit lanes of one int, wide enough for every 64 x 64-bit
+    product, and the stream is the same as one draw at a time.
     """
 
-    __slots__ = ("state",)
+    __slots__ = ("_stream",)
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        self._stream = chain.from_iterable(_blocks(seed & _MASK64))
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return next(self._stream)
 
     def below(self, bound: int) -> int:
         """Uniform draw from [0, bound) by rejection (no modulo bias)."""
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
+        r = next(self._stream)
+        # 2^64 mod bound < bound, so any r >= bound passes the rejection test
+        if r < bound:
+            threshold = (1 << 64) % bound
+            while r < threshold:
+                r = next(self._stream)
+        return r % bound
+
+    def draws(self, bound: int) -> Iterator[int]:
+        """Endless below(bound) draws, as one iterator that reads this
+        instance's stream: the same rejection rule, at C speed."""
+        if bound <= 0:
+            raise ValueError(f"bound must be positive, got {bound}")
         threshold = (1 << 64) % bound
-        while True:
-            r = self.next_u64()
-            if r >= threshold:
-                return r % bound
+        return map(mod, filter(partial(le, threshold), self._stream), repeat(bound))
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
+        stream = self._stream
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            r = next(stream)
+            if r <= i:
+                threshold = (1 << 64) % (i + 1)
+                while r < threshold:
+                    r = next(stream)
+            j = r % (i + 1)
             items[i], items[j] = items[j], items[i]
 
 
@@ -160,24 +235,25 @@ def gen_random_bounded_degree(
         raise GraphError(f"negative vertex count {n}")
     if max_degree < 1:
         raise GraphError(f"max_degree must be >= 1, got {max_degree}")
-    below = SplitMix64(seed).below
+    edges: list[Edge] = []
+    if n < 2 or target_m <= 0:
+        return Graph(n, edges)
     adj: list[set[int]] = [set() for _ in range(n)]
     degree = [0] * n
-    edges: list[Edge] = []
-    attempts = _ATTEMPT_FACTOR * (target_m + 1)
-    while len(edges) < target_m and attempts > 0 and n >= 2:
-        attempts -= 1
-        u = below(n)
-        v = below(n)
-        if u == v or v in adj[u]:
-            continue
+    d = SplitMix64(seed).draws(n)
+    for u, v in islice(zip(d, d), _ATTEMPT_FACTOR * (target_m + 1)):
+        # the cheapest test first: near the target most attempts hit a full vertex
         if degree[u] >= max_degree or degree[v] >= max_degree:
+            continue
+        if u == v or v in adj[u]:
             continue
         adj[u].add(v)
         adj[v].add(u)
         degree[u] += 1
         degree[v] += 1
         edges.append((u, v))
+        if len(edges) == target_m:
+            break
     return Graph(n, edges)
 
 
@@ -197,8 +273,9 @@ def gen_random_cubic(n: int, seed: int) -> Graph:
     if n < 4 or n % 2:
         raise GraphError(f"cubic graphs need even n >= 4, got {n}")
     rng = SplitMix64(seed)
+    all_stubs = [v for v in range(n) for _ in range(3)]
     for _ in range(_CUBIC_ATTEMPTS):
-        stubs = [v for v in range(n) for _ in range(3)]
+        stubs = all_stubs.copy()
         rng.shuffle(stubs)
         seen: set[Edge] = set()
         ok = True
@@ -229,14 +306,12 @@ def gen_random_girth6(n: int, max_degree: int, seed: int) -> Graph:
         raise GraphError(f"negative vertex count {n}")
     if max_degree < 1:
         raise GraphError(f"max_degree must be >= 1, got {max_degree}")
-    rng = SplitMix64(seed)
     adj: list[list[int]] = [[] for _ in range(n)]
     edges: list[Edge] = []
-    for _ in range(10 * n * max_degree):
-        if n < 2:
-            break
-        u = rng.below(n)
-        v = rng.below(n)
+    if n < 2:
+        return Graph(n, edges)
+    d = SplitMix64(seed).draws(n)
+    for u, v in islice(zip(d, d), 10 * n * max_degree):
         if u == v:
             continue
         if len(adj[u]) >= max_degree or len(adj[v]) >= max_degree:

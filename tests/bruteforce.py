@@ -8,7 +8,7 @@ so that agreement with the library is meaningful evidence.
 from collections import deque
 from functools import cache
 from itertools import combinations, permutations
-from typing import Optional
+from typing import Iterator, Optional
 
 from strongmatch import Graph, ReductionTrace, verify_induced_matching
 
@@ -324,3 +324,16 @@ def _replay(g: Graph, trace: ReductionTrace):
         for w in iso:
             alive[w] = False
     assert not any(alive), "trace left vertices unconsumed"
+
+
+def splitmix64_reference(seed: int) -> Iterator[int]:
+    """SplitMix64's outputs one draw at a time, by the scalar formula
+    (Steele, Lea, Flood 2014): add gamma to the state, then mix it."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)

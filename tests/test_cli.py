@@ -376,6 +376,14 @@ class TestGen:
         assert code == 0
         assert out == "# gen=random-forest n=6 seed=3\nn 6\n0 1\n1 2\n1 3\n2 4\n2 5\n"
 
+    def test_random_subcubic_golden_sha256(self, run):
+        code, out, _ = run(["gen", "random-subcubic", "--n", "300", "--seed", "12345"])
+        assert code == 0
+        assert len(out) == 3293
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "82f9f67cf3a8d39f30322e5c50d799b12066de878fa780956d99e8240737f468"
+        )
+
     def test_output_parses_back(self, run):
         for argv in (
             ["gen", "extremal-cubic"],

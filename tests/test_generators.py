@@ -1,5 +1,9 @@
+import hashlib
+from itertools import islice
+
 import pytest
 
+import strongmatch.generators
 from strongmatch import (
     GraphError,
     SplitMix64,
@@ -18,7 +22,24 @@ from strongmatch import (
     is_k33plus,
 )
 
-from bruteforce import is_k33plus_by_isomorphism
+from bruteforce import is_k33plus_by_isomorphism, splitmix64_reference
+
+
+def below_reference(stream, bound: int) -> int:
+    """A uniform draw from [0, bound): the first output of ``stream`` at or
+    above 2^64 mod bound, reduced mod bound."""
+    threshold = (1 << 64) % bound
+    return next(r for r in stream if r >= threshold) % bound
+
+
+def shuffle_reference(stream, items: list) -> None:
+    for i in range(len(items) - 1, 0, -1):
+        j = below_reference(stream, i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+# 20,000 outputs cross every change of block size (64, 128, ..., 4096 lanes)
+STREAM_LENGTH = 20_000
 
 
 class TestSplitMix64:
@@ -56,6 +77,74 @@ class TestSplitMix64:
         rng.shuffle(items)
         assert items == [1, 4, 5, 2, 6, 0, 3, 7]
         assert sorted(items) == list(range(8))
+
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**63 - 1, 2**64 - 1, 2**64 + 5],
+        ids=["0", "1", "2^63-1", "2^64-1", "2^64+5"],
+    )
+    def test_stream_matches_reference(self, seed):
+        rng = SplitMix64(seed)
+        got = [rng.next_u64() for _ in range(STREAM_LENGTH)]
+        assert got == list(islice(splitmix64_reference(seed), STREAM_LENGTH))
+
+    @pytest.mark.parametrize(
+        "bound", [1, 2, 3, 100, 2**63 + 1, 3 * 2**62],
+        ids=["1", "2", "3", "100", "2^63+1", "3*2^62"],
+    )
+    def test_below_and_draws_match_reference(self, bound):
+        count = STREAM_LENGTH // 2
+        ref = splitmix64_reference(bound)
+        want = [below_reference(ref, bound) for _ in range(count)]
+        rng = SplitMix64(bound)
+        assert [rng.below(bound) for _ in range(count)] == want
+        assert list(islice(SplitMix64(bound).draws(bound), count)) == want
+        assert all(0 <= x < bound for x in want)
+
+    @pytest.mark.parametrize("bound", [2**63 + 1, 3 * 2**62])
+    def test_large_bounds_reject_draws(self, bound):
+        # the rejection path runs: 2^64 mod bound is a quarter to a half of 2^64
+        threshold = (1 << 64) % bound
+        outputs = list(islice(splitmix64_reference(bound), 1000))
+        rejected = sum(r < threshold for r in outputs)
+        assert 200 < rejected < 600
+
+    def test_interleaved_calls_share_one_stream(self):
+        rng = SplitMix64(2024)
+        ref = splitmix64_reference(2024)
+        small, large = rng.draws(7), rng.draws(2**63 + 1)
+        for i in range(STREAM_LENGTH // 4):
+            assert rng.next_u64() == next(ref)
+            assert rng.below(10 + i) == below_reference(ref, 10 + i)
+            assert next(small) == below_reference(ref, 7)
+            assert next(large) == below_reference(ref, 2**63 + 1)
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 1000])
+    def test_shuffle_matches_reference(self, length):
+        items, want = list(range(length)), list(range(length))
+        rng = SplitMix64(length)
+        rng.shuffle(items)
+        ref = splitmix64_reference(length)
+        shuffle_reference(ref, want)
+        assert items == want
+        # the instance and the reference go on from the same point
+        assert rng.next_u64() == next(ref)
+
+    def test_draws_rejects_nonpositive(self):
+        rng = SplitMix64(1)
+        with pytest.raises(ValueError):
+            rng.draws(0)
+        with pytest.raises(ValueError):
+            rng.draws(-2)
+
+    def test_lane_cache_holds_only_the_block_sizes(self):
+        for seed in range(12):
+            for n in (2, 9, 150, 600):
+                gen_random_subcubic(n, 3 * n // 2, seed)
+                gen_random_forest(n, seed)
+            gen_random_girth6(150, 3, seed)
+            gen_random_cubic(150, seed)
+        sizes = sorted(strongmatch.generators._LANE_CONSTANTS)
+        assert sizes == [64 << k for k in range(7)]
 
 
 class TestK33Plus:
@@ -260,3 +349,62 @@ class TestRandomForest:
             gen_random_forest(-1, 0)
         with pytest.raises(GraphError):
             gen_random_forest(5, 0, attach_percent=101)
+
+
+def edges_sha256(g) -> str:
+    return hashlib.sha256(repr(g.edges).encode()).hexdigest()
+
+
+EMPTY = "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"
+
+
+class TestGoldens:
+    """Edge lists of every random generator, pinned by sha256 across
+    revisions: one mid size each, plus the edge cases of the arguments."""
+
+    @pytest.mark.parametrize(
+        "gen,args,m,digest",
+        [
+            (gen_random_subcubic, (20000, 30000, 31337), 29702,
+             "b491f34e62c3dc0915b19bafd06477aead28d3510690e6b0c1d482cbee0cd412"),
+            (gen_random_bounded_degree, (5000, 12000, 5, 4242), 12000,
+             "b7609758ece4b7315c60bfa6c04dfa17703108722c489dbbb16332ca24c6c19e"),
+            # needs 4 pairing attempts
+            (gen_random_cubic, (2000, 2027), 3000,
+             "3b26bc9691cbd99602113a76c544c88f4e031dca57207ce82cd8a6d554df621e"),
+            (gen_random_girth6, (2000, 3, 606), 2963,
+             "0e31df841c6692bab17756b1ed2524a97a12e73673b560d23da282f7da1d540b"),
+            (gen_random_forest, (5000, 77), 3709,
+             "2175385b10573cc1e399759f79f40955679a73151282b4647179e6c7ffec3e7a"),
+            (gen_random_bounded_degree, (0, 5, 3, 1), 0, EMPTY),
+            (gen_random_bounded_degree, (1, 5, 3, 1), 0, EMPTY),
+            (gen_random_subcubic, (2, 1, 3), 1,
+             "9a96df51dc791004ba79c210a5443532cf486a99b718d3ddb603ca75a2eaa0cf"),
+            (gen_random_girth6, (0, 3, 1), 0, EMPTY),
+            (gen_random_girth6, (1, 3, 1), 0, EMPTY),
+            (gen_random_forest, (0, 1), 0, EMPTY),
+            (gen_random_forest, (1, 1), 0, EMPTY),
+            (gen_random_bounded_degree, (10, -5, 3, 1), 0, EMPTY),
+            (gen_random_bounded_degree, (10, -1, 3, 1), 0, EMPTY),
+            (gen_random_bounded_degree, (10, 0, 3, 1), 0, EMPTY),
+            (gen_random_bounded_degree, (300, 200, 1, 11), 143,
+             "aeb362f82a2cb3bbeba9b6fa988e88367eb1cb7c98cba296c6263ddf91515c83"),
+            (gen_random_girth6, (300, 1, 11), 142,
+             "ded3e9550f2cbbe3490eedb9781a9270e84145817accfd296b9ad2615e2e052a"),
+            (gen_random_forest, (300, 5, 0), 0, EMPTY),
+            (gen_random_forest, (300, 5, 100), 299,
+             "39f02f35d9d2cd89662d3239349ebbe2233f6395bdc369bfa0ccf313861b2992"),
+        ],
+        ids=[
+            "subcubic-20k", "bounded-delta5", "cubic-2k", "girth6-delta3",
+            "forest-5k", "bounded-n0", "bounded-n1", "subcubic-n2", "girth6-n0",
+            "girth6-n1", "forest-n0", "forest-n1", "bounded-target-minus5",
+            "bounded-target-minus1", "bounded-target-0", "bounded-max-degree-1",
+            "girth6-max-degree-1", "forest-attach-0", "forest-attach-100",
+        ],
+    )
+    def test_edges_sha256(self, gen, args, m, digest):
+        g = gen(*args)
+        assert g.n == args[0]
+        assert g.m == m
+        assert edges_sha256(g) == digest

@@ -224,6 +224,8 @@ def cmd_match(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    if args.budget < 0:
+        raise _CliError(EXIT_INPUT, f"--budget must be >= 0, got {args.budget}")
     g = _load_graph(args.input, args.format)
     value, witness = exact_strong_matching_number(g, args.budget)
     verified = verify_induced_matching(g, witness) is None and len(witness) == value
@@ -368,6 +370,8 @@ def _fuzz_instance(family: str, size: int, instance_seed: int) -> list[str]:
 
 
 def cmd_fuzz(args) -> int:
+    if min(args.count, args.size) < 0:
+        raise _CliError(EXIT_INPUT, "--count and --size must be >= 0")
     passed = 0
     failed = 0
     first_failure: Optional[int] = None

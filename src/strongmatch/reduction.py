@@ -47,41 +47,41 @@ The order <= 12 threshold similarly precludes the degenerate order-7
 components that R1, R8 and R9 would otherwise have to special-case.
 
 Implementation: per-vertex alive flags, dynamic degrees, and one heap of
-candidate anchors for FRAG..R11 with integer keys rule * n + vertex, so
-the smallest key is the smallest anchor of the earliest rule that has one;
-R12 just takes the smallest vertex still alive.  Each popped entry goes
-through one lookup that returns the anchor's current class and the
-pattern _fire builds its options from.  End-vertices and degree-2
-vertices are filed by _file under their _classify class (FRAG, R2..R9) at
-setup and wherever graph._delete reports them after a deletion; a popped
-anchor whose class has moved is refiled with one push.  R4 is searched for
-directly at each end-vertex past R3: a BFS of depth 4 looks for a second
-end-vertex at distance exactly 4.  R1, R10 and R11 anchors are filed once
-up front, which is sound because vertex deletion never creates a subgraph,
-and their patterns are searched for afresh when popped.  The R10 and R11
-anchors are the smallest vertices of the triangles and 4-cycles, from the
-one pass graph._short_cycles that girth also runs; that is enough, because
-the smallest vertex of an alive short cycle stays filed until it fires, so
-the smallest anchor with an alive pattern is always one.  R1 anchors are
-tested only next to 4-cycle vertices, as every K33+ branch vertex lies on
-a 4-cycle.
+candidate anchors for FRAG..R11 with integer keys rule * n + vertex; R12
+just takes the smallest vertex still alive.  _file queues each vertex that
+setup or graph._delete reports under the first rule its degree allows, FRAG
+for an end-vertex and R6 for a degree-2 vertex, so a key is never later
+than its anchor's class.  _step_once pops the smallest key, skips a dead
+anchor and looks the anchor up once, which gives its current class and the
+pattern _fire builds its options from.  The anchor fires when its class key
+is no larger than the next key; otherwise that class key is pushed.  R4
+is searched for directly at each end-vertex past R3: a BFS of depth 4
+looks for a second end-vertex at distance exactly 4.  R1, R10 and R11
+anchors are filed once up front, which is sound because vertex deletion
+never creates a subgraph, and their patterns are searched for afresh when
+popped.  The R10 and R11 anchors are the smallest vertices of the
+triangles and 4-cycles, from the one pass graph._short_cycles that girth
+also runs; that is enough, because the smallest vertex of an alive short
+cycle stays filed until it fires, so the smallest anchor with an alive
+pattern is always one.  R1 anchors are tested only next to 4-cycle
+vertices, as every K33+ branch vertex lies on a 4-cycle.
 
-The queue never goes back to an earlier rule.  Call a vertex filed when
-it has a queue entry under a rule no later than its class.  A component
-the oracle consumes changes no other class, and graph._delete reports
-every alive vertex within distance 2 of the deleted set, which is filed
-afresh.  _classify reads nothing farther away, except the R3 test (the
-degree of a sibling end-vertex) and the R4 test (an end-vertex at distance
-exactly 4).  At an unreported vertex x these tests can only turn R4 or R5
-into R3, R5 into R4, or R4 into R5.  In the first two cases the sibling or
-partner has just dropped to degree 1, so the same deletion reported it and
-filed it under R3, or under at most R4, as its own R4 search sees x.  Both
-relations are symmetric, so a pair stays witnessed until one of its ends
-is reported.  So every alive vertex of class c has a filed vertex of class
-at most c: itself, a sibling, an R4 partner or that partner's sibling.
-While the smallest key is under rule r, no entry is left under an earlier
-rule, so no alive vertex has a class below r: rules fire in priority
-order, and a refile only ever goes to a later rule.
+The queue never goes back to an earlier rule.  Call a vertex filed when it
+has a queue entry under a rule no later than its class.  A component the
+oracle consumes changes no other class, and graph._delete reports every
+alive vertex within distance 2 of the deleted set, which is filed afresh.
+_classify reads nothing farther away, except the R3 test (the degree of a
+sibling end-vertex) and the R4 test (an end-vertex at distance exactly 4).
+At an unreported vertex x these tests can only turn R4 or R5 into R3, R5
+into R4, or R4 into R5.  In the first two cases the sibling or partner has
+just dropped to degree 1, so the same deletion reported it and filed it,
+with class R3, or at most R4 as its own R4 search sees x.  Both relations
+are symmetric, so a pair stays witnessed until one of its ends is
+reported.  So every alive vertex of class c has a filed vertex of class at
+most c: itself, a sibling, an R4 partner or that partner's sibling.  An
+anchor fires only when its class key is no larger than every key left, so
+no alive vertex has an earlier class: rules fire in priority order, and a
+popped anchor is pushed back only under a later rule.
 
 Every rule fires through one path: a capped BFS probes the anchor's
 component and diverts one that has shrunk to order <= 12 to the oracle;
@@ -100,7 +100,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from typing import NamedTuple, Optional
 
@@ -323,17 +323,14 @@ class _Engine:
     # -- candidate classification -----------------------------------------
 
     def _file(self, vertices) -> None:
-        """Queue each vertex of degree at most 2 under its class; one of
-        class None is left out."""
+        """Queue each vertex of degree at most 2 under the first rule its
+        degree allows: FRAG for an end-vertex, R6 for a degree-2 vertex."""
         deg = self.deg
         n = self.n
         queue = self.queue
-        classify = self._classify
         for v in vertices:
             if deg[v] <= 2:
-                cls, _ = classify(v)
-                if cls is not None:
-                    heappush(queue, cls * n + v)
+                heappush(queue, (_FRAG if deg[v] == 1 else _R6) * n + v)
 
     def _lookup(self, rule: int, u: int) -> tuple[Optional[int], object]:
         """(class, pattern) of an alive anchor queued under ``rule``.
@@ -353,17 +350,16 @@ class _Engine:
         return (None, None) if pat is None else (rule, pat)
 
     def _classify(self, u: int) -> tuple[Optional[int], object]:
-        """Current (rule, pattern) of an alive anchor: FRAG or R2..R5 for
-        an end-vertex, R6..R9 for a degree-2 vertex, and (None, None) for a
-        degree-2 vertex next to an end-vertex (which owns the local
-        pattern) or a vertex of degree 3.  The pattern is the pairs (x, v)
-        that _fire matches; FRAG has none, as its component goes to the
+        """Current (rule, pattern) of an alive anchor of degree at most 2:
+        FRAG or R2..R5 for an end-vertex, R6..R9 for a degree-2 vertex, and
+        (None, None) for a degree-2 vertex next to an end-vertex (which
+        owns the local pattern).  The pattern is the pairs (x, v) that
+        _fire matches; FRAG has none, as its component goes to the
         oracle."""
         adj = self.adj
         alive = self.alive
         deg = self.deg
-        d = deg[u]
-        if d == 1:
+        if deg[u] == 1:
             v = -1
             for w in adj[u]:
                 if alive[w]:
@@ -383,8 +379,6 @@ class _Engine:
                 v2 = next(w for w in adj[u2] if alive[w])
                 return _R4, ((u, v), (u2, v2))
             return _R5, ((u, v),)
-        if d != 2:
-            return None, None
         v1 = v2 = -1
         for w in adj[u]:
             if alive[w]:
@@ -498,16 +492,15 @@ class _Engine:
         alive = self.alive
         n = self.n
         while queue:
-            rule, u = divmod(queue[0], n)
+            rule, u = divmod(heappop(queue), n)
             cls, pat = self._lookup(rule, u) if alive[u] else (None, None)
-            if cls == rule:
-                self._fire(rule, u, pat)
-                return True
             if cls is None:
-                heappop(queue)
-            else:
-                # a later rule, by the argument in the module docstring
-                heapreplace(queue, cls * n + u)
+                continue
+            key = cls * n + u
+            if not queue or key <= queue[0]:
+                self._fire(cls, u, pat)
+                return True
+            heappush(queue, key)
         # no vertex of degree 1 or 2 is left anywhere, and no triangle or
         # 4-cycle, so every remaining component is cubic of girth >= 5 (no
         # alive vertex has degree 0: setup drops the isolated vertices, and

@@ -215,29 +215,50 @@ def priority_violations(g: Graph, trace: ReductionTrace) -> list:
     """Indices of the rule steps of a trace taken while an earlier rule
     applied.
 
-    The trace is replayed as by replay_trace.  Before each step of R2..R12
-    every alive vertex is classified afresh, by the rule definitions in the
+    The trace is replayed as by replay_trace.  Before each rule step every
+    alive vertex is classified afresh, by the rule definitions in the
     reduction engine's docstring and with no engine code: FRAG (an order-2
     component) and R2..R9 at end-vertices and degree-2 vertices, then R10
-    for an alive triangle and R11 for an alive 4-cycle.  A step counts when
-    a rule before its own applies anywhere: each rule's bound on the
-    vertices it isolates assumes every earlier rule is exhausted.  R1 is
-    left out, as a step and as an earlier rule; a K33+ subgraph of a
-    subcubic graph is there from the start or never, and this module has
-    no K33+ subgraph search.
+    for an alive triangle and R11 for an alive 4-cycle.  R1 applies while
+    all seven vertices of a K33+ subgraph of g are alive; deletion never
+    creates one, so those are found once, by _k33plus_subgraphs.  A step
+    counts when a rule before its own applies anywhere: each rule's bound
+    on the vertices it isolates assumes every earlier rule is exhausted.
     """
+    k33s = _k33plus_subgraphs(g)
     out = []
     for idx, step, alive in _replay(g, trace):
-        rule = step.rule
-        if rule.startswith("R") and rule != "R1":
-            if _earliest_rule(g, alive, int(rule[1:])) is not None:
-                out.append(idx)
+        if not step.rule.startswith("R"):
+            continue
+        rule = int(step.rule[1:])
+        if rule > 1 and any(all(alive[v] for v in s) for s in k33s):
+            out.append(idx)
+        elif _earliest_rule(g, alive, rule) is not None:
+            out.append(idx)
     return out
 
 
+def _k33plus_subgraphs(g: Graph) -> set:
+    """Vertex sets of the K33+ subgraphs of g, as frozensets.
+
+    A candidate is the closed set {u, a1, b1} | N(a1) | N(b1) for a vertex
+    u and two of its neighbors a1, b1.  In a subcubic graph the six branch
+    vertices of a K33+ with subdivision vertex u have all their edges
+    inside it, so every K33+ subgraph is a candidate.  A candidate of
+    seven vertices counts when is_k33plus_by_isomorphism accepts it.
+    """
+    found = set()
+    for u in range(g.n):
+        for a1, b1 in combinations(g.adj[u], 2):
+            cand = {u, a1, b1, *g.adj[a1], *g.adj[b1]}
+            if len(cand) == 7 and is_k33plus_by_isomorphism(g, cand):
+                found.add(frozenset(cand))
+    return found
+
+
 def _earliest_rule(g: Graph, alive: list, before: int) -> Optional[int]:
-    """The first rule below ``before`` (FRAG as 0, R2..R11) that applies in
-    the alive graph, or None."""
+    """The first rule below ``before`` (FRAG as 0, R2..R11; R1 is left to
+    the caller) that applies in the alive graph, or None."""
     adj = g.adj
     nbrs = [[w for w in adj[v] if alive[w]] if alive[v] else [] for v in range(g.n)]
     found = set()

@@ -309,6 +309,11 @@ class TestExact:
         assert code == 3 and out == ""
         assert "budget exceeded" in err
 
+    def test_negative_budget_is_input_error(self, run, extremal_file):
+        assert run(["exact", extremal_file, "--budget", "-5"]) == (
+            2, "", "--budget must be >= 0, got -5\n"
+        )
+
     def test_edge_cap_exit_code(self, run, tmp_path):
         text = "n 70\n" + "".join(f"{i} {(i + 1) % 70}\n" for i in range(70))
         p = write_graph(tmp_path, "c70.el", text)
@@ -457,6 +462,28 @@ class TestFuzz:
         code, out, err = run(["fuzz", "forest", "--count", "1", "--size", "8", "--seed", "42"])
         assert (code, err) == (0, "")
         assert out == "family=forest\ninstances=1\npass=1\nfail=0\n"
+
+    @pytest.fixture
+    def instances(self, monkeypatch):
+        """Record the instances fuzz runs, passing each one."""
+        calls = []
+        monkeypatch.setattr(
+            strongmatch.cli, "_fuzz_instance", lambda *args: calls.append(args) or []
+        )
+        return calls
+
+    @pytest.mark.parametrize("family", ["subcubic", "cubic", "girth6", "forest"])
+    def test_negative_size_is_input_error(self, run, instances, family):
+        assert run(["fuzz", family, "--size", "-5"]) == (
+            2, "", "--count and --size must be >= 0\n"
+        )
+        assert instances == []
+
+    def test_negative_count_is_input_error(self, run, instances):
+        assert run(["fuzz", "subcubic", "--count", "-2"]) == (
+            2, "", "--count and --size must be >= 0\n"
+        )
+        assert instances == []
 
     # each failure is injected through a name the CLI looks up at call time
 

@@ -1,6 +1,9 @@
 """Static checks on the library and test sources that no linter here covers."""
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -220,4 +223,79 @@ def test_checker_flags_an_unread_public_name():
     wanted = public_names(sources["__init__.py"])
     assert unread_definitions(sources, wanted, readers) == [
         "a.py:2: spare", "a.py:6: idle",
+    ]
+
+
+def _notes(source: str):
+    """(line, text) of every docstring and comment in ``source``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            doc = ast.get_docstring(node, clean=False)
+            if doc is not None:
+                yield node.body[0].lineno, doc
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            yield tok.start[0], tok.string
+
+
+def _bound_names(source: str) -> set[str]:
+    """def and class names, parameters, and every name or attribute that
+    a statement assigns."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.arg):
+            out.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            out.add(node.attr)
+    return out
+
+
+def stale_private_names(sources: dict[str, str]) -> list[str]:
+    """Private names, dunder names aside, that a docstring or comment in
+    ``sources`` (file name -> text) writes but no source defines.
+
+    A name written after a module of ``sources`` and a dot (the module's
+    file name without ``.py``) must be defined in that module; any other,
+    bare or after another qualifier, anywhere in ``sources``.
+    """
+    bound = {Path(name).stem: _bound_names(text) for name, text in sources.items()}
+    everywhere = set().union(*bound.values())
+    stale = []
+    for fname, text in sources.items():
+        for line, note in _notes(text):
+            for dotted in re.findall(r"\w+(?:\.\w+)*", note):
+                parts = dotted.split(".")
+                for i, part in enumerate(parts):
+                    if not re.fullmatch(r"_[A-Za-z]\w*", part):
+                        continue
+                    owner = parts[i - 1] if i else None
+                    if part not in bound.get(owner, everywhere):
+                        stale.append(f"{fname}:{line}: {dotted}")
+    return stale
+
+
+def test_no_stale_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in CHECKED}
+    assert stale_private_names(sources) == []
+
+
+def test_checker_flags_a_stale_private_name():
+    sources = {
+        "a.py": (
+            '"""Uses _helper, b._kept, b._gone and __init__."""\n'
+            "def _helper(_arg):\n"
+            '    """Reads _arg, self._slot and _missing."""\n'
+            "    return 1  # _helper and b._helper; self._spare\n"
+        ),
+        "b.py": "_kept = 1\nclass C:\n    def __init__(self):\n        self._slot = 0\n",
+    }
+    assert stale_private_names(sources) == [
+        "a.py:1: b._gone", "a.py:3: _missing", "a.py:4: b._helper",
+        "a.py:4: self._spare",
     ]

@@ -35,6 +35,7 @@ from util import (
     make_circular_ladder,
     make_cycle,
     make_dodecahedron,
+    make_k33plus_with_tail,
     make_mixed,
     make_path,
     make_petersen,
@@ -306,8 +307,35 @@ class TestR4Priority:
                     ReductionStep("COMPONENT-BRUTE", (6, 7), ((6, 7),), 0),
                 ],
             ),
+            # R1 applies while the K33+ block 0..6 is alive, so R2 at the
+            # tail's end 13-14 must wait
+            (
+                make_k33plus_with_tail(),
+                [
+                    ReductionStep("R2", (12, 13, 14), ((13, 14),), 0),
+                    ReductionStep(
+                        "COMPONENT-BRUTE", tuple(range(12)),
+                        ((0, 4), (7, 8), (10, 11)), 0,
+                    ),
+                ],
+            ),
+            # the order-2 component 15-16 (FRAG) comes before R1
+            (
+                disjoint_union(make_k33plus_with_tail(), make_path(2)),
+                [
+                    ReductionStep("R1", (0, 1, 2, 3, 4, 5), ((1, 4),), 0),
+                    ReductionStep(
+                        "COMPONENT-BRUTE", tuple(range(6, 15)),
+                        ((6, 7), (9, 10), (12, 13)), 0,
+                    ),
+                    ReductionStep("COMPONENT-BRUTE", (15, 16), ((15, 16),), 0),
+                ],
+            ),
         ],
-        ids=["r5-beside-r2", "r12-beside-4-cycle"],
+        ids=[
+            "r5-beside-r2", "r12-beside-4-cycle", "r2-beside-k33plus",
+            "r1-beside-fragment",
+        ],
     )
     def test_reference_flags_step_beside_earlier_rule(self, g, steps):
         assert priority_violations(g, ReductionTrace(g, tuple(steps))) == [0]

@@ -67,6 +67,14 @@ def disjoint_union(*parts: Graph) -> Graph:
     return Graph(offset, edges)
 
 
+def make_k33plus_with_tail() -> Graph:
+    """K33+ whose subdivision vertex 6 carries the 8-vertex tail 7..14."""
+    return Graph(
+        15,
+        list(gen_k33plus().edges) + [(6, 7)] + [(i, i + 1) for i in range(7, 14)],
+    )
+
+
 def make_mixed() -> Graph:
     """One graph in which every census term and every K33+ path is nonzero.
 
@@ -76,17 +84,13 @@ def make_mixed() -> Graph:
     vertex carries an 8-vertex tail.  A random subcubic part adds the other
     rules.  The order is chosen so that the n33plus term changes the bound.
     """
-    k33_with_tail = Graph(
-        15,
-        list(gen_k33plus().edges) + [(6, 7)] + [(i, i + 1) for i in range(7, 14)],
-    )
     return disjoint_union(
         Graph(2, []),
         gen_k33plus(),
         make_path(9),
         gen_extremal_cubic(),
         Graph(1, []),
-        k33_with_tail,
+        make_k33plus_with_tail(),
         make_cycle(9),
         gen_k33plus(),
         gen_random_subcubic(300, 420, 975_002),

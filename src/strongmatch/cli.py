@@ -272,6 +272,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.target_m is not None and args.target_m < 0:
+        raise _CliError(EXIT_INPUT, f"--target-m must be >= 0, got {args.target_m}")
     name = args.name
     seed = args.seed
     if name == "k33plus":

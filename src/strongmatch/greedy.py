@@ -36,16 +36,15 @@ def greedy_induced_matching(g: Graph) -> list[Edge]:
     edge with the fewest live conflicts (ties to the smaller edge id) just
     tends to do better than that floor.
 
-    Live-conflict counts only ever decrease, so the edges wait in a bucket
-    queue: ``buckets[d]`` is a heap of the ids filed when their count was d,
-    and a pointer moves up past empty buckets and down to any count that
-    drops below it.  Entries whose edge died or whose count moved on are
-    skipped when popped, and the loop stops as soon as no live edge is
-    left, so the stale entries still filed then are never popped.  The
-    conflict lists share one flat list, edge i's being
-    ``conf[start[i]:start[i + 1]]``, so no list object is kept per edge.
-    Time and memory are O(m + sum |conf|) = O(mD^2), with a log m factor on
-    each filing for the per-bucket id order.
+    Live-conflict counts only ever decrease, so the edges wait in one heap
+    of integer keys ``count * m + id``, and an edge whose count drops is
+    pushed again under its new key.  A popped key whose edge died, or that
+    differs from ``cdeg[i] * m + i``, is stale and skipped; the loop stops
+    as soon as no live edge is left, so the stale keys still queued then
+    are never popped.  The conflict lists share one flat list, edge i's
+    being ``conf[start[i]:start[i + 1]]``, so no list object is kept per
+    edge.  Time and memory are O(m + sum |conf|) = O(mD^2), with a log m
+    factor on each filing for the heap.
     """
     edges = g.edges
     m = len(edges)
@@ -64,21 +63,14 @@ def greedy_induced_matching(g: Graph) -> list[Edge]:
         start.append(len(conf))
         cdeg.append(len(span) - 1)
     alive = bytearray(b"\x01" * m)
-    buckets: list[list[int]] = [[] for _ in range(max(cdeg) + 1)]
-    for i, k in enumerate(cdeg):
-        buckets[k].append(i)  # ascending ids: already a heap
+    heap = [k * m + i for i, k in enumerate(cdeg)]
+    heapify(heap)
     chosen: list[Edge] = []
-    d = 0
     live = m
-    # while an edge lives, its count is at least d and it is filed there
     while live:
-        bucket = buckets[d]
-        while bucket:
-            i = heappop(bucket)
-            if alive[i] and cdeg[i] == d:
-                break
-        else:
-            d += 1
+        key = heappop(heap)
+        i = key % m
+        if not alive[i] or cdeg[i] * m + i != key:
             continue
         chosen.append(edges[i])
         killed = [j for j in conf[start[i]:start[i + 1]] if alive[j]]
@@ -89,10 +81,7 @@ def greedy_induced_matching(g: Graph) -> list[Edge]:
         for t in hits:
             cdeg[t] -= 1
         for t in set(hits):
-            k = cdeg[t]
-            heappush(buckets[k], t)
-            if k < d:
-                d = k
+            heappush(heap, cdeg[t] * m + t)
     return sorted(chosen)
 
 
@@ -100,17 +89,16 @@ def forest_greedy_induced_matching(g: Graph) -> list[Edge]:
     """Bottom-up induced matching in a forest, size >= ceil(m / (2D - 1)).
 
     Each tree is rooted at its smallest vertex and vertices are processed
-    deepest first.  When a vertex still has its parent edge, that edge is
-    taken and everything incident to the two closed neighborhoods dies.
+    deepest first.  When a vertex and its parent are both alive, their
+    edge is taken and both alive closed neighborhoods are deleted, as in
+    the reduction engine; an edge lives while both its ends do.
     Processing deepest first means all edges strictly below the taken edge
     are already dead, so a step discards at most 1 + 2(D - 1) live edges,
     which gives the stated size.  Raises GraphError when g has a cycle: the
     walk that roots a tree meets it as an edge to a vertex already reached.
     """
     adj = g.adj
-    incident = _incident_lists(g)
-    edge_id = {e: i for i, e in enumerate(g.edges)}
-    alive = bytearray(b"\x01" * g.m)
+    alive = bytearray(b"\x01" * g.n)
     chosen: list[Edge] = []
     depth = [0] * g.n
     parent = [-1] * g.n
@@ -132,14 +120,11 @@ def forest_greedy_induced_matching(g: Graph) -> list[Edge]:
         order.sort(key=lambda v: (-depth[v], v))
         for v in order:
             p = parent[v]
-            if p < 0:
+            if p < 0 or not (alive[v] and alive[p]):
                 continue
-            i = edge_id[normalize_edge(v, p)]
-            if not alive[i]:
-                continue
-            chosen.append(g.edges[i])
-            for j in _conflicts(adj, incident, v, p):
-                alive[j] = 0
+            chosen.append(normalize_edge(v, p))
+            for w in _alive_closed(adj, alive, v) | _alive_closed(adj, alive, p):
+                alive[w] = 0
     return sorted(chosen)
 
 

@@ -163,6 +163,36 @@ def least_conflict_greedy_by_rescan(g: Graph) -> list:
     return sorted(chosen)
 
 
+def forest_greedy_by_conflicts(g: Graph) -> list:
+    """The forest greedy's choice rule, with conflicts from _edges_conflict.
+
+    Each tree is rooted at its smallest vertex, vertices are visited by
+    (-depth, v), and a vertex's parent edge is taken when it conflicts with
+    no edge taken before.  g must be a forest; O(m) conflict tests per
+    visited vertex, so keep graphs small.
+    """
+    depth: dict = {}
+    parent: dict = {}
+    for root in range(g.n):
+        if root in depth:
+            continue
+        depth[root] = 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in g.adj[v]:
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    parent[w] = v
+                    queue.append(w)
+    chosen = []
+    for v in sorted(parent, key=lambda v: (-depth[v], v)):
+        e = (min(v, parent[v]), max(v, parent[v]))
+        if not any(_edges_conflict(g, e, f) for f in chosen):
+            chosen.append(e)
+    return sorted(chosen)
+
+
 _K33PLUS_REF_EDGES = frozenset(
     [
         (0, 4), (0, 5), (1, 3), (1, 4), (1, 5),

@@ -411,10 +411,14 @@ class TestGen:
         assert code2 == 0
         assert json.loads(out2)["verified"] is True
 
-    def test_blowup_requires_delta(self, run):
-        code, _, err = run(["gen", "c5-blowup"])
-        assert code == 2
-        assert "--delta" in err
+    @pytest.mark.parametrize("name", ["c5-blowup", "odd-regular"])
+    def test_blowup_requires_delta(self, run, name):
+        assert run(["gen", name]) == (2, "", f"{name} requires --delta\n")
+
+    def test_negative_target_m_is_input_error(self, run):
+        assert run(["gen", "random-subcubic", "--n", "5", "--target-m", "-3"]) == (
+            2, "", "--target-m must be >= 0, got -3\n"
+        )
 
     def test_odd_regular_rejects_even_delta(self, run):
         assert run(["gen", "odd-regular", "--delta", "4"]) == (

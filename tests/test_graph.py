@@ -514,6 +514,13 @@ class TestVerify:
         assert verify_induced_matching(g, [(4, 3), (1, 0)]) is None
 
 
+def parse_error(text, fmt="edge-list"):
+    """The GraphParseError that parsing ``text`` raises."""
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph(text, fmt)
+    return exc.value
+
+
 class TestEdgeListFormat:
     def test_with_directive(self):
         g = parse_graph("n 4\n0 1\n2 3\n")
@@ -540,87 +547,95 @@ class TestEdgeListFormat:
         assert g.m == 0
 
     def test_bad_directive(self):
-        with pytest.raises(GraphParseError) as exc:
-            parse_graph("n x\n")
-        assert exc.value.line == 1
+        err = parse_error("n x\n")
+        assert err.line == 1
+        assert str(err) == "line 1: bad vertex count 'x'"
 
     def test_directive_not_first_is_edge_error(self):
-        with pytest.raises(GraphParseError):
-            parse_graph("0 1\nn 5\n")
+        assert str(parse_error("0 1\nn 5\n")) == (
+            "line 2: non-integer vertex id in 'n 5'"
+        )
 
     def test_non_integer(self):
-        with pytest.raises(GraphParseError) as exc:
-            parse_graph("0 one\n")
-        assert exc.value.line == 1
+        err = parse_error("0 one\n")
+        assert err.line == 1
+        assert str(err) == "line 1: non-integer vertex id in '0 one'"
 
     def test_negative_id(self):
-        with pytest.raises(GraphParseError):
-            parse_graph("0 -2\n")
+        assert str(parse_error("0 -2\n")) == "line 1: negative vertex id in '0 -2'"
 
     def test_loop(self):
-        with pytest.raises(GraphParseError) as exc:
-            parse_graph("n 3\n1 1\n")
-        assert exc.value.line == 2
+        err = parse_error("n 3\n1 1\n")
+        assert err.line == 2
+        assert str(err) == "line 2: loop at vertex 1"
 
     def test_duplicate(self):
-        with pytest.raises(GraphParseError) as exc:
-            parse_graph("0 1\n1 0\n")
-        assert exc.value.line == 2
-        assert "line 1" in str(exc.value)
+        err = parse_error("0 1\n1 0\n")
+        assert err.line == 2
+        assert str(err) == "line 2: duplicate edge (0, 1) (first seen on line 1)"
 
     def test_out_of_declared_range(self):
-        with pytest.raises(GraphParseError):
-            parse_graph("n 2\n0 2\n")
+        assert str(parse_error("n 2\n0 2\n")) == (
+            "line 2: vertex id 2 outside declared range 0..1"
+        )
 
     def test_three_fields(self):
-        with pytest.raises(GraphParseError):
-            parse_graph("0 1 2\n")
+        assert str(parse_error("0 1 2\n")) == "line 1: expected 'u v', got '0 1 2'"
 
 
 class TestParseErrorLines:
     """Once every line has been read, a loop, an out-of-range id or a
     duplicate is reported at the first offending line in file order."""
 
-    def error(self, text, fmt="edge-list"):
-        with pytest.raises(GraphParseError) as exc:
-            parse_graph(text, fmt)
-        return exc.value
-
     def test_duplicate_far_after_first_copy_reversed(self):
         filler = "".join(f"{i} {i + 1}\n" for i in range(10, 1010))
-        err = self.error("n 5000\n7 3\n" + filler + "3 7\n")
+        err = parse_error("n 5000\n7 3\n" + filler + "3 7\n")
         assert err.line == 1003
         assert str(err) == "line 1003: duplicate edge (3, 7) (first seen on line 2)"
 
     def test_dimacs_duplicate(self):
-        err = self.error("c dup\np edge 5 3\ne 1 2\ne 4 5\ne 2 1\n", "dimacs")
+        err = parse_error("c dup\np edge 5 3\ne 1 2\ne 4 5\ne 2 1\n", "dimacs")
         assert str(err) == "line 5: duplicate edge (0, 1) (first seen on line 3)"
 
     def test_loop_on_last_line_after_comments(self):
-        err = self.error("# a\n# b\nn 4\n0 1\n1 2\n# tail\n\n2 2\n")
+        err = parse_error("# a\n# b\nn 4\n0 1\n1 2\n# tail\n\n2 2\n")
         assert str(err) == "line 8: loop at vertex 2"
 
     def test_out_of_range_on_last_line_after_comments(self):
-        err = self.error("# a\nn 4\n0 1\n# tail\n1 4\n")
+        err = parse_error("# a\nn 4\n0 1\n# tail\n1 4\n")
         assert str(err) == "line 5: vertex id 4 outside declared range 0..3"
 
     def test_dimacs_loop_and_out_of_range_on_last_line(self):
-        err = self.error("c a\np edge 3 2\ne 1 2\nc b\ne 3 3\n", "dimacs")
+        err = parse_error("c a\np edge 3 2\ne 1 2\nc b\ne 3 3\n", "dimacs")
         assert str(err) == "line 5: loop at vertex 2"
-        err = self.error("c a\np edge 3 2\ne 1 2\nc b\ne 2 4\n", "dimacs")
+        err = parse_error("c a\np edge 3 2\ne 1 2\nc b\ne 2 4\n", "dimacs")
         assert str(err) == "line 5: vertex id 3 outside declared range 0..2"
 
     def test_first_offending_line_wins(self):
-        assert self.error("n 4\n0 1\n1 0\n2 2\n").line == 3
-        assert self.error("n 4\n0 1\n2 2\n1 0\n").line == 3
-        assert self.error("n 4\n0 9\n1 0\n0 1\n").line == 2
+        assert parse_error("n 4\n0 1\n1 0\n2 2\n").line == 3
+        assert parse_error("n 4\n0 1\n2 2\n1 0\n").line == 3
+        assert parse_error("n 4\n0 9\n1 0\n0 1\n").line == 2
         # a malformed line is reported even after an earlier loop
-        assert str(self.error("n 4\n2 2\n0 x\n")).startswith("line 3: non-integer")
+        assert str(parse_error("n 4\n2 2\n0 x\n")) == (
+            "line 3: non-integer vertex id in '0 x'"
+        )
 
     def test_dimacs_edge_count_checked_before_loops(self):
-        err = self.error("p edge 3 2\ne 2 2\n", "dimacs")
+        err = parse_error("p edge 3 2\ne 2 2\n", "dimacs")
         assert err.line is None
-        assert "declares 2 edges, found 1" in str(err)
+        assert str(err) == "problem line declares 2 edges, found 1"
+
+    @pytest.mark.parametrize(
+        "text,want",
+        [
+            ("n 3 4\n", "line 1: directive must be 'n <count>'"),
+            ("# c\nn -2\n", "line 2: negative vertex count -2"),
+        ],
+        ids=["arity", "negative"],
+    )
+    def test_bad_directive_line(self, text, want):
+        # a malformed line is reported as soon as it is read
+        assert str(parse_error(text)) == want
 
 
 class TestConstructionOrder:
@@ -646,28 +661,51 @@ class TestDimacsFormat:
         assert g.edges == ((0, 1), (2, 3))
 
     def test_missing_problem_line(self):
-        with pytest.raises(GraphParseError):
-            parse_graph("e 1 2\n", "dimacs")
+        err = parse_error("c only\n", "dimacs")
+        assert err.line is None
+        assert str(err) == "missing problem line"
+
+    def test_edge_line_before_problem_line(self):
+        assert str(parse_error("e 1 2\n", "dimacs")) == (
+            "line 1: edge line before problem line"
+        )
 
     def test_second_problem_line(self):
-        with pytest.raises(GraphParseError):
-            parse_graph("p edge 2 0\np edge 2 0\n", "dimacs")
+        assert str(parse_error("p edge 2 0\np edge 2 0\n", "dimacs")) == (
+            "line 2: second problem line"
+        )
 
     def test_count_mismatch(self):
-        with pytest.raises(GraphParseError):
-            parse_graph("p edge 3 2\ne 1 2\n", "dimacs")
+        assert str(parse_error("p edge 3 2\ne 1 2\n", "dimacs")) == (
+            "problem line declares 2 edges, found 1"
+        )
 
     def test_zero_based_rejected(self):
-        with pytest.raises(GraphParseError):
-            parse_graph("p edge 3 1\ne 0 1\n", "dimacs")
+        assert str(parse_error("p edge 3 1\ne 0 1\n", "dimacs")) == (
+            "line 2: dimacs ids are 1-based, got 'e 0 1'"
+        )
 
     def test_unknown_kind(self):
-        with pytest.raises(GraphParseError):
-            parse_graph("p edge 2 0\nx 1 2\n", "dimacs")
+        assert str(parse_error("p edge 2 0\nx 1 2\n", "dimacs")) == (
+            "line 2: unknown line kind 'x'"
+        )
+
+    @pytest.mark.parametrize(
+        "text,want",
+        [
+            ("p col 3 0\n", "line 1: expected 'p edge <n> <m>', got 'p col 3 0'"),
+            ("c a\np edge x 0\n", "line 2: bad problem line 'p edge x 0'"),
+            ("p edge 3 -1\n", "line 1: negative counts in 'p edge 3 -1'"),
+            ("p edge 3 1\ne 1\n", "line 2: expected 'e <u> <v>', got 'e 1'"),
+            ("p edge 3 1\nc b\ne 1 b\n", "line 3: non-integer vertex id in 'e 1 b'"),
+        ],
+        ids=["p-kind", "p-integer", "p-negative", "e-arity", "e-integer"],
+    )
+    def test_malformed_line(self, text, want):
+        assert str(parse_error(text, "dimacs")) == want
 
     def test_unknown_format(self):
-        with pytest.raises(GraphParseError):
-            parse_graph("", "graphml")
+        assert str(parse_error("", "graphml")) == "unknown format 'graphml'"
 
 
 class TestWriteEdgeList:

@@ -19,7 +19,7 @@ from strongmatch import (
     verify_induced_matching,
 )
 
-from bruteforce import least_conflict_greedy_by_rescan
+from bruteforce import forest_greedy_by_conflicts, least_conflict_greedy_by_rescan
 from corpus import build_instance, determinism_corpus, small_corpus
 from util import make_cycle, make_path, make_petersen, make_spider, make_star
 
@@ -185,6 +185,20 @@ class TestForestGreedy:
             matching = forest_greedy_induced_matching(g)
             exact, _ = exact_strong_matching_number(g)
             assert len(matching) <= exact
+
+    def test_matches_conflict_reference(self):
+        for i in range(500):
+            n = 1 + i % 300
+            g = gen_random_forest(n, 1_070_000 + i, attach_percent=i % 101)
+            assert forest_greedy_induced_matching(g) == forest_greedy_by_conflicts(g), i
+
+    def test_large_sha256(self):
+        g = gen_random_forest(20_000, 1_077_001)
+        assert (g.m, g.max_degree()) == (14_993, 12)
+        text = ",".join(f"{u}-{v}" for u, v in forest_greedy_induced_matching(g))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "fb76c839f6b294c8c0794fb4eededc51c71c2407ad537b078731355fe3da8a73"
+        )
 
     def test_beats_general_greedy_on_paths(self):
         # the leaf-first order matches both guarantees on long paths

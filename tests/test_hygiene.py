@@ -299,3 +299,57 @@ def test_checker_flags_a_stale_private_name():
         "a.py:1: b._gone", "a.py:3: _missing", "a.py:4: b._helper",
         "a.py:4: self._spare",
     ]
+
+
+def unasserted_parse_errors(source: str, tests: dict[str, str]) -> list[str]:
+    """``raise GraphParseError(...)`` statements in ``source`` whose message
+    begins with constant text that no string literal in ``tests`` (file
+    name -> text) contains, by line and that text."""
+    literals = [
+        node.value
+        for text in tests.values()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        if not (
+            isinstance(exc, ast.Call)
+            and isinstance(exc.func, ast.Name)
+            and exc.func.id == "GraphParseError"
+        ):
+            continue
+        head = exc.args[0]
+        if isinstance(head, ast.JoinedStr):
+            head = head.values[0]
+        lead = head.value if isinstance(head, ast.Constant) else ""
+        if not lead or not any(lead in s for s in literals):
+            found.append((node.lineno, lead))
+    return [f"line {line}: {lead!r}" for line, lead in sorted(found)]
+
+
+def test_parse_errors_are_asserted():
+    """Every parse error message of graph.py is pinned by some test."""
+    tests = {
+        p.name: p.read_text(encoding="utf-8")
+        for p in TESTS.glob("*.py")
+        if p.name != Path(__file__).name
+    }
+    source = (SRC / "graph.py").read_text(encoding="utf-8")
+    assert unasserted_parse_errors(source, tests) == []
+
+
+def test_checker_flags_an_unasserted_parse_error():
+    source = (
+        "def parse(x):\n"
+        "    if x == 1:\n        raise GraphParseError('no header', 1)\n"
+        "    if x == 2:\n        raise GraphParseError(f'bad count {x!r}', 2)\n"
+        "    if x == 3:\n        raise GraphParseError(f'{x} leads')\n"
+        "    raise GraphParseError(f'bad id {x}') from None\n"
+        "raise ValueError('no header either')\n"
+    )
+    tests = {"t.py": "assert str(err) == f'line 4: bad count {7}'\nno_header = 1\n"}
+    assert unasserted_parse_errors(source, tests) == [
+        "line 3: 'no header'", "line 7: ''", "line 8: 'bad id '",
+    ]

@@ -17,7 +17,6 @@ from .graph import (
     connected_components,
     count_invariants,
     girth,
-    is_k33plus,
     normalize_edge,
     parse_graph,
     verify_induced_matching,
@@ -88,7 +87,6 @@ __all__ = [
     "girth",
     "girth6_induced_matching",
     "greedy_induced_matching",
-    "is_k33plus",
     "ledger_check",
     "normalize_edge",
     "parse_graph",

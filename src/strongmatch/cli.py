@@ -32,7 +32,7 @@ from .graph import (
     Graph,
     GraphError,
     _bound_report,
-    connected_components,
+    _walk_components,
     count_invariants,
     parse_graph,
     verify_induced_matching,
@@ -115,7 +115,7 @@ def cmd_stats(args) -> int:
         "max_degree": rep.max_degree,
         "min_degree": g.min_degree(),
         "girth": _girth_repr(rep.girth),
-        "components": len(connected_components(g)),
+        "components": sum(1 for _ in _walk_components(g.adj)),
     }
     if args.json:
         print(json.dumps(record))

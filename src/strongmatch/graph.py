@@ -117,10 +117,14 @@ class Graph:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by their smallest vertex."""
-    seen = bytearray(g.n)
-    adj = g.adj
-    out: list[list[int]] = []
-    for s in range(g.n):
+    return [sorted(comp) for comp in _walk_components(g.adj)]
+
+
+def _walk_components(adj: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    """Each component's vertices in BFS order from its smallest vertex,
+    components in the order of that vertex; one ``seen`` walk in all."""
+    seen = bytearray(len(adj))
+    for s in range(len(adj)):
         if seen[s]:
             continue
         seen[s] = 1
@@ -131,9 +135,7 @@ def connected_components(g: Graph) -> list[list[int]]:
                 if not seen[w]:
                     seen[w] = 1
                     comp.append(w)
-        comp.sort()
-        out.append(comp)
-    return out
+        yield comp
 
 
 def girth(g: Graph) -> Optional[int]:
@@ -253,30 +255,6 @@ def _short_cycles(
     return tri_roots, c4_roots, on_c4
 
 
-def is_k33plus(g: Graph, component: Sequence[int]) -> bool:
-    """Test whether a component of g is K33+ (K_{3,3} with one edge subdivided).
-
-    The structure test is _k33plus_at at the component's vertex of least
-    degree, with the component as the alive graph: a hit spans 7 vertices
-    and fixes every edge at its six branch vertices, so on a component of
-    order 7 it is exactly K33+.
-
-    Raises GraphError if ``component`` is not a connected component of g.
-    """
-    comp = sorted(component)
-    if not comp:
-        raise GraphError("empty component")
-    actual = _component_of(g, comp[0])
-    if comp != actual:
-        raise GraphError("vertex set is not a connected component of the graph")
-    if len(comp) != 7:
-        return False
-    deg = {v: len(g.adj[v]) for v in comp}
-    alive = dict.fromkeys(comp, 1)
-    u = min(comp, key=deg.__getitem__)
-    return _k33plus_at(g.adj, alive, deg, u) is not None
-
-
 def _k33plus_at(adj, alive, deg, u: int):
     """K33+ subgraph with subdivision vertex u in the alive graph.
 
@@ -329,17 +307,6 @@ def _incident_lists(g: Graph) -> list[list[int]]:
     return incident
 
 
-def _component_of(g: Graph, s: int) -> list[int]:
-    seen = {s}
-    comp = [s]
-    for v in comp:
-        for w in g.adj[v]:
-            if w not in seen:
-                seen.add(w)
-                comp.append(w)
-    return sorted(comp)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Exact invariants of a graph plus every applicable size guarantee.
@@ -371,8 +338,10 @@ def _census(g: Graph) -> tuple[int, int]:
 
     Both are local, so no component walk is needed.  A K33+ component is
     the closed 7-vertex set {u} | N(u) | N(a1) | N(b1) around its only
-    degree-2 vertex u, whose neighbors are a1 and b1; each such closed set
-    that passes is_k33plus (and so _k33plus_at) is counted once, from its u.
+    degree-2 vertex u, whose neighbors are a1 and b1.  Each such closed set
+    is counted once, from its u, when _k33plus_at finds a K33+ at u with
+    the set as the alive graph: a hit spans 7 vertices and fixes every edge
+    at its six branch vertices, so the set is then exactly K33+.
     """
     adj = g.adj
     n33 = 0
@@ -383,12 +352,10 @@ def _census(g: Graph) -> tuple[int, int]:
         if len(adj[a1]) != 3 or len(adj[b1]) != 3:
             continue
         ball = {a1, b1, *adj[a1], *adj[b1]}
-        if (
-            len(ball) == 7
-            and all(x in ball for w in ball for x in adj[w])
-            and is_k33plus(g, ball)
-        ):
-            n33 += 1
+        if len(ball) == 7 and all(x in ball for w in ball for x in adj[w]):
+            deg = {w: len(adj[w]) for w in ball}
+            if _k33plus_at(adj, dict.fromkeys(ball, 1), deg, u) is not None:
+                n33 += 1
     return adj.count(()), n33
 
 

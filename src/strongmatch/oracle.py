@@ -8,11 +8,18 @@ with a clique-cover bound terminates quickly.
 
 The solver is capped at m <= 64 edges so node sets fit in one machine-word
 bitmask; larger inputs are rejected rather than silently attempted.
+
+The search itself, _max_independent, sees only the conflict bitmasks that
+_conflict_masks builds from an adjacency and a sorted edge list.  The public
+entry runs it on a Graph; the reduction engine runs it on each small
+component straight from its alive adjacency, with no Graph per component.
 """
 
 from __future__ import annotations
 
-from .graph import Edge, Graph, GraphError, _conflicts, _incident_lists
+from typing import Sequence
+
+from .graph import Edge, Graph, GraphError
 
 ORACLE_EDGE_CAP = 64
 DEFAULT_BUDGET = 10_000_000
@@ -26,17 +33,27 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"search budget exhausted after {nodes} nodes")
 
 
-def _conflict_masks(g: Graph) -> list[int]:
-    """Conflict graph of g's edges: ``masks[i]`` is the bitmask of the
-    indices into ``g.edges`` that conflict with edge i (i excluded), from
-    the shared relation graph._conflicts.  Symmetric and loop-free by
-    construction."""
-    adj = g.adj
-    incident = _incident_lists(g)
-    return [
-        sum(1 << j for j in _conflicts(adj, incident, u, v) if j != i)
-        for i, (u, v) in enumerate(g.edges)
-    ]
+def _conflict_masks(adj: Sequence[Sequence[int]], edges: Sequence[Edge]) -> list[int]:
+    """Conflict graph of ``edges``: ``masks[i]`` is the bitmask of the indices
+    into ``edges`` of the edges that meet N(u) | N(v), where edges[i] is uv,
+    i excluded.  That is N[u] | N[v], as v is in N(u).  ``adj`` may list
+    neighbors that carry no edge of ``edges``; they add nothing.  Symmetric
+    and loop-free by construction."""
+    incident: dict[int, int] = {}
+    for i, (u, v) in enumerate(edges):
+        bit = 1 << i
+        incident[u] = incident.get(u, 0) | bit
+        incident[v] = incident.get(v, 0) | bit
+    at = incident.get
+    masks = []
+    for i, (u, v) in enumerate(edges):
+        mask = 0
+        for x in adj[u]:
+            mask |= at(x, 0)
+        for x in adj[v]:
+            mask |= at(x, 0)
+        masks.append(mask & ~(1 << i))
+    return masks
 
 
 def exact_strong_matching_number(
@@ -54,8 +71,15 @@ def exact_strong_matching_number(
         raise GraphError(f"oracle supports at most {ORACLE_EDGE_CAP} edges, got {m}")
     if m == 0:
         return 0, []
-    masks = _conflict_masks(g)
+    best_set = _max_independent(_conflict_masks(g.adj, g.edges), budget)
+    return best_set.bit_count(), [g.edges[i] for i in _bits(best_set)]
 
+
+def _max_independent(masks: list[int], budget: int = DEFAULT_BUDGET) -> int:
+    """Bitmask of a maximum independent set of the conflict graph ``masks``,
+    by the search exact_strong_matching_number describes.  Deterministic
+    for fixed masks; raises BudgetExceededError past ``budget`` nodes."""
+    m = len(masks)
     # deterministic greedy start: take nodes in index order when compatible
     best_set = 0
     blocked = 0
@@ -89,9 +113,7 @@ def exact_strong_matching_number(
         bit = 1 << pick
         stack.append((cand & ~bit, size, chosen))
         stack.append((cand & ~bit & ~masks[pick], size + 1, chosen | bit))
-
-    witness = [g.edges[i] for i in _bits(best_set)]
-    return best, sorted(witness)
+    return best_set
 
 
 def _bits(mask: int):

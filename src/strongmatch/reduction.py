@@ -63,8 +63,11 @@ popped.  The R10 and R11 anchors are the smallest vertices of the
 triangles and 4-cycles, from the one pass graph._short_cycles that girth
 also runs; that is enough, because the smallest vertex of an alive short
 cycle stays filed until it fires, so the smallest anchor with an alive
-pattern is always one.  R1 anchors are tested only next to 4-cycle
-vertices, as every K33+ branch vertex lies on a 4-cycle.
+pattern is always one.  R1 anchors are tested only next to twins: in a
+K33+ at u, the two branch vertices not adjacent to u have the same three
+neighbors and lie on a 4-cycle, and u is adjacent to one of those
+neighbors; at setup a vertex's alive neighbors are all its neighbors, so
+the twins share their adjacency tuple.
 
 The queue never goes back to an earlier rule.  Call a vertex filed when it
 has a queue entry under a rule no later than its class.  A component the
@@ -98,6 +101,7 @@ steps from the per-step cap, and so hide a rule bug.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from heapq import heapify, heappop, heappush
@@ -115,10 +119,10 @@ from .graph import (
     _k33plus_at,
     _short_cycles,
     _thm2_bound,
-    connected_components,
+    _walk_components,
     normalize_edge,
 )
-from .oracle import exact_strong_matching_number
+from .oracle import _bits, _conflict_masks, _max_independent
 
 BRUTE_FORCE_THRESHOLD = 12
 
@@ -129,7 +133,8 @@ _R1, _R2, _R3, _R4, _R5, _R6, _R7, _R8, _R9, _R10, _R11, _R12 = range(1, 13)
 
 
 class LedgerViolationError(RuntimeError):
-    """A reduction step broke the 6-vertices-per-edge accounting.
+    """A reduction step broke the 6-vertices-per-edge accounting, or the
+    queue order the accounting rests on.
 
     The rule system guarantees this cannot happen; raising instead of
     continuing keeps a bug from silently weakening the size certificate.
@@ -296,11 +301,11 @@ class _Engine:
         adj = self.adj
         deg = self.deg
         alive = self.alive
-        for comp in connected_components(self.g):
+        for comp in _walk_components(adj):
             if len(comp) == 1:
                 alive[comp[0]] = 0
             elif len(comp) <= BRUTE_FORCE_THRESHOLD:
-                self._consume_component(comp)
+                self._consume_component(sorted(comp))
         # what is left alive makes up the components of order > 12
         self._file(compress(range(n), alive))
         queue = self.queue
@@ -309,15 +314,15 @@ class _Engine:
         triangles, squares, on_c4 = _short_cycles(adj)
         queue += [_R10 * n + s for s in triangles if alive[s]]
         queue += [_R11 * n + s for s in squares if alive[s]]
-        # a K33+ subgraph puts every branch vertex on a 4-cycle, so only
-        # vertices next to one can anchor R1; this keeps the scan cheap
-        near_c4 = {
-            v
-            for x in compress(range(n), on_c4)
-            for v in adj[x]
-            if alive[v] and deg[v] >= 2
-        }
-        queue += [_R1 * n + v for v in near_c4 if self.k33plus_at(v) is not None]
+        # the side_a pair of a K33+ at u are degree-3 twins on a 4-cycle, and
+        # u is a neighbor of one of their shared neighbors; a vertex left
+        # alive here has all its neighbors alive, so adj is its alive
+        # neighborhood
+        twins = Counter(
+            adj[v] for v in compress(range(n), on_c4) if alive[v] and deg[v] == 3
+        )
+        near = {w for nbrs, k in twins.items() if k >= 2 for x in nbrs for w in adj[x]}
+        queue += [_R1 * n + v for v in near if self.k33plus_at(v) is not None]
         heapify(queue)
 
     # -- candidate classification -----------------------------------------
@@ -335,27 +340,35 @@ class _Engine:
     def _lookup(self, rule: int, u: int) -> tuple[Optional[int], object]:
         """(class, pattern) of an alive anchor queued under ``rule``.
 
-        For FRAG and R2..R9 that is _classify(u).  R1, R10 and R11 anchors
+        For FRAG and R2..R9 that is _classify.  R1, R10 and R11 anchors
         are searched afresh, as (rule, pattern) while their K33+, triangle
-        or 4-cycle is alive and (None, None) once it has gone.
+        or 4-cycle is alive.  An R1 anchor whose K33+ has gone gives
+        (None, None).  An R10 or R11 anchor cannot lose its cycle while
+        alive: its key pops only once no key below it is left, so no alive
+        vertex has degree 1 or 2, and the anchor, its neighbors and theirs
+        keep all their edges.  A lost cycle raises LedgerViolationError.
         """
         if rule == _R1:
             pat = self.k33plus_at(u)
-        elif rule == _R10:
-            pat = self._find_triangle(u)
-        elif rule == _R11:
-            pat = self._find_c4(u)
-        else:
-            return self._classify(u)
-        return (None, None) if pat is None else (rule, pat)
+            return (None, None) if pat is None else (rule, pat)
+        if rule < _R10:
+            return self._classify(rule, u)
+        pat = self._find_triangle(u) if rule == _R10 else self._find_c4(u)
+        if pat is None:
+            raise LedgerViolationError(
+                f"R{rule} anchor {u} is alive but its short cycle is gone"
+            )
+        return rule, pat
 
-    def _classify(self, u: int) -> tuple[Optional[int], object]:
-        """Current (rule, pattern) of an alive anchor of degree at most 2:
-        FRAG or R2..R5 for an end-vertex, R6..R9 for a degree-2 vertex, and
-        (None, None) for a degree-2 vertex next to an end-vertex (which
-        owns the local pattern).  The pattern is the pairs (x, v) that
-        _fire matches; FRAG has none, as its component goes to the
-        oracle."""
+    def _classify(self, rule: int, u: int) -> tuple[int, object]:
+        """Current (rule, pattern) of an alive anchor of degree at most 2,
+        popped under ``rule``: FRAG or R2..R5 for an end-vertex, R6..R9 for
+        a degree-2 vertex.  The pattern is the pairs (x, v) that _fire
+        matches; FRAG has none, as its component goes to the oracle.
+
+        A degree-2 anchor is queued under R6 or later, and its key pops
+        only once no key below R6 is left, so no end-vertex is alive.  One
+        beside an end-vertex raises LedgerViolationError."""
         adj = self.adj
         alive = self.alive
         deg = self.deg
@@ -387,7 +400,9 @@ class _Engine:
                 else:
                     v2 = w
         if deg[v1] == 1 or deg[v2] == 1:
-            return None, None
+            raise LedgerViolationError(
+                f"R{rule} anchor {u} of degree 2 is beside an end-vertex"
+            )
         if deg[v1] == 2 or deg[v2] == 2:
             return _R6, ((u, v1 if deg[v1] == 2 else v2),)
         if v2 in adj[v1]:
@@ -453,7 +468,11 @@ class _Engine:
 
         ``comp`` must be a sorted, whole alive component of order >= 2;
         closed components have no outside neighbors, so no vertex outside
-        is touched and no isolated vertices arise.
+        is touched and no isolated vertices arise.  The oracle's search runs
+        on the conflict masks of the component's edges, listed in ascending
+        order straight from the alive adjacency, so no Graph is built; the
+        witness is the one exact_strong_matching_number gives on the
+        component relabeled in vertex order.
         """
         adj = self.adj
         alive = self.alive
@@ -469,18 +488,10 @@ class _Engine:
             added = [_k33plus_edge(side_a, side_b)]
         else:
             rule = "COMPONENT-BRUTE"
-            local = {v: i for i, v in enumerate(comp)}
-            sub_edges = []
-            for v in comp:
-                lv = local[v]
-                for w in adj[v]:
-                    if w > v and alive[w]:
-                        sub_edges.append((lv, local[w]))
-            sub = Graph(len(comp), sub_edges)
-            _, witness = exact_strong_matching_number(sub)
-            added = sorted(
-                normalize_edge(comp[u], comp[v]) for u, v in witness
-            )
+            # ascending, as comp and every adj[v] are
+            edges = [(v, w) for v in comp for w in adj[v] if w > v and alive[w]]
+            best = _max_independent(_conflict_masks(adj, edges))
+            added = [edges[i] for i in _bits(best)]
         for v in comp:
             alive[v] = 0
         self._record(rule, comp, added, 0)

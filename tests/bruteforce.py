@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: plain enumeration with no shared
 code paths beyond the Graph container and the matching validity checker,
-so that agreement with the library is meaningful evidence.
+so that agreement with the library is meaningful evidence.  The one
+exception, r1_anchors_by_c4_scan, keeps the library's K33+ recognizer on
+purpose: it pins the engine's R1 candidate filter, not the recognizer.
 """
 
 from collections import deque
@@ -11,6 +13,7 @@ from itertools import combinations, permutations
 from typing import Iterator, Optional
 
 from strongmatch import Graph, ReductionTrace, verify_induced_matching
+from strongmatch.graph import _k33plus_at
 
 
 def girth_by_enumeration(g: Graph) -> Optional[int]:
@@ -284,6 +287,54 @@ def _k33plus_subgraphs(g: Graph) -> set:
             if len(cand) == 7 and is_k33plus_by_isomorphism(g, cand):
                 found.add(frozenset(cand))
     return found
+
+
+def k33plus_subdivision_vertices(g: Graph) -> set:
+    """The subdivision vertex of every K33+ subgraph of g, from
+    _k33plus_subgraphs, that lies in a component of order > 12: those are
+    the R1 anchors the reduction engine must file once it has consumed the
+    small components.  A subgraph's subdivision vertex is its one vertex
+    with exactly two neighbors inside it."""
+    big = _in_large_component(g)
+    return {
+        u
+        for s in _k33plus_subgraphs(g)
+        for u in s
+        if big[u] and sum(w in s for w in g.adj[u]) == 2
+    }
+
+
+def r1_anchors_by_c4_scan(g: Graph) -> set:
+    """The R1 anchors as the engine's setup once found them: every vertex
+    of a component of order > 12 next to a 4-cycle at which the library's
+    _k33plus_at finds a K33+.  The 4-cycles come from
+    short_cycles_by_enumeration and the components from a plain BFS."""
+    big = _in_large_component(g)
+    _, squares = short_cycles_by_enumeration(g)
+    near = {v for x in set().union(*squares) for v in g.adj[x] if big[v]}
+    alive = bytearray(big)
+    deg = g.degrees()
+    return {v for v in near if _k33plus_at(g.adj, alive, deg, v) is not None}
+
+
+def _in_large_component(g: Graph) -> list:
+    """``out[v]``: whether the component of v has more than 12 vertices."""
+    out = [False] * g.n
+    seen = set()
+    for s in range(g.n):
+        if s in seen:
+            continue
+        comp = {s}
+        queue = deque([s])
+        while queue:
+            for w in g.adj[queue.popleft()]:
+                if w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        for v in comp:
+            out[v] = len(comp) > 12
+    return out
 
 
 def _earliest_rule(g: Graph, alive: list, before: int) -> Optional[int]:

@@ -19,7 +19,6 @@ from strongmatch import (
     gen_random_girth6,
     gen_random_subcubic,
     girth,
-    is_k33plus,
     normalize_edge,
     parse_graph,
     verify_induced_matching,
@@ -30,6 +29,7 @@ from strongmatch.graph import (
     _delete,
     _incident_lists,
     _isolated_after,
+    _k33plus_at,
     _short_cycles,
 )
 
@@ -46,6 +46,7 @@ from util import (
     make_circular_ladder,
     make_cycle,
     make_dodecahedron,
+    make_k33plus_with_tail,
     make_lcf,
     make_path,
     make_petersen,
@@ -299,26 +300,51 @@ class TestShortCycles:
         self.check(g)
 
 
+def k33plus_component(g: Graph, component) -> bool:
+    """_k33plus_at at the least-degree vertex of a 7-vertex component, with
+    the component as the alive graph; False for any other order."""
+    comp = sorted(component)
+    if len(comp) != 7:
+        return False
+    alive = bytearray(g.n)
+    for v in comp:
+        alive[v] = 1
+    deg = [sum(alive[w] for w in g.adj[v]) for v in range(g.n)]
+    u = min(comp, key=deg.__getitem__)
+    return _k33plus_at(g.adj, alive, deg, u) is not None
+
+
 class TestK33Plus:
+    """_k33plus_at, the one K33+ recognizer of the library, against the
+    isomorphism reference."""
+
     def test_generated_instance(self):
         g = gen_k33plus()
-        assert is_k33plus(g, range(7))
+        assert k33plus_component(g, range(7))
         assert is_k33plus_by_isomorphism(g, range(7))
 
     def test_c7_is_not(self):
         g = make_cycle(7)
-        assert not is_k33plus(g, range(7))
+        assert not k33plus_component(g, range(7))
         assert not is_k33plus_by_isomorphism(g, range(7))
 
     def test_wrong_order(self):
         g = make_cycle(6)
-        assert not is_k33plus(g, range(6))
+        assert not k33plus_component(g, range(6))
 
-    def test_not_a_component_raises(self):
-        g = Graph(9, list(gen_k33plus().edges) + [(7, 8)])
-        with pytest.raises(GraphError):
-            is_k33plus(g, range(9))
-        assert is_k33plus(g, range(7))
+    def test_alive_flags_bound_the_search(self):
+        # the subdivision vertex 6 also carries a tail, which the test at 6
+        # ignores; a dead branch vertex or neighbor of 6 leaves no K33+
+        g = make_k33plus_with_tail()
+        alive = bytearray(b"\x01" * g.n)
+        deg = g.degrees()
+        assert _k33plus_at(g.adj, alive, deg, 6) == (0, 3, [1, 2], [4, 5])
+        for v in range(6):
+            dead = bytearray(alive)
+            dead[v] = 0
+            lowered = [sum(dead[w] for w in g.adj[x]) for x in range(g.n)]
+            assert _k33plus_at(g.adj, dead, lowered, 6) is None, v
+        assert _k33plus_at(g.adj, alive, deg, 7) is None
 
     def test_right_degrees_wrong_structure(self):
         # 7 vertices, degree multiset {3^6, 2}, but not K33+: a prism plus
@@ -329,14 +355,14 @@ class TestK33Plus:
              (0, 3), (1, 4), (2, 6), (5, 6)],
         )
         assert sorted(g.degrees()) == [2, 3, 3, 3, 3, 3, 3]
-        assert not is_k33plus(g, range(7))
+        assert not k33plus_component(g, range(7))
         assert not is_k33plus_by_isomorphism(g, range(7))
 
     def test_relabeled_copy(self):
         base = gen_k33plus()
         perm = [3, 5, 0, 6, 1, 4, 2]
         g = Graph(7, [(perm[u], perm[v]) for u, v in base.edges])
-        assert is_k33plus(g, range(7))
+        assert k33plus_component(g, range(7))
         assert is_k33plus_by_isomorphism(g, range(7))
 
     def test_agrees_with_isomorphism_reference(self):
@@ -368,7 +394,7 @@ class TestK33Plus:
             for comp in connected_components(g):
                 if len(comp) == 7:
                     expected = is_k33plus_by_isomorphism(g, comp)
-                    assert is_k33plus(g, comp) == expected, (g.edges, comp)
+                    assert k33plus_component(g, comp) == expected, (g.edges, comp)
                     checked += 1
                     found += expected
         assert checked > 1000 and found > 30

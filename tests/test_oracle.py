@@ -15,7 +15,11 @@ from strongmatch import (
 
 from strongmatch.oracle import _conflict_masks
 
-from bruteforce import exhaustive_strong_matching_number, max_induced_matching_by_subsets
+from bruteforce import (
+    _edges_conflict,
+    exhaustive_strong_matching_number,
+    max_induced_matching_by_subsets,
+)
 from util import make_cycle, make_path, make_petersen, make_star
 
 
@@ -104,21 +108,44 @@ class TestExhaustive:
         assert exact_strong_matching_number(g)[0] == want
 
 
+def masks_of(g: Graph) -> list[int]:
+    return _conflict_masks(g.adj, g.edges)
+
+
 class TestConflictGraph:
     def test_c5_is_complete(self):
-        masks = _conflict_masks(make_cycle(5))
+        masks = masks_of(make_cycle(5))
         assert len(masks) == 5
         full = (1 << 5) - 1
         for i, mask in enumerate(masks):
             assert mask == full & ~(1 << i)
 
     def test_disjoint_edges_no_conflicts(self):
-        assert _conflict_masks(Graph(4, [(0, 1), (2, 3)])) == [0, 0]
+        assert masks_of(Graph(4, [(0, 1), (2, 3)])) == [0, 0]
 
     def test_path_conflicts(self):
         # P4 edges 0-1, 1-2, 2-3: middle conflicts with both, ends with
         # middle and with each other via the adjacency 1-2
-        assert _conflict_masks(make_path(4)) == [0b110, 0b101, 0b011]
+        assert masks_of(make_path(4)) == [0b110, 0b101, 0b011]
+
+    def test_neighbors_without_edges_add_nothing(self):
+        # the path 1-2-3 inside the adjacency of a P5, its end edges left
+        # out, as the engine passes a component beside deleted vertices
+        g = make_path(5)
+        assert _conflict_masks(g.adj, [(1, 2), (2, 3)]) == [0b10, 0b01]
+
+    def test_agrees_with_reference_relation(self):
+        for seed in range(60):
+            g = gen_random_subcubic(12, 6 + seed % 13, 1_100_000 + seed)
+            want = [
+                sum(
+                    1 << j
+                    for j, f in enumerate(g.edges)
+                    if j != i and _edges_conflict(g, e, f)
+                )
+                for i, e in enumerate(g.edges)
+            ]
+            assert masks_of(g) == want, seed
 
 
 class TestAgainstReduction:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from functools import cache
 
 import pytest
 
@@ -26,8 +27,14 @@ from strongmatch import (
 )
 from strongmatch.cli import main
 from strongmatch.graph import _census
+from strongmatch.reduction import _R1, _R2, _R6, _R10, _R11, _Engine
 
-from bruteforce import priority_violations, replay_trace
+from bruteforce import (
+    k33plus_subdivision_vertices,
+    priority_violations,
+    r1_anchors_by_c4_scan,
+    replay_trace,
+)
 from corpus import build_instance, determinism_corpus, small_corpus
 from util import (
     census_by_walk,
@@ -40,6 +47,7 @@ from util import (
     make_path,
     make_petersen,
     thm2_of,
+    with_k33plus_blocks,
 )
 
 
@@ -555,6 +563,66 @@ class TestCensusAgreement:
         assert {"R1", "COMPONENT-K33PLUS"} <= rules
 
 
+@cache
+def anchor_corpus() -> tuple[Graph, ...]:
+    """Graphs with and without K33+ subgraphs: make_mixed, the tailed K33+,
+    the extremal cubic graph, 150 random subcubic graphs with 1-3 K33+
+    blocks attached, and every 20th instance of acceptance criterion 02
+    and every 5th of criterion 03."""
+    graphs = [make_mixed(), make_k33plus_with_tail(), gen_extremal_cubic()]
+    graphs += [
+        with_k33plus_blocks(
+            gen_random_subcubic(n, n * (4 + k % 2) // (3 + k % 2), 1_110_000 + k),
+            1 + k % 3,
+            k,
+        )
+        for k, n in enumerate(range(20, 170))
+    ]
+    for i in range(0, 10_000, 20):
+        n = 4 + (7 * i) % 197
+        graphs.append(gen_random_subcubic(n, ((i % 3) + 1) * n // 2, 910_000 + i))
+    for i in range(0, 1_000, 5):
+        graphs.append(gen_random_cubic(4 + 2 * ((13 * i) % 99), 920_000 + i))
+    return tuple(graphs)
+
+
+class TestSetupAnchors:
+    """Setup files an R1 key at every subdivision vertex of a K33+ subgraph
+    left alive once the small components are consumed, and nowhere else;
+    a consumed component gets the oracle's own answer."""
+
+    def test_r1_keys_match_references(self):
+        anchors = 0
+        for g in anchor_corpus():
+            eng = _Engine(g)
+            eng._setup()
+            n = g.n
+            keys = {k - _R1 * n for k in eng.queue if _R1 * n <= k < _R2 * n}
+            assert keys == k33plus_subdivision_vertices(g), g
+            assert keys == r1_anchors_by_c4_scan(g), g
+            anchors += len(keys)
+        assert anchors >= 250
+
+    def test_components_get_the_oracle_witness(self):
+        checked = 0
+        for g in anchor_corpus():
+            _, trace = find_induced_matching_subcubic(g)
+            for step in trace.steps:
+                if step.rule != "COMPONENT-BRUTE":
+                    continue
+                comp = step.removed
+                local = {v: i for i, v in enumerate(comp)}
+                sub = Graph(
+                    len(comp),
+                    [(local[v], local[w]) for v in comp for w in g.adj[v] if w > v and w in local],
+                )
+                size, witness = exact_strong_matching_number(sub)
+                assert size == len(step.added)
+                assert tuple((comp[a], comp[b]) for a, b in witness) == step.added
+                checked += 1
+        assert checked >= 4_000
+
+
 LOUD_CASES = [(first, g) for first, g, _ in RULE_CASES]
 LOUD_CASES.append(("R1", gen_extremal_cubic()))
 
@@ -587,6 +655,28 @@ class TestLoudFailure:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"ledger violation: rule {first} at vertex" in err
+
+
+    @pytest.mark.parametrize("rule", [_R10, _R11])
+    def test_short_cycle_anchor_without_cycle_raises(self, rule):
+        # the lookup runs only where the queue order rules this out: when
+        # an R10 or R11 key pops, its anchor's cycle is intact
+        eng = _Engine(make_path(20))
+        with pytest.raises(LedgerViolationError, match=f"R{rule} anchor 5 is alive"):
+            eng._lookup(rule, 5)
+
+    def test_degree_two_anchor_beside_end_vertex_raises(self):
+        # an R6 key pops only once no end-vertex is alive
+        eng = _Engine(make_path(20))
+        with pytest.raises(
+            LedgerViolationError, match="R6 anchor 1 of degree 2 is beside an end-vertex"
+        ):
+            eng._lookup(_R6, 1)
+
+    def test_lost_triangle_fails_the_run(self, monkeypatch):
+        monkeypatch.setattr(_Engine, "_find_triangle", lambda self, a: None)
+        with pytest.raises(LedgerViolationError, match="R10 anchor"):
+            find_induced_matching_subcubic(triangle_capped_ladder())
 
 
 class TestPreconditionsAndBudget:

@@ -2,6 +2,7 @@
 
 from strongmatch import (
     Graph,
+    SplitMix64,
     connected_components,
     gen_extremal_cubic,
     gen_k33plus,
@@ -75,6 +76,18 @@ def make_k33plus_with_tail() -> Graph:
     )
 
 
+def with_k33plus_blocks(base: Graph, count: int, seed: int) -> Graph:
+    """base with ``count`` K33+ blocks after it, the subdivision vertex of
+    each joined to its own vertex of base of degree at most 2, picked by a
+    SplitMix64(seed) shuffle.  Blocks that land on a small component of
+    base end up in components of order <= 12."""
+    free = [v for v in range(base.n) if len(base.adj[v]) <= 2]
+    SplitMix64(seed).shuffle(free)
+    g = disjoint_union(base, *[gen_k33plus()] * count)
+    ties = [(free[k], base.n + 7 * k + 6) for k in range(count)]
+    return Graph(g.n, list(g.edges) + ties)
+
+
 def make_mixed() -> Graph:
     """One graph in which every census term and every K33+ path is nonzero.
 
@@ -102,7 +115,7 @@ def census_by_walk(g: Graph) -> tuple[int, int]:
     """Isolated vertices and K33+ components, read off a component walk.
 
     K33+ is recognized by the isomorphism reference, which shares no code
-    with the library's is_k33plus.
+    with the library's recognizer, graph._k33plus_at.
     """
     comps = connected_components(g)
     iso = sum(1 for c in comps if len(c) == 1)

@@ -6,11 +6,15 @@ output (one JSON object with --json), diagnostics to standard error.
 
 Exit codes are a stable contract: 0 success, 1 guarantee or verification
 violation, 2 input error, 3 resource budget exceeded.
+
+main runs each request with the cyclic garbage collector off, because a
+request makes no reference cycles, and puts the caller's setting back.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from math import ceil
@@ -135,15 +139,16 @@ def _certify(g: Graph, method: str, rep: BoundReport):
     has returned (the forest and girth-6 methods raise GraphError on exactly
     the graphs whose bound is None); verify_induced_matching's witness, None
     when the matching is induced; and for the reduction, its trace and the
-    trace's one _audit (ledger verdict and recomputed bound), both None for
-    the other methods.  A method's GraphError propagates; a matching edge
-    that is not an edge of g raises _CliError with the violation exit code.
+    trace's one _audit (ledger verdict and the bound recomputed from rep's
+    census of g, not from the engine's), both None for the other methods.
+    A method's GraphError propagates; a matching edge that is not an edge
+    of g raises _CliError with the violation exit code.
     """
     trace = audit = None
     if method == "reduction":
         matching, trace = find_induced_matching_subcubic(g)
         bound = rep.thm2_bound
-        audit = _audit(trace)
+        audit = _audit(trace, (rep.isolated, rep.n33plus))
     elif method == "greedy":
         matching = greedy_induced_matching(g)
         bound = ceil(rep.greedy_general_bound)
@@ -495,8 +500,13 @@ _PARSER = _build_parser()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _PARSER.parse_args(argv)
+    # a request makes no reference cycles, so the cyclic collector would only
+    # rescan live objects; the caller's setting comes back on every exit,
+    # SystemExit from argparse included
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = _PARSER.parse_args(argv)
         return args.fn(args)
     except _CliError as e:
         print(e.message, file=sys.stderr)
@@ -510,6 +520,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except GraphError as e:
         print(str(e), file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

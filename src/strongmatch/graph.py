@@ -149,18 +149,18 @@ def girth(g: Graph) -> Optional[int]:
     and the smallest vertex s of a shortest cycle C sees all of C among the
     vertices >= s, where the BFS from s reports |C|.
 
-    A local pass over the roots in vertex order comes first (_short_cycles,
-    which also seeds the reduction engine's R10 and R11 anchors): a triangle
-    returns 3 at once, and if the pass ends with none, a 4-cycle gives 4.
-    Only then does the BFS run, knowing the girth is at least 5, and it
-    stops at the first 5-cycle.  The local pass marks vertices in three
-    stamp arrays (N(s), the vertices reached, and the neighbor of s that
-    reached each) and builds no sets, so it costs O(n D^2) for maximum
-    degree D; the BFS costs O(n + m) per root, cut short once 2 dist[v] + 1
-    reaches the best cycle found.
+    A local pass over every root in vertex order comes first (_short_cycles,
+    which also seeds the reduction engine's R10 and R11 anchors, there from
+    the roots of the cubic components only): a triangle returns 3 at once,
+    and if the pass ends with none, a 4-cycle gives 4.  Only then does the
+    BFS run, knowing the girth is at least 5, and it stops at the first
+    5-cycle.  The local pass marks vertices in two stamp arrays (N(s) and
+    the vertices reached) and builds no sets, so it costs O(n D^2) for
+    maximum degree D; the BFS costs O(n + m) per root, cut short once
+    2 dist[v] + 1 reaches the best cycle found.
     """
     adj = g.adj
-    triangles, squares, _ = _short_cycles(adj, stop_at_triangle=True)
+    triangles, squares = _short_cycles(adj, stop_at_triangle=True)
     if triangles:
         return 3
     if squares:
@@ -201,29 +201,30 @@ def girth(g: Graph) -> Optional[int]:
 
 
 def _short_cycles(
-    adj: Sequence[Sequence[int]], stop_at_triangle: bool = False
-) -> tuple[list[int], list[int], bytearray]:
-    """Smallest vertices of the triangles and of the 4-cycles, ascending,
-    and ``on_c4``, which flags every vertex on a 4-cycle.
+    adj: Sequence[Sequence[int]],
+    roots: Optional[Iterable[int]] = None,
+    stop_at_triangle: bool = False,
+) -> tuple[list[int], list[int]]:
+    """Smallest vertices of the triangles and of the 4-cycles whose
+    smallest vertex is one of ``roots`` (default: every vertex), in the
+    order of ``roots``.
 
     Each cycle is looked for from its smallest vertex s, through the
     neighbors of s above it, so a root with fewer than two neighbors above
     it is skipped: a vertex above s reached from two of them closes a
     4-cycle, and one that is itself a neighbor of s closes a triangle.
-    Three stamp arrays, tagged s + 1, stand in for per-root sets: ``near``
-    marks N(s), ``seen`` the vertices reached so far, and ``via`` holds the
-    neighbor that first reached each of them, the fourth vertex of a 4-cycle
-    closed at a later reach.  O(n D^2) for maximum degree D.  With
+    Scanning the vertices of some components as roots thus finds exactly
+    the short cycles of those components.  Two stamp arrays, tagged s + 1,
+    stand in for per-root sets: ``near`` marks N(s), and ``seen`` the
+    vertices reached so far.  O(D^2) per root for maximum degree D.  With
     ``stop_at_triangle`` the pass ends at the first triangle found.
     """
     n = len(adj)
     near = [0] * n
     seen = [0] * n
-    via = [0] * n
-    on_c4 = bytearray(n)
     tri_roots: list[int] = []
     c4_roots: list[int] = []
-    for s in range(n):
+    for s in range(n) if roots is None else roots:
         nbrs = adj[s]
         if len(nbrs) < 2 or nbrs[-2] < s:
             continue
@@ -239,20 +240,17 @@ def _short_cycles(
                     continue
                 if near[w] == tag:
                     if stop_at_triangle:
-                        return [s], [], on_c4
+                        return [s], []
                     tri = True
                 if seen[w] == tag:
                     c4 = True
-                    on_c4[a] = on_c4[w] = on_c4[via[w]] = 1
                 else:
                     seen[w] = tag
-                    via[w] = a
         if tri:
             tri_roots.append(s)
         if c4:
             c4_roots.append(s)
-            on_c4[s] = 1
-    return tri_roots, c4_roots, on_c4
+    return tri_roots, c4_roots
 
 
 def _k33plus_at(adj, alive, deg, u: int):

@@ -59,15 +59,25 @@ is searched for directly at each end-vertex past R3: a BFS of depth 4
 looks for a second end-vertex at distance exactly 4.  R1, R10 and R11
 anchors are filed once up front, which is sound because vertex deletion
 never creates a subgraph, and their patterns are searched for afresh when
-popped.  The R10 and R11 anchors are the smallest vertices of the
-triangles and 4-cycles, from the one pass graph._short_cycles that girth
-also runs; that is enough, because the smallest vertex of an alive short
-cycle stays filed until it fires, so the smallest anchor with an alive
-pattern is always one.  R1 anchors are tested only next to twins: in a
-K33+ at u, the two branch vertices not adjacent to u have the same three
-neighbors and lie on a 4-cycle, and u is adjacent to one of those
-neighbors; at setup a vertex's alive neighbors are all its neighbors, so
-the twins share their adjacency tuple.
+popped.  R1 anchors are tested only next to twins: in a K33+ at u, the two
+branch vertices not adjacent to u have the same three neighbors, and u is
+adjacent to one of those neighbors; at setup a vertex's alive neighbors
+are all its neighbors, so the twins share their adjacency tuple, and
+setup counts the tuples of every vertex.
+
+R10 and R11 act only on cubic components.  Their keys pop only once no
+key below R10 is left, and then no alive vertex has degree 1 or 2: it
+would be of class at most R9, and the next paragraph shows that a vertex
+of class c leaves a filed vertex of class at most c.  Deletion only
+lowers degrees, so an alive vertex of degree 3 has all its input
+neighbors alive, and the alive graph is then a union of input components
+that are cubic, of order > 12 and untouched by any step.  So setup files
+R10 and R11 anchors only at the smallest vertices of the triangles and
+4-cycles of those components, from graph._short_cycles (the pass girth
+also runs) with the components' vertices as roots; an anchor anywhere
+else could only pop dead.  That is enough, because the smallest vertex of
+an alive short cycle stays filed until it fires, so the smallest anchor
+with an alive pattern is always one.
 
 The queue never goes back to an earlier rule.  Call a vertex filed when it
 has a queue entry under a rule no later than its class.  A component the
@@ -105,7 +115,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import chain, compress
 from typing import NamedTuple, Optional
 
 from .graph import (
@@ -206,12 +216,14 @@ def ledger_check(trace: ReductionTrace) -> LedgerResult:
     return _audit(trace)[0]
 
 
-def _audit(trace: ReductionTrace) -> tuple[LedgerResult, int]:
+def _audit(
+    trace: ReductionTrace, census: Optional[tuple[int, int]] = None
+) -> tuple[LedgerResult, int]:
     """ledger_check's verdict plus the global bound, recomputed from the
-    original graph rather than taken from the engine."""
+    original graph rather than taken from the engine.  ``census`` is
+    graph._census of the original graph when the caller already has it."""
     g = trace.original
-    iso, n33 = _census(g)
-    need = _thm2_bound(g.n, iso, n33)
+    need = _thm2_bound(g.n, *(_census(g) if census is None else census))
     removed_before: set[int] = set()
     for idx, step in enumerate(trace.steps):
         if len(step.added) < 1 or step.isolated_created < 0:
@@ -268,7 +280,6 @@ def _k33plus_edge(side_a: list[int], side_b: list[int]) -> Edge:
 class _Engine:
     def __init__(self, g: Graph):
         n = g.n
-        self.g = g
         self.n = n
         self.adj = g.adj
         self.alive = bytearray(b"\x01" * n)
@@ -286,44 +297,67 @@ class _Engine:
     # -- setup ------------------------------------------------------------
 
     def run(self) -> None:
-        self._setup()
+        need = self._setup()
         while self._step_once():
             pass
         total = sum(len(step.added) for step in self.steps)
-        need = _thm2_bound(self.n, *_census(self.g))
         if total < need:
             raise LedgerViolationError(
                 f"matching of size {total} falls short of guarantee {need}"
             )
 
-    def _setup(self) -> None:
+    def _setup(self) -> int:
+        """Drop the isolated vertices, consume the components of order at
+        most BRUTE_FORCE_THRESHOLD and queue the first anchors; returns the
+        guarantee ceil((n - i - n33plus)/6), with i and n33plus counted from
+        the singletons and the COMPONENT-K33PLUS steps met here."""
         n = self.n
         adj = self.adj
         deg = self.deg
         alive = self.alive
+        isolated = 0
+        big = []
         for comp in _walk_components(adj):
             if len(comp) == 1:
                 alive[comp[0]] = 0
+                isolated += 1
             elif len(comp) <= BRUTE_FORCE_THRESHOLD:
                 self._consume_component(sorted(comp))
+            else:
+                big.append(comp)
+        n33 = sum(step.rule == "COMPONENT-K33PLUS" for step in self.steps)
         # what is left alive makes up the components of order > 12
         self._file(compress(range(n), alive))
         queue = self.queue
-        # triangles and 4-cycles only ever disappear, so one scan suffices;
-        # every short cycle gets an anchor entry at its smallest vertex
-        triangles, squares, on_c4 = _short_cycles(adj)
-        queue += [_R10 * n + s for s in triangles if alive[s]]
-        queue += [_R11 * n + s for s in squares if alive[s]]
-        # the side_a pair of a K33+ at u are degree-3 twins on a 4-cycle, and
-        # u is a neighbor of one of their shared neighbors; a vertex left
-        # alive here has all its neighbors alive, so adj is its alive
-        # neighborhood
-        twins = Counter(
-            adj[v] for v in compress(range(n), on_c4) if alive[v] and deg[v] == 3
-        )
-        near = {w for nbrs, k in twins.items() if k >= 2 for x in nbrs for w in adj[x]}
+        # R10 and R11 fire only in cubic components that no step has touched
+        # (see the module docstring), so only cubic components are scanned:
+        # all that is alive when _file queued no vertex of degree 1 or 2.
+        # Short cycles only ever disappear, so one scan suffices.
+        if queue:
+            roots = chain.from_iterable(
+                comp for comp in big if all(deg[v] == 3 for v in comp)
+            )
+        else:
+            roots = compress(range(n), alive)
+        triangles, squares = _short_cycles(adj, roots)
+        queue += [_R10 * n + s for s in triangles]
+        queue += [_R11 * n + s for s in squares]
+        # the side_a pair of a K33+ at u are degree-3 twins, and u is a
+        # neighbor of one of their shared neighbors; a vertex left alive here
+        # has all its neighbors alive, so adj is its alive neighborhood, and
+        # twins lie in one component, alive or consumed
+        tuples = Counter(adj)
+        repeated = compress(tuples, map((1).__lt__, tuples.values()))
+        near = {
+            w
+            for nbrs in repeated
+            if len(nbrs) == 3 and alive[nbrs[0]]
+            for x in nbrs
+            for w in adj[x]
+        }
         queue += [_R1 * n + v for v in near if self.k33plus_at(v) is not None]
         heapify(queue)
+        return _thm2_bound(n, isolated, n33)
 
     # -- candidate classification -----------------------------------------
 
@@ -341,12 +375,11 @@ class _Engine:
         """(class, pattern) of an alive anchor queued under ``rule``.
 
         For FRAG and R2..R9 that is _classify.  R1, R10 and R11 anchors
-        are searched afresh, as (rule, pattern) while their K33+, triangle
-        or 4-cycle is alive.  An R1 anchor whose K33+ has gone gives
-        (None, None).  An R10 or R11 anchor cannot lose its cycle while
-        alive: its key pops only once no key below it is left, so no alive
-        vertex has degree 1 or 2, and the anchor, its neighbors and theirs
-        keep all their edges.  A lost cycle raises LedgerViolationError.
+        are searched afresh, as (rule, pattern).  An R1 anchor whose K33+
+        has gone gives (None, None).  An alive R10 or R11 anchor still has
+        its cycle: its key pops only once every alive vertex has degree 3,
+        so its cubic component is untouched (see the module docstring).
+        A lost cycle raises LedgerViolationError.
         """
         if rule == _R1:
             pat = self.k33plus_at(u)

@@ -317,12 +317,54 @@ def r1_anchors_by_c4_scan(g: Graph) -> set:
     return {v for v in near if _k33plus_at(g.adj, alive, deg, v) is not None}
 
 
+def short_cycle_anchors_in_cubic_components(g: Graph) -> tuple[set, set]:
+    """The R10 and R11 anchors the reduction engine's setup must file: the
+    smallest vertex of every triangle and of every 4-cycle, from
+    short_cycles_by_enumeration, that lies in a cubic component of order
+    > 12, found by a plain BFS."""
+    owner = _component_of_each_vertex(g)
+    triangles, squares = short_cycles_by_enumeration(g)
+
+    def anchors(cycles):
+        roots = {min(c) for c in cycles}
+        return {s for s in roots if len(owner[s]) > 12 and _is_cubic(g, owner[s])}
+
+    return anchors(triangles), anchors(squares)
+
+
+def short_cycle_steps_outside_cubic_components(g: Graph, trace: ReductionTrace) -> list:
+    """Indices of the R10, R11 and R12 steps of a trace whose removed
+    vertices do not all lie in one cubic component of g, from a plain BFS.
+    Those rules fire only once every alive vertex has degree 3, which
+    leaves only the untouched cubic components of the input alive."""
+    steps = [
+        (idx, step) for idx, step in enumerate(trace.steps)
+        if step.rule in ("R10", "R11", "R12")
+    ]
+    owner = _component_of_each_vertex(g) if steps else []
+    out = []
+    for idx, step in steps:
+        comp = owner[step.removed[0]]
+        if not (set(step.removed) <= comp and _is_cubic(g, comp)):
+            out.append(idx)
+    return out
+
+
+def _is_cubic(g: Graph, vertices) -> bool:
+    return all(len(g.adj[v]) == 3 for v in vertices)
+
+
 def _in_large_component(g: Graph) -> list:
     """``out[v]``: whether the component of v has more than 12 vertices."""
-    out = [False] * g.n
-    seen = set()
+    return [len(comp) > 12 for comp in _component_of_each_vertex(g)]
+
+
+def _component_of_each_vertex(g: Graph) -> list:
+    """``out[v]``: the vertex set of v's component, one shared set per
+    component, by a plain BFS."""
+    out = [None] * g.n
     for s in range(g.n):
-        if s in seen:
+        if out[s] is not None:
             continue
         comp = {s}
         queue = deque([s])
@@ -331,9 +373,8 @@ def _in_large_component(g: Graph) -> list:
                 if w not in comp:
                     comp.add(w)
                     queue.append(w)
-        seen |= comp
         for v in comp:
-            out[v] = len(comp) > 12
+            out[v] = comp
     return out
 
 

@@ -36,7 +36,10 @@ from strongmatch import (
 )
 from strongmatch.cli import main as cli_main
 
-from bruteforce import exhaustive_strong_matching_number
+from bruteforce import (
+    exhaustive_strong_matching_number,
+    short_cycle_steps_outside_cubic_components,
+)
 from corpus import build_instance, determinism_corpus, small_corpus
 from util import thm2_of
 
@@ -65,7 +68,8 @@ def test_criterion_01_extremal_tightness(capsys):
 
 def test_criterion_02_subcubic_guarantee(capsys):
     """10,000 random subcubic graphs: verified matching, size >= thm2 bound,
-    ledger intact.  Instance i uses seed 910000+i, n = 4 + (7i mod 197),
+    ledger intact, R10..R12 steps only inside cubic input components.
+    Instance i uses seed 910000+i, n = 4 + (7i mod 197),
     target_m = ((i mod 3)+1) * n // 2."""
     t0 = time.perf_counter()
     base = 910_000
@@ -78,6 +82,7 @@ def test_criterion_02_subcubic_guarantee(capsys):
         assert verify_induced_matching(g, matching) is None, (base + i,)
         assert len(matching) >= thm2_of(g), (base + i,)
         assert ledger_check(trace) == (True, None), (base + i,)
+        assert short_cycle_steps_outside_cubic_components(g, trace) == [], (base + i,)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     report(

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -59,9 +60,9 @@ def audits(monkeypatch):
     calls = []
     real = strongmatch.reduction._audit
 
-    def counting(trace):
+    def counting(trace, census=None):
         calls.append(trace)
-        return real(trace)
+        return real(trace, census)
 
     monkeypatch.setattr(strongmatch.reduction, "_audit", counting)
     monkeypatch.setattr(strongmatch.cli, "_audit", counting)
@@ -210,11 +211,27 @@ class TestMatch:
         assert code == 0
         assert len(audits) == 1
 
+    @pytest.mark.parametrize("flags", [[], ["--json"], ["--trace"], ["--trace", "--json"]])
+    def test_one_census_per_request(self, run, monkeypatch, tmp_path, flags):
+        calls = []
+        real = strongmatch.graph._census
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(strongmatch.graph, "_census", counting)
+        monkeypatch.setattr(strongmatch.reduction, "_census", counting)
+        p = write_graph(tmp_path, "mixed.el", write_edge_list(make_mixed(), []))
+        code, _, _ = run(["match", p, *flags])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_failed_audit_shows_in_trace_and_exit_code(
         self, run, monkeypatch, k33_file
     ):
         monkeypatch.setattr(
-            strongmatch.cli, "_audit", lambda trace: (LedgerResult(False, 0), 1)
+            strongmatch.cli, "_audit", lambda trace, census: (LedgerResult(False, 0), 1)
         )
         code, out, err = run(["match", k33_file, "--trace"])
         assert code == 1
@@ -547,7 +564,7 @@ class TestFuzz:
         )
 
     def test_failed_audit_is_reported(self, run, monkeypatch):
-        def failing(trace):
+        def failing(trace, census=None):
             return LedgerResult(False, 0), 1
 
         monkeypatch.setattr(strongmatch.reduction, "_audit", failing)
@@ -571,6 +588,80 @@ class TestFuzz:
         code, _, _ = run(["fuzz", "subcubic", "--count", "4", "--size", "10", "--seed", "9"])
         assert code == 0
         assert len(audits) == 4
+
+
+class TestCollector:
+    """main runs a request with the cyclic garbage collector off and puts
+    the caller's setting back; a request leaves no cycles behind for it."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        return {
+            "graph": write_graph(tmp_path, "g.el", write_edge_list(make_mixed(), [])),
+            "p5": write_graph(tmp_path, "p5.el", "n 5\n0 1\n1 2\n2 3\n3 4\n"),
+            "valid": write_graph(tmp_path, "valid.el", "n 5\n0 1\n3 4\n"),
+            "shared": write_graph(tmp_path, "shared.el", "n 5\n0 1\n1 2\n"),
+            "absent": str(tmp_path / "absent.el"),
+        }
+
+    @staticmethod
+    def argv(files, words):
+        return [files.get(w, w) for w in words]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "words,code",
+        [
+            (["match", "graph", "--json"], 0),
+            (["verify", "p5", "shared"], 1),
+            (["stats", "absent"], 2),
+        ],
+        ids=["exit-0", "exit-1", "exit-2"],
+    )
+    def test_setting_is_restored(self, run, files, enabled, words, code):
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert run(self.argv(files, words))[0] == code
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_setting_is_restored_on_usage_error(self, capsys, enabled):
+        try:
+            gc.enable() if enabled else gc.disable()
+            with pytest.raises(SystemExit) as exc:
+                main(["match", "--bogus"])
+            assert exc.value.code == 2
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            ["match", "graph", "--json"],
+            ["match", "graph", "--method", "greedy", "--json"],
+            ["match", "graph", "--trace"],
+            ["stats", "graph", "--json"],
+            ["verify", "p5", "valid"],
+            ["fuzz", "subcubic", "--count", "3", "--size", "20", "--json"],
+            ["fuzz", "forest", "--count", "3", "--size", "20"],
+            ["gen", "random-subcubic", "--n", "40", "--seed", "3"],
+        ],
+        ids=lambda words: " ".join(words),
+    )
+    def test_request_leaves_no_cycles(self, run, files, words):
+        argv = self.argv(files, words)
+        gc.collect()
+        gc.disable()
+        try:
+            code = run(argv)[0]
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert code == 0
+        assert unreachable == 0
 
 
 PARSER_ARGVS = [["--help"], ["match", "--bogus"], ["gen", "nope"], []]

@@ -260,13 +260,18 @@ class TestShortCycles:
 
     def check(self, g):
         triangles, squares = short_cycles_by_enumeration(g)
-        tri_roots, c4_roots, on_c4 = _short_cycles(g.adj)
+        tri_roots, c4_roots = _short_cycles(g.adj)
         assert tri_roots == sorted({min(t) for t in triangles}), g
         assert c4_roots == sorted({min(c) for c in squares}), g
-        union = set().union(*squares)
-        assert [v for v in range(g.n) if on_c4[v]] == sorted(union), g
-        first, _, _ = _short_cycles(g.adj, stop_at_triangle=True)
+        first, _ = _short_cycles(g.adj, stop_at_triangle=True)
         assert first == tri_roots[:1], g
+        # every other component as roots, in reverse BFS order: exactly the
+        # cycles whose smallest vertex is a root, in the order of the roots
+        roots = [v for comp in connected_components(g)[::2] for v in comp][::-1]
+        assert _short_cycles(g.adj, roots) == (
+            [s for s in roots if s in set(tri_roots)],
+            [s for s in roots if s in set(c4_roots)],
+        ), g
         gi = girth(g)
         assert gi == girth_by_bfs_from_every_root(g), g
         assert (gi == 3) == bool(triangles), g
@@ -289,10 +294,21 @@ class TestShortCycles:
         ]
         for g in named:
             self.check(g)
-        # a root with exactly two neighbors above it, and the neighbor that
-        # first reached the far corner, both on the 4-cycle
-        tri_roots, c4_roots, on_c4 = _short_cycles(make_cycle(4).adj)
-        assert (tri_roots, c4_roots, list(on_c4)) == ([], [0], [1, 1, 1, 1])
+        # a root with exactly two neighbors above it
+        assert _short_cycles(make_cycle(4).adj) == ([], [0])
+
+    def test_roots_argument(self):
+        # K4 (0..3), the prism (4..9) and C4 (10..13): a root that is not a
+        # cycle's smallest vertex finds nothing, and a scan of some
+        # components never reports the cycles of the others
+        k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+        g = disjoint_union(k4, make_circular_ladder(3), make_cycle(4))
+        assert _short_cycles(g.adj) == ([0, 1, 4, 7], [0, 4, 5, 10])
+        assert _short_cycles(g.adj, range(4, 14)) == ([4, 7], [4, 5, 10])
+        assert _short_cycles(g.adj, [10, 7, 4]) == ([7, 4], [10, 4])
+        assert _short_cycles(g.adj, [2, 3, 6, 8, 9, 11]) == ([], [])
+        assert _short_cycles(g.adj, []) == ([], [])
+        assert _short_cycles(g.adj, [7, 4], stop_at_triangle=True) == ([7], [])
 
     @settings(max_examples=200, deadline=None)
     @given(bounded_graphs())

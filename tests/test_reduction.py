@@ -27,13 +27,15 @@ from strongmatch import (
 )
 from strongmatch.cli import main
 from strongmatch.graph import _census
-from strongmatch.reduction import _R1, _R2, _R6, _R10, _R11, _Engine
+from strongmatch.reduction import _R1, _R2, _R6, _R10, _R11, _R12, _Engine
 
 from bruteforce import (
     k33plus_subdivision_vertices,
     priority_violations,
     r1_anchors_by_c4_scan,
     replay_trace,
+    short_cycle_anchors_in_cubic_components,
+    short_cycle_steps_outside_cubic_components,
 )
 from corpus import build_instance, determinism_corpus, small_corpus
 from util import (
@@ -41,6 +43,7 @@ from util import (
     disjoint_union,
     make_circular_ladder,
     make_cycle,
+    make_diamond_chain,
     make_dodecahedron,
     make_k33plus_with_tail,
     make_mixed,
@@ -586,10 +589,28 @@ def anchor_corpus() -> tuple[Graph, ...]:
     return tuple(graphs)
 
 
+def cubic_beside_short_cycles() -> Graph:
+    """A non-cubic component full of triangles and 4-cycles (a path of
+    five diamonds) beside cubic ones with them (a ring of four diamonds)
+    and with 4-cycles only (the circular ladder of order 14)."""
+    return disjoint_union(
+        make_diamond_chain(5), make_diamond_chain(4, ring=True), make_circular_ladder(7)
+    )
+
+
+@cache
+def criterion_03_corpus() -> tuple[Graph, ...]:
+    """The 1,000 random cubic graphs of acceptance criterion 03."""
+    return tuple(
+        gen_random_cubic(4 + 2 * ((13 * i) % 99), 920_000 + i) for i in range(1_000)
+    )
+
+
 class TestSetupAnchors:
     """Setup files an R1 key at every subdivision vertex of a K33+ subgraph
     left alive once the small components are consumed, and nowhere else;
-    a consumed component gets the oracle's own answer."""
+    R10 and R11 keys only in the cubic components of order > 12; a
+    consumed component gets the oracle's own answer."""
 
     def test_r1_keys_match_references(self):
         anchors = 0
@@ -602,6 +623,42 @@ class TestSetupAnchors:
             assert keys == r1_anchors_by_c4_scan(g), g
             anchors += len(keys)
         assert anchors >= 250
+
+    def test_short_cycle_keys_match_references(self):
+        tri_total = sq_total = 0
+        for g in (cubic_beside_short_cycles(), *anchor_corpus()):
+            eng = _Engine(g)
+            eng._setup()
+            n = g.n
+            tri = [k - _R10 * n for k in eng.queue if _R10 * n <= k < _R11 * n]
+            sq = [k - _R11 * n for k in eng.queue if _R11 * n <= k < _R12 * n]
+            want_tri, want_sq = short_cycle_anchors_in_cubic_components(g)
+            assert (len(set(tri)), len(set(sq))) == (len(tri), len(sq)), g
+            assert (set(tri), set(sq)) == (want_tri, want_sq), g
+            tri_total += len(tri)
+            sq_total += len(sq)
+        assert tri_total >= 100 and sq_total >= 100
+
+    def test_built_graph_files_only_the_cubic_cycles(self):
+        g = cubic_beside_short_cycles()
+        eng = _Engine(g)
+        eng._setup()
+        keys = sorted(k for k in eng.queue if k >= _R10 * g.n)
+        # the ring's diamonds start at 20, 24, 28 and 32, and the ladder's
+        # seven 4-cycles have their smallest vertices at 36..41; nothing
+        # from the path of diamonds at 0..19
+        assert keys == [_R10 * g.n + v for v in (20, 21, 24, 25, 28, 29, 32, 33)] + [
+            _R11 * g.n + v for v in (20, 24, 28, 32, 36, 37, 38, 39, 40, 41)
+        ]
+
+    def test_short_cycle_rules_stay_in_cubic_components(self):
+        fired = 0
+        graphs = (cubic_beside_short_cycles(), *anchor_corpus(), *criterion_03_corpus())
+        for g in graphs:
+            _, trace = find_induced_matching_subcubic(g)
+            assert short_cycle_steps_outside_cubic_components(g, trace) == [], g
+            fired += sum(s.rule in ("R10", "R11", "R12") for s in trace.steps)
+        assert fired >= 1_000
 
     def test_components_get_the_oracle_witness(self):
         checked = 0

@@ -58,6 +58,21 @@ def make_dodecahedron() -> Graph:
     return make_lcf(20, [10, 7, 4, -4, -7, 10, -4, 7, -7, 4])
 
 
+def make_diamond_chain(k: int, ring: bool = False) -> Graph:
+    """k diamonds (K4 minus an edge) joined tip to tip in a path, or in a
+    cycle with ``ring``.  Diamond i is 4i..4i+3 with tips 4i and 4i+3.
+    Each diamond holds two triangles and a 4-cycle.  The ring is cubic for
+    k >= 2; the path leaves its two end tips at degree 2."""
+    edges = []
+    for i in range(k):
+        a, b, c, d = range(4 * i, 4 * i + 4)
+        edges += [(a, b), (a, c), (b, c), (b, d), (c, d)]
+    edges += [(4 * i + 3, 4 * i + 4) for i in range(k - 1)]
+    if ring:
+        edges.append((0, 4 * k - 1))
+    return Graph(4 * k, edges)
+
+
 def disjoint_union(*parts: Graph) -> Graph:
     """Parts side by side, each relabeled past the vertices before it."""
     edges = []

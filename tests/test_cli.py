@@ -626,6 +626,20 @@ class TestCollector:
         finally:
             gc.enable()
 
+    def test_request_runs_with_collector_off(self, run, files, monkeypatch):
+        seen = []
+        real = strongmatch.cli.count_invariants
+
+        def recording(g):
+            seen.append(gc.isenabled())
+            return real(g)
+
+        monkeypatch.setattr(strongmatch.cli, "count_invariants", recording)
+        assert gc.isenabled()
+        assert run(["stats", files["graph"], "--json"])[0] == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
     @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
     def test_setting_is_restored_on_usage_error(self, capsys, enabled):
         try:

@@ -115,7 +115,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress
+from itertools import compress
 from typing import NamedTuple, Optional
 
 from .graph import (
@@ -316,30 +316,25 @@ class _Engine:
         deg = self.deg
         alive = self.alive
         isolated = 0
-        big = []
+        # R10 and R11 fire only in cubic components that no step has touched
+        # (see the module docstring), so only their vertices are scanned for
+        # short cycles, which only ever disappear: one scan suffices, in
+        # vertex order, which walks adj faster than BFS order
+        cubic = bytearray(n)
         for comp in _walk_components(adj):
             if len(comp) == 1:
                 alive[comp[0]] = 0
                 isolated += 1
             elif len(comp) <= BRUTE_FORCE_THRESHOLD:
                 self._consume_component(sorted(comp))
-            else:
-                big.append(comp)
+            elif all(deg[v] == 3 for v in comp):
+                for v in comp:
+                    cubic[v] = 1
         n33 = sum(step.rule == "COMPONENT-K33PLUS" for step in self.steps)
         # what is left alive makes up the components of order > 12
         self._file(compress(range(n), alive))
         queue = self.queue
-        # R10 and R11 fire only in cubic components that no step has touched
-        # (see the module docstring), so only cubic components are scanned:
-        # all that is alive when _file queued no vertex of degree 1 or 2.
-        # Short cycles only ever disappear, so one scan suffices.
-        if queue:
-            roots = chain.from_iterable(
-                comp for comp in big if all(deg[v] == 3 for v in comp)
-            )
-        else:
-            roots = compress(range(n), alive)
-        triangles, squares = _short_cycles(adj, roots)
+        triangles, squares = _short_cycles(adj, compress(range(n), cubic))
         queue += [_R10 * n + s for s in triangles]
         queue += [_R11 * n + s for s in squares]
         # the side_a pair of a K33+ at u are degree-3 twins, and u is a

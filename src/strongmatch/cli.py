@@ -9,6 +9,9 @@ violation, 2 input error, 3 resource budget exceeded.
 
 main runs each request with the cyclic garbage collector off, because a
 request makes no reference cycles, and puts the caller's setting back.
+
+The gen names and fuzz families live in one table each, which both the
+parser's choices and the command read.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .oracle import (
 from .reduction import (
     LedgerViolationError,
     _audit,
+    _edges_text,
     _format_audited,
     find_induced_matching_subcubic,
 )
@@ -69,7 +73,6 @@ class _CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-        self.message = message
 
 
 def _read_text(path: str) -> str:
@@ -93,16 +96,17 @@ def _girth_repr(gi: Optional[int]):
     return "acyclic" if gi is None else gi
 
 
-def _edges_text(edges) -> str:
-    return ",".join(f"{u}-{v}" for u, v in edges)
-
-
-def _edges_json(edges) -> list[list[int]]:
-    return [[u, v] for u, v in edges]
-
-
 def _emit(lines: list[str]) -> None:
     sys.stdout.write("\n".join(lines) + "\n" if lines else "")
+
+
+def _print_record(record: dict, as_json: bool) -> None:
+    """Print record as one JSON object, or as one key=value line for each
+    field that is not None."""
+    if as_json:
+        print(json.dumps(record))
+    else:
+        _emit([f"{key}={value}" for key, value in record.items() if value is not None])
 
 
 # -- stats ------------------------------------------------------------------
@@ -121,14 +125,13 @@ def cmd_stats(args) -> int:
         "girth": _girth_repr(rep.girth),
         "components": sum(1 for _ in _walk_components(g.adj)),
     }
-    if args.json:
-        print(json.dumps(record))
-    else:
-        _emit([f"{key}={value}" for key, value in record.items()])
+    _print_record(record, args.json)
     return EXIT_OK
 
 
 # -- match ------------------------------------------------------------------
+
+_METHODS = ("reduction", "greedy", "forest", "girth6")
 
 
 def _certify(g: Graph, method: str, rep: BoundReport):
@@ -189,7 +192,7 @@ def cmd_match(args) -> int:
             "bound_thm2": rep.thm2_bound,
             "bound_prop1": rep.prop1_bound,
             "bound": bound,
-            "matching": _edges_json(matching),
+            "matching": matching,
             "size": len(matching),
             "verified": verified,
         }
@@ -200,8 +203,8 @@ def cmd_match(args) -> int:
                 else [
                     {
                         "rule": s.rule,
-                        "removed": list(s.removed),
-                        "added": _edges_json(s.added),
+                        "removed": s.removed,
+                        "added": s.added,
                         "isolated": s.isolated_created,
                     }
                     for s in trace.steps
@@ -239,7 +242,7 @@ def cmd_exact(args) -> int:
             "n": g.n,
             "m": g.m,
             "size": value,
-            "matching": _edges_json(witness),
+            "matching": witness,
             "verified": verified,
         }
         print(json.dumps(obj))
@@ -262,7 +265,7 @@ def cmd_verify(args) -> int:
     if args.json:
         obj = {
             "verified": witness is None,
-            "witness": None if witness is None else list(witness),
+            "witness": witness,
         }
         print(json.dumps(obj))
     else:
@@ -276,37 +279,35 @@ def cmd_verify(args) -> int:
 # -- gen --------------------------------------------------------------------
 
 
+# name -> (generator, the options it takes in order); the header comment
+# names the same options in the same order
+_GENERATORS = {
+    "k33plus": (gen_k33plus, ()),
+    "extremal-cubic": (gen_extremal_cubic, ()),
+    "c5-blowup": (gen_c5_blowup, ("delta",)),
+    "odd-regular": (gen_odd_regular_extremal, ("delta",)),
+    "random-subcubic": (gen_random_subcubic, ("n", "target_m", "seed")),
+    "random-cubic": (gen_random_cubic, ("n", "seed")),
+    "random-girth6": (gen_random_girth6, ("n", "max_degree", "seed")),
+    "random-forest": (gen_random_forest, ("n", "seed")),
+}
+
+
 def cmd_gen(args) -> int:
-    if args.target_m is not None and args.target_m < 0:
+    if args.target_m is None:
+        args.target_m = (3 * args.n) // 2
+    elif args.target_m < 0:
         raise _CliError(EXIT_INPUT, f"--target-m must be >= 0, got {args.target_m}")
-    name = args.name
-    seed = args.seed
-    if name == "k33plus":
-        g, comments = gen_k33plus(), [f"gen={name}"]
-    elif name == "extremal-cubic":
-        g, comments = gen_extremal_cubic(), [f"gen={name}"]
-    elif name == "c5-blowup":
-        if args.delta is None:
-            raise _CliError(EXIT_INPUT, f"{name} requires --delta")
-        g, comments = gen_c5_blowup(args.delta), [f"gen={name} delta={args.delta}"]
-    elif name == "odd-regular":
-        if args.delta is None:
-            raise _CliError(EXIT_INPUT, f"{name} requires --delta")
-        g, extra = gen_odd_regular_extremal(args.delta)
-        comments = [f"gen={name} delta={args.delta}", *extra]
-    elif name == "random-subcubic":
-        target = args.target_m if args.target_m is not None else (3 * args.n) // 2
-        g = gen_random_subcubic(args.n, target, seed)
-        comments = [f"gen={name} n={args.n} target_m={target} seed={seed}"]
-    elif name == "random-cubic":
-        g = gen_random_cubic(args.n, seed)
-        comments = [f"gen={name} n={args.n} seed={seed}"]
-    elif name == "random-girth6":
-        g = gen_random_girth6(args.n, args.max_degree, seed)
-        comments = [f"gen={name} n={args.n} max_degree={args.max_degree} seed={seed}"]
-    else:
-        g = gen_random_forest(args.n, seed)
-        comments = [f"gen={name} n={args.n} seed={seed}"]
+    generate, options = _GENERATORS[args.name]
+    if "delta" in options and args.delta is None:
+        raise _CliError(EXIT_INPUT, f"{args.name} requires --delta")
+    values = [getattr(args, option) for option in options]
+    g = generate(*values)
+    comments = [" ".join([f"gen={args.name}", *map("{}={}".format, options, values)])]
+    if generate is gen_odd_regular_extremal:
+        # this generator also returns comment lines recording its attachment
+        g, extra = g
+        comments.extend(extra)
     sys.stdout.write(write_edge_list(g, comments))
     return EXIT_OK
 
@@ -316,28 +317,29 @@ def cmd_gen(args) -> int:
 ORACLE_FUZZ_EDGE_CAP = 25
 
 
+# family -> its instance of a size and seed; a family's own parameters are
+# drawn from the instance's SplitMix64
+_FUZZ_FAMILIES = {
+    "subcubic": lambda size, seed, rng: gen_random_subcubic(
+        size, rng.below(3 * size // 2 + 1), seed
+    ),
+    "cubic": lambda size, seed, rng: gen_random_cubic(max(4, size + size % 2), seed),
+    "girth6": lambda size, seed, rng: gen_random_girth6(size, 2 + rng.below(4), seed),
+    "forest": lambda size, seed, rng: gen_random_forest(size, seed),
+}
+
+
 def _fuzz_instance(family: str, size: int, instance_seed: int) -> list[str]:
     """Build one instance, run the applicable algorithms, return failures."""
-    rng = SplitMix64(instance_seed)
+    g = _FUZZ_FAMILIES[family](size, instance_seed, SplitMix64(instance_seed))
     problems: list[str] = []
-    if family == "subcubic":
-        target = rng.below(3 * size // 2 + 1)
-        g = gen_random_subcubic(size, target, instance_seed)
-    elif family == "cubic":
-        n = max(4, size + (size % 2))
-        g = gen_random_cubic(n, instance_seed)
-    elif family == "girth6":
-        dmax = 2 + rng.below(4)
-        g = gen_random_girth6(size, dmax, instance_seed)
-    else:
-        g = gen_random_forest(size, instance_seed)
-
     rep = count_invariants(g)
     # the reduction runs, and thm2 is a guarantee, only for max degree <= 3
     subcubic = rep.max_degree <= 3
     methods = ["reduction"] if subcubic else []
     methods.append("greedy")
-    if family in ("forest", "girth6"):
+    # a family that shares its name with a method (forest, girth6) runs it
+    if family in _METHODS:
         methods.append(family)
     sizes: list[tuple[str, int]] = []
     for method in methods:
@@ -347,7 +349,7 @@ def _fuzz_instance(family: str, size: int, instance_seed: int) -> list[str]:
             problems.append(f"{method}: precondition unexpectedly failed: {e}")
             continue
         except _CliError as e:
-            problems.append(e.message)
+            problems.append(str(e))
             continue
         got = len(matching)
         if audit is not None and not audit[0].ok:
@@ -393,25 +395,14 @@ def cmd_fuzz(args) -> int:
                     print(f"seed {instance_seed}: {p}", file=sys.stderr)
         else:
             passed += 1
-    if args.json:
-        obj = {
-            "family": args.family,
-            "instances": args.count,
-            "pass": passed,
-            "fail": failed,
-            "first_failure_seed": first_failure,
-        }
-        print(json.dumps(obj))
-    else:
-        lines = [
-            f"family={args.family}",
-            f"instances={args.count}",
-            f"pass={passed}",
-            f"fail={failed}",
-        ]
-        if first_failure is not None:
-            lines.append(f"first_failure_seed={first_failure}")
-        _emit(lines)
+    record = {
+        "family": args.family,
+        "instances": args.count,
+        "pass": passed,
+        "fail": failed,
+        "first_failure_seed": first_failure,
+    }
+    _print_record(record, args.json)
     return EXIT_OK if failed == 0 else EXIT_VIOLATION
 
 
@@ -441,11 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("match", help="compute an induced matching with a guarantee")
     add_input(p)
-    p.add_argument(
-        "--method",
-        choices=("reduction", "greedy", "forest", "girth6"),
-        default="reduction",
-    )
+    p.add_argument("--method", choices=_METHODS, default="reduction")
     p.add_argument("--json", action="store_true")
     p.add_argument("--trace", action="store_true", help="include the reduction trace")
     p.set_defaults(fn=cmd_match)
@@ -463,19 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("gen", help="emit a generated graph as an edge list")
-    p.add_argument(
-        "name",
-        choices=(
-            "k33plus",
-            "extremal-cubic",
-            "c5-blowup",
-            "odd-regular",
-            "random-subcubic",
-            "random-cubic",
-            "random-girth6",
-            "random-forest",
-        ),
-    )
+    p.add_argument("name", choices=_GENERATORS)
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--target-m", dest="target_m", type=int, default=None)
@@ -484,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("fuzz", help="randomized invariant checking")
-    p.add_argument("family", choices=("subcubic", "cubic", "girth6", "forest"))
+    p.add_argument("family", choices=_FUZZ_FAMILIES)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--size", type=int, default=60)
     p.add_argument("--seed", type=int, default=0)
@@ -509,7 +484,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = _PARSER.parse_args(argv)
         return args.fn(args)
     except _CliError as e:
-        print(e.message, file=sys.stderr)
+        print(str(e), file=sys.stderr)
         return e.code
     except BudgetExceededError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)

@@ -19,9 +19,9 @@ from collections import deque
 from collections.abc import Iterator
 from functools import partial
 from itertools import chain, islice, repeat
-from operator import le, mod
+from operator import eq, le, mod
 
-from .graph import Edge, Graph, GraphError
+from .graph import Edge, Graph, GraphError, normalize_edge
 
 _ATTEMPT_FACTOR = 20
 _CUBIC_ATTEMPTS = 1000
@@ -277,20 +277,11 @@ def gen_random_cubic(n: int, seed: int) -> Graph:
     for _ in range(_CUBIC_ATTEMPTS):
         stubs = all_stubs.copy()
         rng.shuffle(stubs)
-        seen: set[Edge] = set()
-        ok = True
-        for i in range(0, 3 * n, 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                ok = False
-                break
-            seen.add(key)
-        if ok:
-            return Graph(n, sorted(seen))
+        us, vs = stubs[::2], stubs[1::2]
+        if not any(map(eq, us, vs)):
+            edges = set(map(normalize_edge, us, vs))
+            if len(edges) == len(us):
+                return Graph(n, edges)
     raise GraphError(f"no simple cubic pairing found in {_CUBIC_ATTEMPTS} attempts")
 
 

@@ -135,19 +135,17 @@ def _max_degree_node(cand: int, masks: list[int]) -> int:
 
 
 def _clique_cover_bound(cand: int, masks: list[int]) -> int:
-    """Greedy partition of cand into cliques; the clique count bounds the MIS."""
-    cliques_mask: list[int] = []
-    cliques_common: list[int] = []
+    """Greedy partition of cand into cliques; the clique count bounds the MIS.
+
+    Each node joins the first clique whose members are all its neighbors,
+    so a clique is kept only as the common neighborhood of its members."""
+    common: list[int] = []
     for i in _bits(cand):
         bit = 1 << i
-        placed = False
-        for c in range(len(cliques_mask)):
-            if cliques_common[c] & bit:
-                cliques_mask[c] |= bit
-                cliques_common[c] &= masks[i]
-                placed = True
+        for c, shared in enumerate(common):
+            if shared & bit:
+                common[c] = shared & masks[i]
                 break
-        if not placed:
-            cliques_mask.append(bit)
-            cliques_common.append(masks[i])
-    return len(cliques_mask)
+        else:
+            common.append(masks[i])
+    return len(common)

@@ -260,15 +260,19 @@ def _format_audited(trace: ReductionTrace, audit: tuple[LedgerResult, int]) -> s
     lines = []
     for step in trace.steps:
         removed = ",".join(map(str, step.removed))
-        added = ",".join(f"{u}-{v}" for u, v in step.added)
         lines.append(
-            f"rule={step.rule} removed={removed} added={added} "
+            f"rule={step.rule} removed={removed} added={_edges_text(step.added)} "
             f"isolated={step.isolated_created}"
         )
     result, need = audit
     size = sum(len(step.added) for step in trace.steps)
     lines.append(f"matching={size} bound={need} ok={str(result.ok).lower()}")
     return "\n".join(lines) + "\n"
+
+
+def _edges_text(edges) -> str:
+    """Edges as ``u-v`` pairs joined by commas."""
+    return ",".join(f"{u}-{v}" for u, v in edges)
 
 
 def _k33plus_edge(side_a: list[int], side_b: list[int]) -> Edge:

@@ -452,6 +452,92 @@ class TestGen:
         b = run(["gen", "random-cubic", "--n", "16", "--seed", "5"])
         assert a == b
 
+    # criterion 10's generator argv; it checks only that two runs agree,
+    # these pin each output across revisions
+    @pytest.mark.parametrize(
+        "argv,length,digest",
+        [
+            (["k33plus"], 58,
+             "507366bdf2091b1ec5c209760e5714be250fd657e6ceed254029b006a234d659"),
+            (["extremal-cubic"], 266,
+             "332a123c10b18d2092e789a8e5d68daaeb4c1086c22c21451c3468eb0358a03f"),
+            (["c5-blowup", "--delta", "6"], 239,
+             "f22f1ea89b0b974eee237d0cc803200d70c104276f0f62d20cdd88444561d0bd"),
+            (["odd-regular", "--delta", "5"], 914,
+             "78aed9ea75f3234a2922339f5aa6980d28ef4111905b90b4eff2db894309c6b7"),
+            (["random-subcubic", "--n", "60", "--seed", "31"], 557,
+             "3dcd1c6b3e2a95ba5bad5f073bf69017ad67513211cbb68c5599753fad2399e6"),
+            (["random-cubic", "--n", "30", "--seed", "32"], 277,
+             "8181dd1e148e076fbe359fbf9e2156969014bc0841e356ee6091c21c25211d2b"),
+            (["random-girth6", "--n", "40", "--max-degree", "3", "--seed", "33"], 369,
+             "e3e9291af2237be8e449f094143c07ef7ed444e1e00564b82814a2da8156796c"),
+            (["random-forest", "--n", "40", "--seed", "34"], 198,
+             "046c0848e64532ac7f22d9bc4d303b8b91389b9ca2cfa2064b11c39ffdbfc520"),
+        ],
+        ids=lambda x: x[0] if isinstance(x, list) else None,
+    )
+    def test_golden_sha256_per_name(self, run, argv, length, digest):
+        code, out, err = run(["gen", *argv])
+        assert (code, err) == (0, "")
+        assert len(out) == length
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestHelpText:
+    """The gen and fuzz help, byte for byte: the choices keep their order."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        # argparse wraps help to the terminal width it reads from COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @staticmethod
+    def help_of(capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, err) == (0, "")
+        return out
+
+    def test_gen(self, capsys):
+        names = (
+            "{k33plus,extremal-cubic,c5-blowup,odd-regular,random-subcubic,"
+            "random-cubic,random-girth6,random-forest}"
+        )
+        assert self.help_of(capsys, "gen") == (
+            "usage: strongmatch gen [-h] [--delta DELTA] [--n N] [--target-m TARGET_M]\n"
+            "                       [--max-degree MAX_DEGREE] [--seed SEED]\n"
+            f"                       {names}\n"
+            "\n"
+            "positional arguments:\n"
+            f"  {names}\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --delta DELTA\n"
+            "  --n N\n"
+            "  --target-m TARGET_M\n"
+            "  --max-degree MAX_DEGREE\n"
+            "  --seed SEED\n"
+        )
+
+    def test_fuzz(self, capsys):
+        assert self.help_of(capsys, "fuzz") == (
+            "usage: strongmatch fuzz [-h] [--count COUNT] [--size SIZE] [--seed SEED]\n"
+            "                        [--json]\n"
+            "                        {subcubic,cubic,girth6,forest}\n"
+            "\n"
+            "positional arguments:\n"
+            "  {subcubic,cubic,girth6,forest}\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --count COUNT\n"
+            "  --size SIZE\n"
+            "  --seed SEED\n"
+            "  --json\n"
+        )
+
 
 class TestFuzz:
     def test_forest_json(self, run):
@@ -476,6 +562,19 @@ class TestFuzz:
         )
         assert code == 0
         assert json.loads(out)["fail"] == 0
+
+    @pytest.mark.parametrize("family", ["subcubic", "cubic", "girth6", "forest"])
+    def test_records_pinned(self, run, family):
+        argv = ["fuzz", family, "--count", "10", "--size", "20", "--seed", "77"]
+        assert run(argv) == (
+            0, f"family={family}\ninstances=10\npass=10\nfail=0\n", ""
+        )
+        assert run([*argv, "--json"]) == (
+            0,
+            f'{{"family": "{family}", "instances": 10, "pass": 10, "fail": 0, '
+            '"first_failure_seed": null}\n',
+            "",
+        )
 
     def test_thm2_not_compared_above_max_degree_three(self, run):
         # a tree with a degree-4 vertex plus one isolated vertex: optimum 1,
@@ -573,6 +672,14 @@ class TestFuzz:
         assert code == 1
         assert out == self.all_failed("subcubic", 3, 9)
         assert err == "seed 9: reduction: ledger check failed at step 0\n"
+        code, out, _ = run(
+            ["fuzz", "subcubic", "--count", "3", "--size", "10", "--seed", "9", "--json"]
+        )
+        assert code == 1
+        assert out == (
+            '{"family": "subcubic", "instances": 3, "pass": 0, "fail": 3, '
+            '"first_failure_seed": 9}\n'
+        )
 
     def test_failed_precondition_is_reported(self, run, monkeypatch):
         monkeypatch.setattr(strongmatch.greedy, "girth", lambda g: 5)

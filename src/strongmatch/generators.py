@@ -231,8 +231,6 @@ def gen_random_bounded_degree(
     _ATTEMPT_FACTOR * (target_m + 1) attempts, so m <= target_m and near-full
     degree sequences simply come out sparser.
     """
-    if n < 0:
-        raise GraphError(f"negative vertex count {n}")
     if max_degree < 1:
         raise GraphError(f"max_degree must be >= 1, got {max_degree}")
     edges: list[Edge] = []
@@ -279,8 +277,9 @@ def gen_random_cubic(n: int, seed: int) -> Graph:
         rng.shuffle(stubs)
         us, vs = stubs[::2], stubs[1::2]
         if not any(map(eq, us, vs)):
-            edges = set(map(normalize_edge, us, vs))
-            if len(edges) == len(us):
+            # in pairing order, not a set's: Graph sorts and fills these faster
+            edges = list(map(normalize_edge, us, vs))
+            if len(set(edges)) == len(edges):
                 return Graph(n, edges)
     raise GraphError(f"no simple cubic pairing found in {_CUBIC_ATTEMPTS} attempts")
 
@@ -293,8 +292,6 @@ def gen_random_girth6(n: int, max_degree: int, seed: int) -> Graph:
     (checked by a depth-4 BFS), so every created cycle has length >= 6.
     Attempt limit: 10 * n * max_degree.
     """
-    if n < 0:
-        raise GraphError(f"negative vertex count {n}")
     if max_degree < 1:
         raise GraphError(f"max_degree must be >= 1, got {max_degree}")
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -340,8 +337,6 @@ def gen_random_forest(n: int, seed: int, attach_percent: int = 75) -> Graph:
     are unbounded (hubs are likely), which exercises the forest guarantee at
     varying max degree.
     """
-    if n < 0:
-        raise GraphError(f"negative vertex count {n}")
     if not 0 <= attach_percent <= 100:
         raise GraphError(f"attach_percent must be in 0..100, got {attach_percent}")
     rng = SplitMix64(seed)

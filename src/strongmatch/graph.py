@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice
-from operator import eq
+from itertools import compress, islice, starmap
+from operator import eq, ge
 from typing import Iterable, Iterator, Optional, Sequence
 
 Edge = tuple[int, int]
@@ -44,9 +44,12 @@ def _first_repeat(order: list[Edge]) -> Optional[Edge]:
 class Graph:
     """Simple undirected graph with a fixed vertex set 0..n-1.
 
+    ``edges`` may list each pair in any order and either orientation.
     ``adj[v]`` is a sorted tuple of neighbors; ``edges`` is the sorted tuple
-    of normalized (min, max) pairs.  Construction validates ids, rejects
-    loops and duplicate edges, and freezes the structure.
+    of normalized (min, max) pairs.  Construction raises GraphError on a
+    negative n, a loop, an id outside 0..n-1 or a pair given twice (in
+    either orientation), and freezes the structure.  The first loop or
+    out-of-range pair in input order is named before any repeat.
     """
 
     __slots__ = ("n", "adj", "edges")
@@ -54,32 +57,39 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
             raise GraphError(f"negative vertex count {n}")
-        normalized = []
-        for u, v in edges:
+        pairs = list(edges)
+        # only a pair out of (smaller, larger) order needs normalizing; a
+        # loop (u, u) is one of them
+        flipped = any(starmap(ge, pairs))
+        order = sorted(starmap(normalize_edge, pairs) if flipped else pairs)
+        # Filling the lists in edge order leaves each one sorted: a vertex
+        # first meets its smaller neighbors, in order, then its larger ones.
+        # An id >= n stops the fill; a negative one would index from the
+        # end, so the smallest id, order[0][0], is checked on its own.
+        lists: list[list[int]] = [[] for _ in range(n)]
+        try:
+            for u, v in order:
+                lists[u].append(v)
+                lists[v].append(u)
+            ok = (not order or order[0][0] >= 0) and not (
+                flipped and any(starmap(eq, pairs))
+            )
+        except IndexError:
+            ok = False
+        if not ok:
+            # name the first loop or out-of-range pair in input order
+            u, v = next(
+                (u, v) for u, v in pairs if u == v or not (0 <= u < n and 0 <= v < n)
+            )
             if u == v:
                 raise GraphError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
-            normalized.append(normalize_edge(u, v))
-        normalized.sort()
-        repeat = _first_repeat(normalized)
+            raise GraphError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+        repeat = _first_repeat(order)
         if repeat is not None:
             raise GraphError(f"duplicate edge {repeat}")
-        self._fill(n, normalized)
-
-    def _fill(self, n: int, edges: list[Edge]) -> None:
-        """Freeze checked, normalized, sorted and distinct edges on 0..n-1.
-
-        Filling the lists in edge order leaves each one sorted: a vertex
-        first meets its smaller neighbors, in order, then its larger ones.
-        """
-        lists: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            lists[u].append(v)
-            lists[v].append(u)
         self.n = n
         self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, lists))
-        self.edges: tuple[Edge, ...] = tuple(edges)
+        self.edges: tuple[Edge, ...] = tuple(order)
 
     @property
     def m(self) -> int:
@@ -524,8 +534,9 @@ def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
     (renumbered to 0-based); 'c' comment lines are accepted.  The declared
     edge count must match.
 
-    Duplicate edges, loops and out-of-range ids are errors (GraphParseError
-    with the offending line number); silent repair would hide corpus bugs.
+    The faults Graph rejects (a loop, an id out of range, a repeated pair)
+    are GraphParseErrors at the first offending line, raised after any
+    syntax error in the file; silent repair would hide corpus bugs.
     """
     if fmt == "edge-list":
         return _parse_edge_list(text)
@@ -546,7 +557,6 @@ def _parse_edge_list(text: str) -> Graph:
     declared: Optional[int] = None
     edges: list[Edge] = []
     lines: list[int] = []
-    clean = True  # no loop or out-of-range id so far
     first = True
     for lineno, line in _edge_lines(text):
         parts = line.split()
@@ -572,15 +582,13 @@ def _parse_edge_list(text: str) -> Graph:
             raise GraphParseError(f"negative vertex id in {line!r}", lineno)
         if u > v:
             u, v = v, u
-        if u == v or (declared is not None and v >= declared):
-            clean = False
         edges.append((u, v))
         lines.append(lineno)
     if declared is None:
         n = 1 + max((v for _, v in edges), default=-1)
     else:
         n = declared
-    return _build_checked(n, edges, lines, clean)
+    return _build_checked(n, edges, lines)
 
 
 def _parse_dimacs(text: str) -> Graph:
@@ -588,7 +596,6 @@ def _parse_dimacs(text: str) -> Graph:
     declared_m = 0
     edges: list[Edge] = []
     lines: list[int] = []
-    clean = True  # no loop or out-of-range id so far
     for lineno, line in _edge_lines(text):
         parts = line.split()
         kind = parts[0]
@@ -619,8 +626,6 @@ def _parse_dimacs(text: str) -> Graph:
                 raise GraphParseError(f"dimacs ids are 1-based, got {line!r}", lineno)
             if u > v:
                 u, v = v, u
-            if u == v or v > n:
-                clean = False
             edges.append((u - 1, v - 1))
             lines.append(lineno)
             continue
@@ -631,23 +636,19 @@ def _parse_dimacs(text: str) -> Graph:
         raise GraphParseError(
             f"problem line declares {declared_m} edges, found {len(edges)}"
         )
-    return _build_checked(n, edges, lines, clean)
+    return _build_checked(n, edges, lines)
 
 
-def _build_checked(n: int, edges: list[Edge], lines: list[int], clean: bool) -> Graph:
+def _build_checked(n: int, edges: list[Edge], lines: list[int]) -> Graph:
     """The graph of a parsed file's normalized edges, ``lines`` their line numbers.
 
-    ``clean`` says the parser saw no loop and no id out of range, so one
-    scan of the sorted edges settles duplicates.  Otherwise, or on a
-    duplicate, the edges are checked again in file order to report the
-    first offending line.
+    Only when Graph rejects the edges are they checked again, in file
+    order, to report the first offending line.
     """
-    if clean:
-        order = sorted(edges)
-        if _first_repeat(order) is None:
-            g = Graph.__new__(Graph)
-            g._fill(n, order)
-            return g
+    try:
+        return Graph(n, edges)
+    except GraphError:
+        pass
     seen: dict[Edge, int] = {}
     for key, lineno in zip(edges, lines):
         u, v = key

@@ -432,6 +432,10 @@ class TestGen:
     def test_blowup_requires_delta(self, run, name):
         assert run(["gen", name]) == (2, "", f"{name} requires --delta\n")
 
+    @pytest.mark.parametrize("name", ["random-subcubic", "random-girth6", "random-forest"])
+    def test_negative_n_is_input_error(self, run, name):
+        assert run(["gen", name, "--n", "-1"]) == (2, "", "negative vertex count -1\n")
+
     def test_negative_target_m_is_input_error(self, run):
         assert run(["gen", "random-subcubic", "--n", "5", "--target-m", "-3"]) == (
             2, "", "--target-m must be >= 0, got -3\n"

@@ -323,6 +323,10 @@ class TestRandomGirth6:
     def test_determinism(self):
         assert gen_random_girth6(50, 3, 8) == gen_random_girth6(50, 3, 8)
 
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(GraphError):
+            gen_random_girth6(-1, 3, 1)
+
 
 class TestRandomForest:
     def test_frozen_instance(self):

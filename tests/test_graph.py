@@ -64,6 +64,13 @@ def small_graphs(draw, max_n=8):
     return Graph(n, edges)
 
 
+def graph_error(n, edges):
+    """The text of the GraphError that Graph(n, edges) raises."""
+    with pytest.raises(GraphError) as exc:
+        Graph(n, edges)
+    return str(exc.value)
+
+
 class TestConstruction:
     def test_basic(self):
         g = Graph(4, [(2, 1), (0, 3)])
@@ -78,20 +85,21 @@ class TestConstruction:
         assert g.adj[0] == (1, 3, 4)
 
     def test_loop_rejected(self):
-        with pytest.raises(GraphError):
-            Graph(3, [(1, 1)])
+        assert graph_error(3, [(1, 1)]) == "loop at vertex 1"
 
     def test_duplicate_rejected(self):
-        with pytest.raises(GraphError):
-            Graph(3, [(0, 1), (1, 0)])
+        assert graph_error(3, [(0, 1), (1, 0)]) == "duplicate edge (0, 1)"
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(GraphError):
-            Graph(2, [(0, 2)])
+        assert graph_error(2, [(0, 2)]) == "edge (0, 2) outside vertex range 0..1"
+        assert graph_error(3, [(5, 1)]) == "edge (5, 1) outside vertex range 0..2"
+
+    def test_negative_id_rejected(self):
+        assert graph_error(3, [(-1, 1)]) == "edge (-1, 1) outside vertex range 0..2"
+        assert graph_error(3, [(2, -1)]) == "edge (2, -1) outside vertex range 0..2"
 
     def test_negative_n_rejected(self):
-        with pytest.raises(GraphError):
-            Graph(-1, [])
+        assert graph_error(-1, []) == "negative vertex count -1"
 
     def test_degree_queries(self):
         g = make_star(3)

@@ -301,6 +301,41 @@ def test_checker_flags_a_stale_private_name():
     ]
 
 
+def graph_bypasses(sources: dict[str, str]) -> list[str]:
+    """Calls in ``sources`` (file name -> text) of ``Graph.__new__``, by
+    file and line: an instance made that way skips the checks of
+    ``Graph.__init__``, which every Graph must pass."""
+    found = []
+    for fname, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            func = node.func if isinstance(node, ast.Call) else None
+            if isinstance(func, ast.Attribute) and func.attr == "__new__":
+                owner = func.value
+                if isinstance(owner, ast.Attribute):
+                    name = owner.attr
+                else:
+                    name = getattr(owner, "id", None)
+                if name == "Graph":
+                    found.append(f"{fname}:{node.lineno}")
+    return sorted(found)
+
+
+def test_no_graph_bypass():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert graph_bypasses(sources) == []
+
+
+def test_checker_flags_a_graph_bypass():
+    sources = {
+        "a.py": (
+            "g = Graph.__new__(Graph)\nh = Graph(2, [(0, 1)])\n"
+            "k = graph.Graph.__new__(graph.Graph)\nobject.__new__(Other)\n"
+        ),
+        "b.py": "class Graph:\n    def __new__(cls): pass\nGraph.__new__(Graph)\n",
+    }
+    assert graph_bypasses(sources) == ["a.py:1", "a.py:3", "b.py:3"]
+
+
 def unasserted_parse_errors(source: str, tests: dict[str, str]) -> list[str]:
     """``raise GraphParseError(...)`` statements in ``source`` whose message
     begins with constant text that no string literal in ``tests`` (file

@@ -76,10 +76,16 @@ class _CliError(Exception):
 
 
 def _read_text(path: str) -> str:
+    """The text of a file, or of stdin for "-".  A file's bytes that are
+    not UTF-8 become surrogate escapes, which the parsers reject with their
+    line; stdin decodes as Python set it up, and a failure is bad input."""
     if path == "-":
-        return sys.stdin.read()
+        try:
+            return sys.stdin.read()
+        except UnicodeDecodeError as e:
+            raise _CliError(EXIT_INPUT, f"-: {e}") from None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             return fh.read()
     except OSError as e:
         raise _CliError(EXIT_INPUT, f"cannot read {path}: {e}") from None

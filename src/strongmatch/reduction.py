@@ -47,26 +47,34 @@ The order <= 12 threshold similarly precludes the degenerate order-7
 components that R1, R8 and R9 would otherwise have to special-case.
 
 Implementation: per-vertex alive flags, dynamic degrees, and one heap of
-candidate anchors for FRAG..R11 with integer keys rule * n + vertex; R12
-just takes the smallest vertex still alive.  _file queues each vertex that
-setup or graph._delete reports under the first rule its degree allows, FRAG
-for an end-vertex and R6 for a degree-2 vertex, so a key is never later
-than its anchor's class.  _step_once pops the smallest key, skips a dead
-anchor and looks the anchor up once, which gives its current class and the
-pattern _fire builds its options from.  The anchor fires when its class key
-is no larger than the next key; otherwise that class key is pushed.  R4
-is searched for directly at each end-vertex past R3: a BFS of depth 4
-looks for a second end-vertex at distance exactly 4.  R1, R10 and R11
-anchors are filed once up front, which is sound because vertex deletion
-never creates a subgraph, and their patterns are searched for afresh when
-popped.  R1 anchors are tested only next to twins: in a K33+ at u, the two
-branch vertices not adjacent to u have the same three neighbors, and u is
-adjacent to one of those neighbors; at setup a vertex's alive neighbors
-are all its neighbors, so the twins share their adjacency tuple, and
-setup counts the tuples of every vertex.
+candidate anchors with integer keys rule * n + vertex.  _file queues each
+vertex that setup or graph._delete reports under the first rule its degree
+allows, FRAG for an end-vertex and R6 for a degree-2 vertex, so a key is
+never later than its anchor's class.  run pops the smallest key, skips a
+dead anchor and looks the anchor up once, which gives its current class
+and the pattern _fire builds its options from.  The anchor fires when its
+class key is no larger than the next key; otherwise that class key is
+pushed.  R4 is searched for directly at each end-vertex past R3: a BFS of
+depth 4 looks for a second end-vertex at distance exactly 4.  R1, R10,
+R11 and R12 anchors are filed once up front, which is sound because vertex
+deletion never creates a subgraph, and their patterns are searched for
+afresh when popped.  R1 anchors are tested only next to twins: in a K33+
+at u, the two branch vertices not adjacent to u have the same three
+neighbors, and u is adjacent to one of those neighbors; at setup a
+vertex's alive neighbors are all its neighbors, so the twins share their
+adjacency tuple, and setup counts the tuples of every vertex.
 
-R10 and R11 act only on cubic components.  Their keys pop only once no
-key below R10 is left, and then no alive vertex has degree 1 or 2: it
+Only R1 anchors fire before the last R1 key pops, so an alive R1 anchor
+still has its K33+ then.  FRAG keys sort below R1 but re-file under
+R2..R5: setup consumes every order-2 component, and an R1 step, taken on
+a component of order > 12, lowers only its subdivision vertex's degree,
+so it creates none.  It deletes only branch vertices, which have all
+their neighbors inside their K33+.  K33+ is 2-connected, so a K33+ that
+meets another is the other (two sharing a subdivision vertex share a
+branch vertex), and the step leaves every other K33+ whole.
+
+R10, R11 and R12 act only on cubic components.  Their keys pop only once
+no key below R10 is left, and then no alive vertex has degree 1 or 2: it
 would be of class at most R9, and the next paragraph shows that a vertex
 of class c leaves a filed vertex of class at most c.  Deletion only
 lowers degrees, so an alive vertex of degree 3 has all its input
@@ -74,10 +82,14 @@ neighbors alive, and the alive graph is then a union of input components
 that are cubic, of order > 12 and untouched by any step.  So setup files
 R10 and R11 anchors only at the smallest vertices of the triangles and
 4-cycles of those components, from graph._short_cycles (the pass girth
-also runs) with the components' vertices as roots; an anchor anywhere
-else could only pop dead.  That is enough, because the smallest vertex of
-an alive short cycle stays filed until it fires, so the smallest anchor
-with an alive pattern is always one.
+also runs) with the components' vertices as roots, and an R12 anchor at
+the smallest vertex of each; an anchor anywhere else could only pop dead.
+That is enough, because the smallest vertex of an alive short cycle stays
+filed until it fires, so the smallest anchor with an alive pattern is
+always one, and an alive R12 anchor's component has girth >= 5.  A
+touched component keeps a filed vertex of degree 1 or 2 while any of it
+is alive, and an untouched one its R12 anchor, so no vertex is alive once
+the queue is empty; run checks that.
 
 The queue never goes back to an earlier rule.  Call a vertex filed when it
 has a queue entry under a rule no later than its class.  A component the
@@ -289,12 +301,11 @@ class _Engine:
         self.alive = bytearray(b"\x01" * n)
         self.deg = g.degrees()
         self.steps: list[ReductionStep] = []
-        # candidate anchors for FRAG..R11, each keyed rule * n + vertex
+        # candidate anchors, each keyed rule * n + vertex
         self.queue: list[int] = []
         # adj, alive and deg change in place and are never rebound
         self.k33plus_at = partial(_k33plus_at, self.adj, self.alive, self.deg)
         self.closed = partial(_alive_closed, self.adj, self.alive)
-        self.r12_ptr = 0
         self.mark = [0] * n
         self.mark_gen = 0
 
@@ -302,8 +313,22 @@ class _Engine:
 
     def run(self) -> None:
         need = self._setup()
-        while self._step_once():
-            pass
+        queue = self.queue
+        alive = self.alive
+        n = self.n
+        while queue:
+            rule, u = divmod(heappop(queue), n)
+            if not alive[u]:
+                continue
+            cls, pat = self._lookup(rule, u)
+            key = cls * n + u
+            if not queue or key <= queue[0]:
+                self._fire(cls, u, pat)
+            else:
+                heappush(queue, key)
+        left = alive.find(1)
+        if left >= 0:
+            raise LedgerViolationError(f"vertex {left} is alive but the queue is empty")
         total = sum(len(step.added) for step in self.steps)
         if total < need:
             raise LedgerViolationError(
@@ -319,11 +344,12 @@ class _Engine:
         adj = self.adj
         deg = self.deg
         alive = self.alive
+        queue = self.queue
         isolated = 0
-        # R10 and R11 fire only in cubic components that no step has touched
-        # (see the module docstring), so only their vertices are scanned for
-        # short cycles, which only ever disappear: one scan suffices, in
-        # vertex order, which walks adj faster than BFS order
+        # R10..R12 fire only in untouched cubic components (see the module
+        # docstring): each gets an R12 key at its smallest vertex, and only
+        # their vertices are scanned for short cycles, which only ever
+        # disappear: one scan, in vertex order, walks adj faster than BFS
         cubic = bytearray(n)
         for comp in _walk_components(adj):
             if len(comp) == 1:
@@ -332,12 +358,12 @@ class _Engine:
             elif len(comp) <= BRUTE_FORCE_THRESHOLD:
                 self._consume_component(sorted(comp))
             elif all(deg[v] == 3 for v in comp):
+                queue.append(_R12 * n + comp[0])
                 for v in comp:
                     cubic[v] = 1
         n33 = sum(step.rule == "COMPONENT-K33PLUS" for step in self.steps)
         # what is left alive makes up the components of order > 12
         self._file(compress(range(n), alive))
-        queue = self.queue
         triangles, squares = _short_cycles(adj, compress(range(n), cubic))
         queue += [_R10 * n + s for s in triangles]
         queue += [_R11 * n + s for s in squares]
@@ -370,25 +396,27 @@ class _Engine:
             if deg[v] <= 2:
                 heappush(queue, (_FRAG if deg[v] == 1 else _R6) * n + v)
 
-    def _lookup(self, rule: int, u: int) -> tuple[Optional[int], object]:
+    def _lookup(self, rule: int, u: int) -> tuple[int, object]:
         """(class, pattern) of an alive anchor queued under ``rule``.
 
         For FRAG and R2..R9 that is _classify.  R1, R10 and R11 anchors
-        are searched afresh, as (rule, pattern).  An R1 anchor whose K33+
-        has gone gives (None, None).  An alive R10 or R11 anchor still has
-        its cycle: its key pops only once every alive vertex has degree 3,
-        so its cubic component is untouched (see the module docstring).
-        A lost cycle raises LedgerViolationError.
+        are searched afresh, as (rule, pattern), and an R12 anchor is
+        matched with its smallest alive neighbor.  The queue order keeps
+        their patterns until their keys pop (see the module docstring), so
+        a lost one raises LedgerViolationError.
         """
         if rule == _R1:
             pat = self.k33plus_at(u)
-            return (None, None) if pat is None else (rule, pat)
-        if rule < _R10:
+        elif rule < _R10:
             return self._classify(rule, u)
-        pat = self._find_triangle(u) if rule == _R10 else self._find_c4(u)
+        elif rule == _R12:
+            return rule, ((u, next(w for w in self.adj[u] if self.alive[w])),)
+        else:
+            pat = self._find_triangle(u) if rule == _R10 else self._find_c4(u)
         if pat is None:
+            lost = "K33+" if rule == _R1 else "short cycle"
             raise LedgerViolationError(
-                f"R{rule} anchor {u} is alive but its short cycle is gone"
+                f"R{rule} anchor {u} is alive but its {lost} is gone"
             )
         return rule, pat
 
@@ -470,6 +498,35 @@ class _Engine:
                 best = w
         return best if best >= 0 else None
 
+    def _find_triangle(self, a: int) -> Optional[tuple[Edge]]:
+        """The edge a-b, for the smallest b completing an alive triangle
+        a-b-c, or None."""
+        adj = self.adj
+        alive = self.alive
+        nbrs = [w for w in adj[a] if alive[w]]
+        for i, b in enumerate(nbrs):
+            for c in nbrs[i + 1:]:
+                if c in adj[b]:
+                    return ((a, b),)
+        return None
+
+    def _find_c4(self, a: int) -> Optional[tuple[Edge, ...]]:
+        """The edges, in cycle order, of the lexicographically smallest
+        alive 4-cycle (a, n1, x, n2), or None."""
+        adj = self.adj
+        alive = self.alive
+        nbrs = [w for w in adj[a] if alive[w]]
+        for i, n1 in enumerate(nbrs):
+            for n2 in nbrs[i + 1:]:
+                best_x = -1
+                for x in adj[n1]:
+                    if x != a and alive[x] and x in adj[n2]:
+                        if best_x < 0 or x < best_x:
+                            best_x = x
+                if best_x >= 0:
+                    return ((a, n1), (n1, best_x), (best_x, n2), (n2, a))
+        return None
+
     # -- probes and small components --------------------------------------
 
     def _probe(self, s: int) -> Optional[list[int]]:
@@ -527,65 +584,6 @@ class _Engine:
         for v in comp:
             alive[v] = 0
         self._record(rule, comp, added, 0)
-
-    # -- the step dispatcher ----------------------------------------------
-
-    def _step_once(self) -> bool:
-        queue = self.queue
-        alive = self.alive
-        n = self.n
-        while queue:
-            rule, u = divmod(heappop(queue), n)
-            cls, pat = self._lookup(rule, u) if alive[u] else (None, None)
-            if cls is None:
-                continue
-            key = cls * n + u
-            if not queue or key <= queue[0]:
-                self._fire(cls, u, pat)
-                return True
-            heappush(queue, key)
-        # no vertex of degree 1 or 2 is left anywhere, and no triangle or
-        # 4-cycle, so every remaining component is cubic of girth >= 5 (no
-        # alive vertex has degree 0: setup drops the isolated vertices, and
-        # graph._delete the ones each step isolates)
-        ptr = self.r12_ptr
-        while ptr < n and not alive[ptr]:
-            ptr += 1
-        self.r12_ptr = ptr
-        if ptr < n:
-            v = next(w for w in self.adj[ptr] if alive[w])
-            self._fire(_R12, ptr, ((ptr, v),))
-            return True
-        return False
-
-    def _find_triangle(self, a: int) -> Optional[tuple[Edge]]:
-        """The edge a-b, for the smallest b completing an alive triangle
-        a-b-c, or None."""
-        adj = self.adj
-        alive = self.alive
-        nbrs = [w for w in adj[a] if alive[w]]
-        for i, b in enumerate(nbrs):
-            for c in nbrs[i + 1:]:
-                if c in adj[b]:
-                    return ((a, b),)
-        return None
-
-    def _find_c4(self, a: int) -> Optional[tuple[Edge, ...]]:
-        """The edges, in cycle order, of the lexicographically smallest
-        alive 4-cycle (a, n1, x, n2), or None."""
-        adj = self.adj
-        alive = self.alive
-        nbrs = [w for w in adj[a] if alive[w]]
-        for i, n1 in enumerate(nbrs):
-            for n2 in nbrs[i + 1:]:
-                best_x = -1
-                for x in adj[n1]:
-                    if x != a and alive[x] and x in adj[n2]:
-                        if best_x < 0 or x < best_x:
-                            best_x = x
-                if best_x >= 0:
-                    return ((a, n1), (n1, best_x), (best_x, n2), (n2, a))
-        return None
 
     # -- rule firing -------------------------------------------------------
 

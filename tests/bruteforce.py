@@ -332,6 +332,13 @@ def short_cycle_anchors_in_cubic_components(g: Graph) -> tuple[set, set]:
     return anchors(triangles), anchors(squares)
 
 
+def r12_anchors_in_cubic_components(g: Graph) -> set:
+    """The R12 anchors the reduction engine's setup must file: the smallest
+    vertex of every cubic component of order > 12, found by a plain BFS."""
+    comps = {id(comp): comp for comp in _component_of_each_vertex(g)}.values()
+    return {min(comp) for comp in comps if len(comp) > 12 and _is_cubic(g, comp)}
+
+
 def short_cycle_steps_outside_cubic_components(g: Graph, trace: ReductionTrace) -> list:
     """Indices of the R10, R11 and R12 steps of a trace whose removed
     vertices do not all lie in one cubic component of g, from a plain BFS.

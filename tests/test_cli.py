@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -336,6 +337,61 @@ class TestExact:
         p = write_graph(tmp_path, "c70.el", text)
         assert run(["exact", p]) == (
             2, "", "oracle supports at most 64 edges, got 70\n"
+        )
+
+
+def run_module(argv, stdin: bytes, io_encoding: str):
+    """Run ``python -m strongmatch`` with PYTHONIOENCODING=io_encoding;
+    returns (exit_code, stdout, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "strongmatch", *argv],
+        input=stdin,
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": io_encoding},
+    )
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+class TestInputNotUtf8:
+    """Bytes that are not UTF-8 are bad input, exit 2, never a traceback.
+    A file keeps them as surrogate escapes, so a parser names the line;
+    stdin fails where its own decoding is strict."""
+
+    BAD_EDGE = b"n 3\n0 1\n\xff\xfe 2\n"
+    BAD_COMMENT = b"# \xff\xfe\nn 3\n0 1\n1 2\n"
+    BAD_EDGE_ERR = ": line 3: non-integer vertex id in '\\udcff\\udcfe 2'\n"
+
+    def test_bad_edge_line(self, run, tmp_path):
+        p = tmp_path / "bad.el"
+        p.write_bytes(self.BAD_EDGE)
+        assert run(["stats", str(p)]) == (2, "", f"{p}{self.BAD_EDGE_ERR}")
+
+    def test_bad_comment_line_reads_as_on_stdin(self, tmp_path):
+        p = tmp_path / "bad.el"
+        p.write_bytes(self.BAD_COMMENT)
+        stats = (
+            "n=3\nm=2\ni=0\nn33plus=0\nmax_degree=2\nmin_degree=1\n"
+            "girth=acyclic\ncomponents=1\n"
+        )
+        for argv, data in [([str(p)], b""), (["-"], self.BAD_COMMENT)]:
+            got = run_module(["stats", *argv], data, "utf-8:surrogateescape")
+            assert got == (0, stats, "")
+
+    def test_bad_matching_file(self, run, tmp_path):
+        g = write_graph(tmp_path, "ok.el", "n 3\n0 1\n1 2\n")
+        m = tmp_path / "bad.el"
+        m.write_bytes(self.BAD_EDGE)
+        assert run(["verify", g, str(m)]) == (2, "", f"{m}{self.BAD_EDGE_ERR}")
+
+    @pytest.mark.parametrize(
+        "data,at", [(BAD_EDGE, 8), (BAD_COMMENT, 2)], ids=["edge", "comment"]
+    )
+    def test_strict_stdin(self, data, at):
+        assert run_module(["stats", "-"], data, "utf-8:strict") == (
+            2,
+            "",
+            f"-: 'utf-8' codec can't decode byte 0xff in position {at}: "
+            "invalid start byte\n",
         )
 
 

@@ -34,6 +34,7 @@ from bruteforce import (
     k33plus_subdivision_vertices,
     priority_violations,
     r1_anchors_by_c4_scan,
+    r12_anchors_in_cubic_components,
     replay_trace,
     short_cycle_anchors_in_cubic_components,
     short_cycle_steps_outside_cubic_components,
@@ -47,6 +48,7 @@ from util import (
     make_diamond_chain,
     make_dodecahedron,
     make_k33plus_with_tail,
+    make_lcf,
     make_mixed,
     make_path,
     make_petersen,
@@ -623,19 +625,23 @@ class TestSetupAnchors:
         assert anchors >= 250
 
     def test_short_cycle_keys_match_references(self):
-        tri_total = sq_total = 0
+        tri_total = sq_total = r12_total = 0
         for g in (cubic_beside_short_cycles(), *anchor_corpus()):
             eng = _Engine(g)
             eng._setup()
             n = g.n
             tri = [k - _R10 * n for k in eng.queue if _R10 * n <= k < _R11 * n]
             sq = [k - _R11 * n for k in eng.queue if _R11 * n <= k < _R12 * n]
+            r12 = [k - _R12 * n for k in eng.queue if k >= _R12 * n]
             want_tri, want_sq = short_cycle_anchors_in_cubic_components(g)
             assert (len(set(tri)), len(set(sq))) == (len(tri), len(sq)), g
             assert (set(tri), set(sq)) == (want_tri, want_sq), g
+            assert len(set(r12)) == len(r12), g
+            assert set(r12) == r12_anchors_in_cubic_components(g), g
             tri_total += len(tri)
             sq_total += len(sq)
-        assert tri_total >= 100 and sq_total >= 100
+            r12_total += len(r12)
+        assert tri_total >= 100 and sq_total >= 100 and r12_total >= 100
 
     def test_built_graph_files_only_the_cubic_cycles(self):
         g = cubic_beside_short_cycles()
@@ -643,11 +649,27 @@ class TestSetupAnchors:
         eng._setup()
         keys = sorted(k for k in eng.queue if k >= _R10 * g.n)
         # the ring's diamonds start at 20, 24, 28 and 32, and the ladder's
-        # seven 4-cycles have their smallest vertices at 36..41; nothing
-        # from the path of diamonds at 0..19
+        # seven 4-cycles have their smallest vertices at 36..41; the two
+        # cubic components start at 20 and 36; nothing from the path of
+        # diamonds at 0..19
         assert keys == [_R10 * g.n + v for v in (20, 21, 24, 25, 28, 29, 32, 33)] + [
             _R11 * g.n + v for v in (20, 24, 28, 32, 36, 37, 38, 39, 40, 41)
+        ] + [_R12 * g.n + v for v in (20, 36)]
+
+    def test_r12_fires_at_each_untouched_cubic_component(self):
+        # the ring of diamonds at 20..35 goes first, to R10 and the oracle,
+        # so its R12 key pops dead; the dodecahedron at 0..19 and the
+        # Heawood graph at 36..49 have girth 5 and 6 and get R12 in turn
+        g = disjoint_union(
+            make_dodecahedron(), make_diamond_chain(4, ring=True), make_lcf(14, [5, -5])
+        )
+        _, trace = run_checked(g)
+        assert [(s.rule, s.added) for s in trace.steps if s.rule in ("R10", "R11", "R12")] == [
+            ("R10", ((20, 21),)),
+            ("R12", ((0, 1),)),
+            ("R12", ((36, 37),)),
         ]
+        assert priority_violations(g, trace) == []
 
     def test_short_cycle_rules_stay_in_cubic_components(self):
         fired = 0
@@ -720,6 +742,15 @@ class TestLoudFailure:
         with pytest.raises(LedgerViolationError, match=f"R{rule} anchor 5 is alive"):
             eng._lookup(rule, 5)
 
+    def test_r1_anchor_without_k33plus_raises(self):
+        # only R1 anchors fire before the last R1 key pops, and each leaves
+        # every other K33+ whole
+        eng = _Engine(make_path(20))
+        with pytest.raises(
+            LedgerViolationError, match=r"R1 anchor 5 is alive but its K33\+ is gone"
+        ):
+            eng._lookup(_R1, 5)
+
     def test_degree_two_anchor_beside_end_vertex_raises(self):
         # an R6 key pops only once no end-vertex is alive
         eng = _Engine(make_path(20))
@@ -732,6 +763,41 @@ class TestLoudFailure:
         monkeypatch.setattr(_Engine, "_find_triangle", lambda self, a: None)
         with pytest.raises(LedgerViolationError, match="R10 anchor"):
             find_induced_matching_subcubic(triangle_capped_ladder())
+
+    @pytest.fixture
+    def unfiled(self, monkeypatch):
+        # reported vertices are never queued, so the path's queue is empty
+        # from the start and every vertex stays alive
+        monkeypatch.setattr(_Engine, "_file", lambda self, vertices: None)
+
+    def test_vertex_left_alive_fails_the_run(self, unfiled):
+        with pytest.raises(
+            LedgerViolationError, match="vertex 0 is alive but the queue is empty"
+        ):
+            find_induced_matching_subcubic(make_path(20))
+
+    def test_vertex_left_alive_exits_1(self, unfiled, tmp_path, capsys):
+        p = tmp_path / "g.el"
+        p.write_text(write_edge_list(make_path(20), []))
+        assert main(["match", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "ledger violation: vertex 0 is alive but the queue is empty" in err
+
+    def test_k33plus_pair_goes_to_the_oracle_whole(self):
+        # two K33+ joined at their subdivision vertices 6 and 13: after the
+        # first R1 step the eight vertices left go to the oracle, so no R1
+        # step leaves an order-2 component; the tailed K33+ after them keeps
+        # its own R1 step
+        k = gen_k33plus()
+        pair = Graph(14, [*disjoint_union(k, k).edges, (6, 13)])
+        g = disjoint_union(pair, make_k33plus_with_tail())
+        _, trace = run_checked(g)
+        assert [s.rule for s in trace.steps] == [
+            "R1", "COMPONENT-BRUTE", "R1", "COMPONENT-BRUTE"
+        ]
+        assert trace.steps[1].removed == tuple(range(6, 14))
+        assert priority_violations(g, trace) == []
 
 
 class TestPreconditionsAndBudget:

@@ -1,0 +1,134 @@
+"""Print one sha256 over the reduction traces of a fixed graph corpus.
+
+Run it on two trees to show that a change to the reduction engine leaves
+every trace byte-identical:
+
+    PYTHONPATH=src python3 tests/trace_digest.py
+
+It prints the number of graphs and the sha256 of their concatenated
+format_trace texts, in corpus order.  The corpus, about a minute of work:
+
+- 3,000 random subcubic graphs on 20-300 vertices, m = n, 4n/3 or 3n/2;
+- 1,000 random cubic graphs on 14-212 vertices;
+- 300 random girth-6 graphs of maximum degree 3;
+- 300 random subcubic graphs with 1-4 K33+ blocks attached at their
+  subdivision vertices;
+- 200 disjoint unions of cubic components and K33+ pieces in shuffled
+  order: the dodecahedron, the Petersen graph, the extremal cubic graph,
+  a ring of diamonds, two random cubic graphs, K33+, and two K33+ joined
+  at their subdivision vertices;
+- gen_random_subcubic(100000, 150000, 7100000) and
+  gen_random_cubic(100000, 7100000), the generator graphs of the large
+  benchmark workloads.
+
+Only the standard library and the package are used.  Pytest does not
+collect this file, as its name does not start with ``test_``.
+"""
+
+import hashlib
+
+from strongmatch import (
+    Graph,
+    SplitMix64,
+    find_induced_matching_subcubic,
+    format_trace,
+    gen_extremal_cubic,
+    gen_k33plus,
+    gen_random_cubic,
+    gen_random_girth6,
+    gen_random_subcubic,
+)
+
+
+def union(parts) -> Graph:
+    """The parts side by side, each relabeled past the vertices before it."""
+    edges = []
+    n = 0
+    for part in parts:
+        edges += [(u + n, v + n) for u, v in part.edges]
+        n += part.n
+    return Graph(n, edges)
+
+
+def lcf(n: int, shifts) -> Graph:
+    """Hamilton cycle 0..n-1 plus the chords i -> i + shifts[i mod len]."""
+    edges = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
+    edges |= {tuple(sorted((i, (i + shifts[i % len(shifts)]) % n))) for i in range(n)}
+    return Graph(n, sorted(edges))
+
+
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
+def diamond_ring(k: int) -> Graph:
+    """k diamonds (K4 minus an edge) joined tip to tip in a cycle."""
+    edges = [(0, 4 * k - 1)]
+    for i in range(k):
+        a, b, c, d = range(4 * i, 4 * i + 4)
+        edges += [(a, b), (a, c), (b, c), (b, d), (c, d)]
+        if i + 1 < k:
+            edges.append((d, d + 1))
+    return Graph(4 * k, edges)
+
+
+def with_k33plus_blocks(base: Graph, count: int, seed: int) -> Graph:
+    """base with ``count`` K33+ blocks, each subdivision vertex joined to
+    its own vertex of base of degree at most 2, picked by a shuffle."""
+    free = [v for v in range(base.n) if len(base.adj[v]) <= 2]
+    SplitMix64(seed).shuffle(free)
+    count = min(count, len(free))
+    g = union([base] + [gen_k33plus()] * count)
+    ties = [(free[k], base.n + 7 * k + 6) for k in range(count)]
+    return Graph(g.n, list(g.edges) + ties)
+
+
+def cubic_union(seed: int) -> Graph:
+    k33 = gen_k33plus()
+    pieces = [
+        lcf(20, [10, 7, 4, -4, -7, 10, -4, 7, -7, 4]),  # dodecahedron
+        petersen(),
+        gen_extremal_cubic(),
+        diamond_ring(3 + seed % 3),
+        gen_random_cubic(14 + 2 * (seed % 14), 2_000_000 + seed),
+        gen_random_cubic(14 + 2 * ((seed * 5) % 14), 2_100_000 + seed),
+        k33,
+        Graph(14, list(union([k33, k33]).edges) + [(6, 13)]),
+    ]
+    SplitMix64(seed).shuffle(pieces)
+    return union(pieces)
+
+
+def corpus():
+    for i in range(3_000):
+        n = 20 + (7 * i) % 281
+        yield gen_random_subcubic(n, (n, 4 * n // 3, 3 * n // 2)[i % 3], 1_200_000 + i)
+    for i in range(1_000):
+        yield gen_random_cubic(14 + 2 * ((13 * i) % 100), 1_300_000 + i)
+    for i in range(300):
+        yield gen_random_girth6(50 + i, 3, 1_400_000 + i)
+    for i in range(300):
+        n = 20 + i % 150
+        base = gen_random_subcubic(n, n * (4 + i % 2) // (3 + i % 2), 1_500_000 + i)
+        yield with_k33plus_blocks(base, 1 + i % 4, i)
+    for i in range(200):
+        yield cubic_union(i)
+    yield gen_random_subcubic(100_000, 150_000, 7_100_000)
+    yield gen_random_cubic(100_000, 7_100_000)
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    count = 0
+    for g in corpus():
+        _, trace = find_induced_matching_subcubic(g)
+        digest.update(format_trace(trace).encode())
+        count += 1
+    print(f"graphs={count} sha256={digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

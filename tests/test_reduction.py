@@ -624,6 +624,21 @@ class TestSetupAnchors:
             anchors += len(keys)
         assert anchors >= 250
 
+    def test_k33plus_pair_goes_to_the_oracle_whole(self):
+        # two K33+ joined at their subdivision vertices 6 and 13: after the
+        # first R1 step the eight vertices left go to the oracle, so no R1
+        # step leaves an order-2 component; the tailed K33+ after them keeps
+        # its own R1 step
+        k = gen_k33plus()
+        pair = Graph(14, [*disjoint_union(k, k).edges, (6, 13)])
+        g = disjoint_union(pair, make_k33plus_with_tail())
+        _, trace = run_checked(g)
+        assert [s.rule for s in trace.steps] == [
+            "R1", "COMPONENT-BRUTE", "R1", "COMPONENT-BRUTE"
+        ]
+        assert trace.steps[1].removed == tuple(range(6, 14))
+        assert priority_violations(g, trace) == []
+
     def test_short_cycle_keys_match_references(self):
         tri_total = sq_total = r12_total = 0
         for g in (cubic_beside_short_cycles(), *anchor_corpus()):
@@ -664,11 +679,10 @@ class TestSetupAnchors:
             make_dodecahedron(), make_diamond_chain(4, ring=True), make_lcf(14, [5, -5])
         )
         _, trace = run_checked(g)
-        assert [(s.rule, s.added) for s in trace.steps if s.rule in ("R10", "R11", "R12")] == [
-            ("R10", ((20, 21),)),
-            ("R12", ((0, 1),)),
-            ("R12", ((36, 37),)),
+        short = [
+            (s.rule, s.added) for s in trace.steps if s.rule in ("R10", "R11", "R12")
         ]
+        assert short == [("R10", ((20, 21),)), ("R12", ((0, 1),)), ("R12", ((36, 37),))]
         assert priority_violations(g, trace) == []
 
     def test_short_cycle_rules_stay_in_cubic_components(self):
@@ -783,21 +797,6 @@ class TestLoudFailure:
         out, err = capsys.readouterr()
         assert out == ""
         assert "ledger violation: vertex 0 is alive but the queue is empty" in err
-
-    def test_k33plus_pair_goes_to_the_oracle_whole(self):
-        # two K33+ joined at their subdivision vertices 6 and 13: after the
-        # first R1 step the eight vertices left go to the oracle, so no R1
-        # step leaves an order-2 component; the tailed K33+ after them keeps
-        # its own R1 step
-        k = gen_k33plus()
-        pair = Graph(14, [*disjoint_union(k, k).edges, (6, 13)])
-        g = disjoint_union(pair, make_k33plus_with_tail())
-        _, trace = run_checked(g)
-        assert [s.rule for s in trace.steps] == [
-            "R1", "COMPONENT-BRUTE", "R1", "COMPONENT-BRUTE"
-        ]
-        assert trace.steps[1].removed == tuple(range(6, 14))
-        assert priority_violations(g, trace) == []
 
 
 class TestPreconditionsAndBudget:

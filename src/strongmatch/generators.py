@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import deque
 from collections.abc import Iterator
 from functools import partial
 from itertools import chain, islice, repeat
 from operator import eq, le, mod
+from typing import Optional
 
 from .graph import Edge, Graph, GraphError, normalize_edge
 
@@ -288,8 +288,10 @@ def gen_random_girth6(n: int, max_degree: int, seed: int) -> Graph:
     """Random graph of girth >= 6 under a degree cap.
 
     Edge insertion as in gen_random_bounded_degree, but a candidate u-v is
-    also rejected unless the current distance between u and v is at least 5
-    (checked by a depth-4 BFS), so every created cycle has length >= 6.
+    also rejected unless the current distance between u and v is at least 5,
+    so every created cycle has length >= 6.  dist(u, v) <= 4 exactly when
+    the radius-2 balls of u and v meet, so the generator keeps the ball of
+    each vertex that has room and tests the two sets for a common vertex.
     Attempt limit: 10 * n * max_degree.
     """
     if max_degree < 1:
@@ -298,35 +300,37 @@ def gen_random_girth6(n: int, max_degree: int, seed: int) -> Graph:
     edges: list[Edge] = []
     if n < 2:
         return Graph(n, edges)
+    # ball[x]: the vertices within distance 2 of x; None once x is full, as
+    # the degree test rejects a full vertex before its ball would be read
+    ball: list[Optional[set[int]]] = [{x} for x in range(n)]
     d = SplitMix64(seed).draws(n)
     for u, v in islice(zip(d, d), 10 * n * max_degree):
         if u == v:
             continue
-        if len(adj[u]) >= max_degree or len(adj[v]) >= max_degree:
+        nu, nv = adj[u], adj[v]
+        if len(nu) >= max_degree or len(nv) >= max_degree:
             continue
-        if _within_distance4(adj, u, v):
+        bu, bv = ball[u], ball[v]
+        if not bu.isdisjoint(bv):
             continue
-        adj[u].append(v)
-        adj[v].append(u)
+        # the new paths of length <= 2 run through u-v
+        for x in nu:
+            if ball[x]:
+                ball[x].add(v)
+        for x in nv:
+            if ball[x]:
+                ball[x].add(u)
+        bu.update(nv, (v,))
+        bv.update(nu, (u,))
+        nu.append(v)
+        nv.append(u)
         edges.append((u, v))
+        if len(nu) == max_degree:
+            ball[u] = None
+        if len(nv) == max_degree:
+            ball[v] = None
+    del ball  # the balls of vertices with room go before Graph allocates
     return Graph(n, edges)
-
-
-def _within_distance4(adj: list[list[int]], u: int, v: int) -> bool:
-    dist = {u: 0}
-    queue = deque((u,))
-    while queue:
-        x = queue.popleft()
-        d = dist[x]
-        if d == 4:
-            continue
-        for w in adj[x]:
-            if w not in dist:
-                if w == v:
-                    return True
-                dist[w] = d + 1
-                queue.append(w)
-    return v in dist
 
 
 def gen_random_forest(n: int, seed: int, attach_percent: int = 75) -> Graph:

@@ -12,7 +12,7 @@ from functools import cache
 from itertools import combinations, permutations
 from typing import Iterator, Optional
 
-from strongmatch import Graph, ReductionTrace, verify_induced_matching
+from strongmatch import Graph, ReductionTrace, SplitMix64, verify_induced_matching
 from strongmatch.graph import _k33plus_at
 
 
@@ -487,3 +487,40 @@ def splitmix64_reference(seed: int) -> Iterator[int]:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         yield z ^ (z >> 31)
+
+
+def girth6_generator_by_bfs(n: int, max_degree: int, seed: int) -> Graph:
+    """gen_random_girth6 with the distance test done by a BFS to depth 4
+    from u for each candidate u-v.  The draws are SplitMix64.draws, which
+    tests pin against splitmix64_reference on their own."""
+    edges = []
+    if n < 2:
+        return Graph(n, edges)
+    adj = [[] for _ in range(n)]
+    draws = SplitMix64(seed).draws(n)
+    for _ in range(10 * n * max_degree):
+        u, v = next(draws), next(draws)
+        if u == v or len(adj[u]) >= max_degree or len(adj[v]) >= max_degree:
+            continue
+        if not _within_distance4_by_bfs(adj, u, v):
+            adj[u].append(v)
+            adj[v].append(u)
+            edges.append((u, v))
+    return Graph(n, edges)
+
+
+def _within_distance4_by_bfs(adj: list, u: int, v: int) -> bool:
+    dist = {u: 0}
+    queue = deque((u,))
+    while queue:
+        x = queue.popleft()
+        d = dist[x]
+        if d == 4:
+            continue
+        for w in adj[x]:
+            if w not in dist:
+                if w == v:
+                    return True
+                dist[w] = d + 1
+                queue.append(w)
+    return v in dist

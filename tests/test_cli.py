@@ -395,6 +395,50 @@ class TestInputNotUtf8:
         )
 
 
+class TestStrictInput:
+    """Ids and counts are ASCII decimal digits, and one leading UTF-8
+    byte-order mark is dropped: the same on files and on stdin, in both
+    formats."""
+
+    STATS = '{"n": 3, "m": 2, "i": 0, "n33plus": 0, "max_degree": 2, ' \
+        '"min_degree": 1, "girth": "acyclic", "components": 1}\n'
+    BOM = b"\xef\xbb\xbf"
+    GOOD = [(b"n 3\n0 1\n1 2\n", "edge-list"), (b"p edge 3 2\ne 1 2\ne 2 3\n", "dimacs")]
+    BAD = [
+        (
+            "n 12\n1_0 2\n\u0663 4\n", "edge-list",
+            ": line 2: non-integer vertex id in '1_0 2'\n",
+        ),
+        (
+            "n 12\n\u0663 4\n", "edge-list",
+            ": line 2: non-integer vertex id in '\u0663 4'\n",
+        ),
+        (
+            "p edge 3 1\ne +3 1_1\n", "dimacs",
+            ": line 2: non-integer vertex id in 'e +3 1_1'\n",
+        ),
+    ]
+
+    @pytest.mark.parametrize("data,fmt", GOOD, ids=["edge-list", "dimacs"])
+    def test_bom_file_and_stdin(self, tmp_path, data, fmt):
+        p = tmp_path / "bom.txt"
+        p.write_bytes(self.BOM + data)
+        for argv, stdin in [([str(p)], b""), (["-"], self.BOM + data)]:
+            got = run_module(["stats", *argv, "--format", fmt, "--json"], stdin, "utf-8")
+            assert got == (0, self.STATS, "")
+
+    @pytest.mark.parametrize(
+        "text,fmt,err", BAD, ids=["underscore", "arabic-indic", "dimacs-plus"]
+    )
+    def test_non_decimal_ids_file_and_stdin(self, run, tmp_path, text, fmt, err):
+        p = tmp_path / "bad.txt"
+        p.write_text(text, encoding="utf-8")
+        assert run(["stats", str(p), "--format", fmt, "--json"]) == (2, "", f"{p}{err}")
+        assert run(["stats", "-", "--format", fmt, "--json"], stdin=text) == (
+            2, "", f"-{err}",
+        )
+
+
 class TestVerify:
     @pytest.fixture
     def p5_file(self, tmp_path):

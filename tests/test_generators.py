@@ -21,7 +21,11 @@ from strongmatch import (
     girth,
 )
 
-from bruteforce import is_k33plus_by_isomorphism, splitmix64_reference
+from bruteforce import (
+    girth6_generator_by_bfs,
+    is_k33plus_by_isomorphism,
+    splitmix64_reference,
+)
 
 
 def below_reference(stream, bound: int) -> int:
@@ -327,6 +331,19 @@ class TestRandomGirth6:
         with pytest.raises(GraphError):
             gen_random_girth6(-1, 3, 1)
 
+    # spreads of acceptance criterion 06's schedule (n 6..100, cap 2..5) and
+    # of the benchmark's small girth-6 stream (n 4..60), cap 1, n 0 and 1
+    REFERENCE_ARGS = (
+        [(6 + (11 * i) % 95, 2 + i % 4, 930_000 + i) for i in range(0, 1000, 13)]
+        + [(4 + (7 * k) % 57, 2 + k % 4, 8_000_002 + 5 * k) for k in range(0, 300, 7)]
+        + [(n, 1, seed) for n in (2, 3, 17, 60) for seed in (1, 2)]
+        + [(n, cap, 5) for n in (0, 1) for cap in (1, 3)]
+    )
+
+    def test_matches_bfs_reference(self):
+        for args in self.REFERENCE_ARGS:
+            assert gen_random_girth6(*args) == girth6_generator_by_bfs(*args), args
+
 
 class TestRandomForest:
     def test_frozen_instance(self):
@@ -377,6 +394,8 @@ class TestGoldens:
              "3b26bc9691cbd99602113a76c544c88f4e031dca57207ce82cd8a6d554df621e"),
             (gen_random_girth6, (2000, 3, 606), 2963,
              "0e31df841c6692bab17756b1ed2524a97a12e73673b560d23da282f7da1d540b"),
+            (gen_random_girth6, (2000, 5, 2021), 4975,
+             "02d980d6140281f2e01977752121943f01d83c2ab04093d6a6d0bbe407dc1506"),
             (gen_random_forest, (5000, 77), 3709,
              "2175385b10573cc1e399759f79f40955679a73151282b4647179e6c7ffec3e7a"),
             (gen_random_bounded_degree, (0, 5, 3, 1), 0, EMPTY),
@@ -399,7 +418,7 @@ class TestGoldens:
              "39f02f35d9d2cd89662d3239349ebbe2233f6395bdc369bfa0ccf313861b2992"),
         ],
         ids=[
-            "subcubic-20k", "bounded-delta5", "cubic-2k", "girth6-delta3",
+            "subcubic-20k", "bounded-delta5", "cubic-2k", "girth6-delta3", "girth6-delta5",
             "forest-5k", "bounded-n0", "bounded-n1", "subcubic-n2", "girth6-n0",
             "girth6-n1", "forest-n0", "forest-n1", "bounded-target-minus5",
             "bounded-target-minus1", "bounded-target-0", "bounded-max-degree-1",

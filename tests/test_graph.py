@@ -28,6 +28,7 @@ from strongmatch.graph import (
     _conflicts,
     _delete,
     _incident_lists,
+    _integer,
     _isolated_after,
     _k33plus_at,
     _short_cycles,
@@ -756,6 +757,81 @@ class TestDimacsFormat:
 
     def test_unknown_format(self):
         assert str(parse_error("", "graphml")) == "unknown format 'graphml'"
+
+
+class TestStrictTokens:
+    """Ids and counts are ASCII decimal digits in both formats; a leading
+    '-' keeps its negative texts, and one leading byte-order mark is
+    dropped."""
+
+    @pytest.mark.parametrize(
+        "text,fmt,want",
+        [
+            ("n 12\n1_0 2\n\u0663 4\n", "edge-list",
+             "line 2: non-integer vertex id in '1_0 2'"),
+            ("n 12\n\u0663 4\n", "edge-list",
+             "line 2: non-integer vertex id in '\u0663 4'"),
+            ("0 +1\n", "edge-list", "line 1: non-integer vertex id in '0 +1'"),
+            ("n +5\n", "edge-list", "line 1: bad vertex count '+5'"),
+            ("n 1_0\n", "edge-list", "line 1: bad vertex count '1_0'"),
+            ("# caf\u00e9\n0 -2\n", "edge-list",
+             "line 2: negative vertex id in '0 -2'"),
+            ("# a_b\nn -2\n", "edge-list", "line 2: negative vertex count -2"),
+            ("p edge 3 1\ne +3 1_1\n", "dimacs",
+             "line 2: non-integer vertex id in 'e +3 1_1'"),
+            ("p edge 3 1\ne \uff11 2\n", "dimacs",
+             "line 2: non-integer vertex id in 'e \uff11 2'"),
+            ("p edge +3 1\n", "dimacs", "line 1: bad problem line 'p edge +3 1'"),
+            ("c \u00e9\np edge 3 -1\n", "dimacs",
+             "line 2: negative counts in 'p edge 3 -1'"),
+            ("c +\np edge 3 1\ne -1 2\n", "dimacs",
+             "line 3: dimacs ids are 1-based, got 'e -1 2'"),
+            ("\ufeff\ufeffn 3\n", "edge-list",
+             "line 1: non-integer vertex id in '\\ufeffn 3'"),
+        ],
+        ids=[
+            "underscore-id", "arabic-indic-id", "plus-id", "plus-count",
+            "underscore-count", "negative-id-non-ascii-text",
+            "negative-count-underscore-text", "dimacs-plus-underscore",
+            "dimacs-fullwidth-id", "dimacs-plus-count", "dimacs-negative-count",
+            "dimacs-negative-id", "second-bom",
+        ],
+    )
+    def test_rejected(self, text, fmt, want):
+        assert str(parse_error(text, fmt)) == want
+
+    @pytest.mark.parametrize(
+        "text,fmt",
+        [
+            ("\ufeffn 3\n0 1\n1 2\n", "edge-list"),
+            ("\ufeff0 1\n1 2\n", "edge-list"),
+            ("\ufeffp edge 3 2\ne 1 2\ne 2 3\n", "dimacs"),
+            ("# caf\u00e9 +_\nn 3\n00 1\n1 2\n", "edge-list"),
+            ("c \u00e9_+\np edge 3 2\ne 1 2\ne 2 3\n", "dimacs"),
+        ],
+        ids=["bom", "bom-no-directive", "dimacs-bom", "comment", "dimacs-comment"],
+    )
+    def test_accepted(self, text, fmt):
+        g = parse_graph(text, fmt)
+        assert (g.n, g.edges) == (3, ((0, 1), (1, 2)))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="0123456789-+_ \u0663\uff11a", min_size=1, max_size=6))
+    def test_int_agrees_on_plain_tokens(self, token):
+        # parse reads plain ASCII text with int() and other text with _integer
+        token = token.strip() or "0"
+        try:
+            want = _integer(token)
+        except ValueError:
+            want = None
+        body = token[1:] if token.startswith("-") else token
+        assert (want is not None) == (body.isascii() and body.isdigit())
+        if token.isascii() and "+" not in token and "_" not in token:
+            try:
+                got = int(token)
+            except ValueError:
+                got = None
+            assert got == want
 
 
 class TestWriteEdgeList:

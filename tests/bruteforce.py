@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: plain enumeration with no shared
 code paths beyond the Graph container and the matching validity checker,
-so that agreement with the library is meaningful evidence.  The one
-exception, r1_anchors_by_c4_scan, keeps the library's K33+ recognizer on
-purpose: it pins the engine's R1 candidate filter, not the recognizer.
+so that agreement with the library is meaningful evidence.  Two
+exceptions: r1_anchors_by_c4_scan keeps the library's K33+ recognizer on
+purpose, as it pins the engine's R1 candidate filter, not the recognizer;
+girth6_generator_by_bfs takes its draws from SplitMix64.draws, as it pins
+the generator's distance test, not the stream.
 """
 
 from collections import deque

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -816,22 +817,20 @@ class TestStrictTokens:
         assert (g.n, g.edges) == (3, ((0, 1), (1, 2)))
 
     @settings(max_examples=500, deadline=None)
-    @given(st.text(alphabet="0123456789-+_ \u0663\uff11a", min_size=1, max_size=6))
-    def test_int_agrees_on_plain_tokens(self, token):
-        # parse reads plain ASCII text with int() and other text with _integer
-        token = token.strip() or "0"
-        try:
-            want = _integer(token)
-        except ValueError:
-            want = None
-        body = token[1:] if token.startswith("-") else token
-        assert (want is not None) == (body.isascii() and body.isdigit())
-        if token.isascii() and "+" not in token and "_" not in token:
+    @given(st.text(alphabet="0123456789-+_\u0663\uff11a", min_size=1, max_size=6))
+    def test_token_rule(self, token):
+        # _integer takes exactly -?[0-9]+; parse reads ASCII text with no '+'
+        # or '_' with int() instead, which must agree with it there
+        def value(read):
             try:
-                got = int(token)
+                return read(token)
             except ValueError:
-                got = None
-            assert got == want
+                return None
+
+        want = int(token) if re.fullmatch("-?[0-9]+", token) else None
+        assert value(_integer) == want
+        if token.isascii() and "+" not in token and "_" not in token:
+            assert value(int) == want
 
 
 class TestWriteEdgeList:

@@ -13,6 +13,8 @@ The search itself, _max_independent, sees only the conflict bitmasks that
 _conflict_masks builds from an adjacency and a sorted edge list.  The public
 entry runs it on a Graph; the reduction engine runs it on each small
 component straight from its alive adjacency, with no Graph per component.
+_conflict_masks has a third caller, the general greedy, which runs on these
+masks for graphs of up to greedy.MASK_EDGE_CAP edges.
 """
 
 from __future__ import annotations
@@ -38,22 +40,22 @@ def _conflict_masks(adj: Sequence[Sequence[int]], edges: Sequence[Edge]) -> list
     into ``edges`` of the edges that meet N(u) | N(v), where edges[i] is uv,
     i excluded.  That is N[u] | N[v], as v is in N(u).  ``adj`` may list
     neighbors that carry no edge of ``edges``; they add nothing.  Symmetric
-    and loop-free by construction."""
+    and loop-free by construction.  The dicts are keyed by endpoints only,
+    so a small component of a large graph costs nothing of size n."""
     incident: dict[int, int] = {}
     for i, (u, v) in enumerate(edges):
         bit = 1 << i
         incident[u] = incident.get(u, 0) | bit
         incident[v] = incident.get(v, 0) | bit
     at = incident.get
-    masks = []
-    for i, (u, v) in enumerate(edges):
+    # near[x]: the edges meeting N(x), once per endpoint x
+    near: dict[int, int] = {}
+    for x in incident:
         mask = 0
-        for x in adj[u]:
-            mask |= at(x, 0)
-        for x in adj[v]:
-            mask |= at(x, 0)
-        masks.append(mask & ~(1 << i))
-    return masks
+        for y in adj[x]:
+            mask |= at(y, 0)
+        near[x] = mask
+    return [(near[u] | near[v]) & ~(1 << i) for i, (u, v) in enumerate(edges)]
 
 
 def exact_strong_matching_number(

@@ -18,6 +18,8 @@ from strongmatch import (
     greedy_induced_matching,
     verify_induced_matching,
 )
+from strongmatch import greedy as greedy_module
+from strongmatch.greedy import MASK_EDGE_CAP, _greedy_by_lists, _greedy_by_masks
 
 from bruteforce import forest_greedy_by_conflicts, least_conflict_greedy_by_rescan
 from corpus import build_instance, determinism_corpus, small_corpus
@@ -105,26 +107,32 @@ class TestGeneralGreedy:
         )
 
 
+def assert_paths_match_rescan(g, *context):
+    """Both representations of the general greedy, called directly, pick
+    what a full recount of live conflicts would pick."""
+    want = least_conflict_greedy_by_rescan(g)
+    for path in (_greedy_by_masks, _greedy_by_lists):
+        assert path(g) == want, (path.__name__, *context)
+
+
 class TestGeneralGreedyMatchesRescan:
     """The queue picks what a full recount of live conflicts would pick."""
 
     def test_corpora(self):
         for family, params, seed in small_corpus() + determinism_corpus():
             g = build_instance(family, params, seed)
-            assert greedy_induced_matching(g) == least_conflict_greedy_by_rescan(
-                g
-            ), (family, params, seed)
+            assert_paths_match_rescan(g, family, params, seed)
 
     def test_bounded_degree(self):
         for seed in range(120):
             dmax = 1 + seed % 6
             g = gen_random_bounded_degree(24, 10 + seed % 50, dmax, 1_200 + seed)
-            assert greedy_induced_matching(g) == least_conflict_greedy_by_rescan(g)
+            assert_paths_match_rescan(g, seed)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 12])
     def test_stars_and_cliques(self, k):
         for g in (make_star(k), make_complete(k), make_complete(k + 1)):
-            assert greedy_induced_matching(g) == least_conflict_greedy_by_rescan(g)
+            assert_paths_match_rescan(g, g.n)
 
     @pytest.mark.parametrize(
         "g",
@@ -136,12 +144,51 @@ class TestGeneralGreedyMatchesRescan:
         ],
     )
     def test_edgeless_and_isolated(self, g):
-        assert greedy_induced_matching(g) == least_conflict_greedy_by_rescan(g)
+        assert_paths_match_rescan(g)
 
     @settings(max_examples=300, deadline=None)
     @given(graphs_with_isolated())
     def test_hypothesis(self, g):
-        assert greedy_induced_matching(g) == least_conflict_greedy_by_rescan(g)
+        assert_paths_match_rescan(g)
+
+
+class TestGeneralGreedyPaths:
+    """The mask and list representations agree where the rescan is too slow."""
+
+    @pytest.mark.parametrize(
+        "m,dmax",
+        [(m, d) for m in (MASK_EDGE_CAP - 1, MASK_EDGE_CAP, MASK_EDGE_CAP + 1)
+         for d in range(1, 9)]
+        + [(1_536, 5), (2_048, 2), (2_048, 8), (3_072, 6), (4_096, 3), (4_096, 7)],
+    )
+    def test_paths_agree(self, m, dmax):
+        # room for every edge plus isolated vertices
+        n = 3 * m // dmax + 50
+        g = gen_random_bounded_degree(n, m, dmax, 1_090_000 + m + dmax)
+        assert (g.m, g.max_degree()) == (m, dmax)
+        assert any(not g.adj[v] for v in range(n))
+        got = _greedy_by_masks(g)
+        assert got == _greedy_by_lists(g)
+        assert greedy_induced_matching(g) == got
+
+    @pytest.mark.parametrize(
+        "m,path", [(MASK_EDGE_CAP, "_greedy_by_masks"), (MASK_EDGE_CAP + 1, "_greedy_by_lists")]
+    )
+    def test_cap_picks_the_path(self, monkeypatch, m, path):
+        ran = []
+        for name in ("_greedy_by_masks", "_greedy_by_lists"):
+            monkeypatch.setattr(greedy_module, name, lambda g, name=name: ran.append(name))
+        greedy_induced_matching(gen_random_bounded_degree(3 * m, m, 3, 1_091_000 + m))
+        assert ran == [path]
+
+    def test_below_cap_sha256(self):
+        # the mask path at maximum degree 6, hashed from the list-only greedy
+        g = gen_random_bounded_degree(400, 1_000, 6, 1_092_000)
+        assert (g.m, g.max_degree()) == (1_000, 6)
+        text = ",".join(f"{u}-{v}" for u, v in greedy_induced_matching(g))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "855412546d89efa920837b9d98d0f3e0620a9981431d425f59e9fcc38a3eab32"
+        )
 
 
 class TestForestGreedy:

@@ -9,6 +9,7 @@ from strongmatch import (
     exact_strong_matching_number,
     gen_extremal_cubic,
     gen_k33plus,
+    gen_random_bounded_degree,
     gen_random_subcubic,
     verify_induced_matching,
 )
@@ -135,8 +136,18 @@ class TestConflictGraph:
         assert _conflict_masks(g.adj, [(1, 2), (2, 3)]) == [0b10, 0b01]
 
     def test_agrees_with_reference_relation(self):
-        for seed in range(60):
-            g = gen_random_subcubic(12, 6 + seed % 13, 1_100_000 + seed)
+        # subcubic graphs, then graphs of maximum degree 4-6 on enough
+        # vertices to leave some isolated
+        graphs = [
+            gen_random_subcubic(12, 6 + seed % 13, 1_100_000 + seed) for seed in range(60)
+        ]
+        graphs += [
+            gen_random_bounded_degree(30, 10 + seed % 40, 4 + seed % 3, 1_101_000 + seed)
+            for seed in range(30)
+        ]
+        assert any(g.max_degree() == 6 for g in graphs)
+        assert any(not g.adj[v] for g in graphs for v in range(g.n))
+        for seed, g in enumerate(graphs):
             want = [
                 sum(
                     1 << j

@@ -1,12 +1,17 @@
-"""Print one sha256 over the reduction traces of a fixed graph corpus.
+"""Print one sha256 over the reduction traces of a fixed graph corpus, and
+one over the general greedy's matchings of the same corpus.
 
-Run it on two trees to show that a change to the reduction engine leaves
-every trace byte-identical:
+Run it on two trees to show that a change to the reduction engine or to
+the general greedy leaves every trace and every greedy matching
+byte-identical:
 
     PYTHONPATH=src python3 tests/trace_digest.py
 
-It prints the number of graphs and the sha256 of their concatenated
-format_trace texts, in corpus order.  The corpus, about a minute of work:
+The first line gives the number of graphs and the sha256 of their
+concatenated format_trace texts, in corpus order.  The second gives the
+sha256 of greedy_induced_matching's matchings, one line of ``u-v`` pairs
+per graph in corpus order; the two 100k graphs run its list path and the
+rest its mask path.  The corpus, about a minute of work:
 
 - 3,000 random subcubic graphs on 20-300 vertices, m = n, 4n/3 or 3n/2;
 - 1,000 random cubic graphs on 14-212 vertices;
@@ -37,6 +42,7 @@ from strongmatch import (
     gen_random_cubic,
     gen_random_girth6,
     gen_random_subcubic,
+    greedy_induced_matching,
 )
 
 
@@ -122,12 +128,16 @@ def corpus():
 
 def main() -> None:
     digest = hashlib.sha256()
+    greedy_digest = hashlib.sha256()
     count = 0
     for g in corpus():
         _, trace = find_induced_matching_subcubic(g)
         digest.update(format_trace(trace).encode())
+        pairs = " ".join(f"{u}-{v}" for u, v in greedy_induced_matching(g))
+        greedy_digest.update(f"{pairs}\n".encode())
         count += 1
     print(f"graphs={count} sha256={digest.hexdigest()}")
+    print(f"greedy graphs={count} sha256={greedy_digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -157,8 +157,11 @@ class TestGeneralGreedyPaths:
 
     @pytest.mark.parametrize(
         "m,dmax",
-        [(m, d) for m in (MASK_EDGE_CAP - 1, MASK_EDGE_CAP, MASK_EDGE_CAP + 1)
-         for d in range(1, 9)]
+        [
+            (m, d)
+            for m in (MASK_EDGE_CAP - 1, MASK_EDGE_CAP, MASK_EDGE_CAP + 1)
+            for d in range(1, 9)
+        ]
         + [(1_536, 5), (2_048, 2), (2_048, 8), (3_072, 6), (4_096, 3), (4_096, 7)],
     )
     def test_paths_agree(self, m, dmax):
@@ -172,17 +175,21 @@ class TestGeneralGreedyPaths:
         assert greedy_induced_matching(g) == got
 
     @pytest.mark.parametrize(
-        "m,path", [(MASK_EDGE_CAP, "_greedy_by_masks"), (MASK_EDGE_CAP + 1, "_greedy_by_lists")]
+        "m,path",
+        [(MASK_EDGE_CAP, "_greedy_by_masks"), (MASK_EDGE_CAP + 1, "_greedy_by_lists")],
     )
     def test_cap_picks_the_path(self, monkeypatch, m, path):
         ran = []
         for name in ("_greedy_by_masks", "_greedy_by_lists"):
             monkeypatch.setattr(greedy_module, name, lambda g, name=name: ran.append(name))
-        greedy_induced_matching(gen_random_bounded_degree(3 * m, m, 3, 1_091_000 + m))
+        g = gen_random_bounded_degree(3 * m, m, 3, 1_091_000 + m)
+        assert g.m == m
+        greedy_induced_matching(g)
         assert ran == [path]
 
     def test_below_cap_sha256(self):
-        # the mask path at maximum degree 6, hashed from the list-only greedy
+        # the mask path at maximum degree 6; the digest was taken from the
+        # list path, before the mask path existed
         g = gen_random_bounded_degree(400, 1_000, 6, 1_092_000)
         assert (g.m, g.max_degree()) == (1_000, 6)
         text = ",".join(f"{u}-{v}" for u, v in greedy_induced_matching(g))

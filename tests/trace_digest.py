@@ -11,7 +11,7 @@ The first line gives the number of graphs and the sha256 of their
 concatenated format_trace texts, in corpus order.  The second gives the
 sha256 of greedy_induced_matching's matchings, one line of ``u-v`` pairs
 per graph in corpus order; the two 100k graphs run its list path and the
-rest its mask path.  The corpus, about a minute of work:
+rest its mask path.  The corpus, about 25 s of work on a 2-core Xeon:
 
 - 3,000 random subcubic graphs on 20-300 vertices, m = n, 4n/3 or 3n/2;
 - 1,000 random cubic graphs on 14-212 vertices;

@@ -25,7 +25,7 @@ from .graph import (
     girth,
     normalize_edge,
 )
-from .oracle import _conflict_masks
+from .oracle import _bits, _conflict_masks
 
 # the largest m that greedy_induced_matching runs on conflict bitmasks
 MASK_EDGE_CAP = 1_024
@@ -94,18 +94,12 @@ def _greedy_by_masks(g: Graph) -> list[Edge]:
         killed = (masks[i] | 1 << i) & alive
         alive ^= killed
         hits = 0
-        while killed:
-            low = killed & -killed
-            hits |= masks[low.bit_length() - 1]
-            killed ^= low
-        hits &= alive
-        while hits:
-            low = hits & -hits
-            t = low.bit_length() - 1
+        for j in _bits(killed):
+            hits |= masks[j]
+        for t in _bits(hits & alive):
             k = (masks[t] & alive).bit_count()
             cdeg[t] = k
             heappush(heap, k * m + t)
-            hits ^= low
     return sorted(chosen)
 
 

@@ -57,10 +57,10 @@ def greedy_induced_matching(g: Graph) -> list[Edge]:
     against masks, on random graphs of maximum degree D:
 
       m       D = 3            D = 6
-      512     3.3 vs 2.1 ms    5.8 vs 3.4 ms
-      1,024   6.8 vs 5.1 ms    13.0 vs 9.1 ms
-      2,048   13.8 vs 11.9 ms  27.0 vs 25.3 ms
-      4,096   28.2 vs 31.0 ms  59.0 vs 73.9 ms
+      512     2.0 vs 1.4 ms    3.9 vs 2.1 ms
+      1,024   4.3 vs 3.2 ms    8.0 vs 5.0 ms
+      2,048   8.3 vs 7.1 ms    17.2 vs 14.1 ms
+      4,096   17.8 vs 19.0 ms  38.2 vs 43.2 ms
     """
     if g.m <= MASK_EDGE_CAP:
         return _greedy_by_masks(g)

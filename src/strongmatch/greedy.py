@@ -149,8 +149,6 @@ def _greedy_by_lists(g: Graph) -> list[Edge]:
     return sorted(chosen)
 
 
-
-
 def forest_greedy_induced_matching(g: Graph) -> list[Edge]:
     """Bottom-up induced matching in a forest, size >= ceil(m / (2D - 1)).
 

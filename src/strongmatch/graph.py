@@ -269,40 +269,29 @@ def _k33plus_at(adj, alive, deg, u: int):
     ``alive[v]`` and ``deg[v]`` are v's alive flag and alive degree.
     Returns (a1, b1, side_a, side_b) or None.  In a subcubic graph the six
     branch vertices have no edges outside the subgraph, so checking exact
-    alive neighborhoods is a complete test.
+    alive neighborhoods is a complete test.  Each unordered pair a1 < b1 of
+    u's alive degree-3 neighbors is tried once, in adjacency order; a hit
+    on (a1, b1) is one on (b1, a1) with the sides swapped, so the first hit
+    is the first ordered pair in adjacency order.  The sides are taken from
+    the sorted adjacency, so they come out sorted.
     """
     if deg[u] < 2:
         return None
-    nbrs_u = [w for w in adj[u] if alive[w]]
-    for a1 in nbrs_u:
-        if deg[a1] != 3:
-            continue
-        for b1 in nbrs_u:
-            if b1 == a1 or deg[b1] != 3 or b1 in adj[a1]:
-                continue
-            side_b = [w for w in adj[a1] if alive[w] and w != u]
-            if len(side_b) != 2:
-                continue
+    nbrs_u = [w for w in adj[u] if alive[w] and deg[w] == 3]
+    for i, a1 in enumerate(nbrs_u):
+        side_b = [w for w in adj[a1] if alive[w] and w != u]
+        for b1 in nbrs_u[i + 1:]:
             side_a = [w for w in adj[b1] if alive[w] and w != u]
-            if len(side_a) != 2:
+            if len({u, a1, b1, *side_a, *side_b}) != 7:
                 continue
-            six = {a1, b1, *side_a, *side_b}
-            if len(six) != 6 or u in six:
-                continue
+            # sorted adj: true iff each side vertex sees exactly the other side
             b_all = sorted((b1, *side_b))
             a_all = sorted((a1, *side_a))
-            ok = True
-            for a in side_a:
-                if sorted(w for w in adj[a] if alive[w]) != b_all:
-                    ok = False
-                    break
-            if ok:
-                for b in side_b:
-                    if sorted(w for w in adj[b] if alive[w]) != a_all:
-                        ok = False
-                        break
-            if ok:
-                return a1, b1, sorted(side_a), sorted(side_b)
+            if (
+                [w for a in side_a for w in adj[a] if alive[w]] == b_all * 2
+                and [w for b in side_b for w in adj[b] if alive[w]] == a_all * 2
+            ):
+                return a1, b1, side_a, side_b
     return None
 
 

@@ -112,8 +112,6 @@ def _greedy_by_lists(g: Graph) -> list[Edge]:
     """
     edges = g.edges
     m = len(edges)
-    if m == 0:
-        return []
     adj = g.adj
     incident = _incident_lists(g)
     # conf[start[i]:start[i + 1]]: the edges conflicting with edge i, i
@@ -214,14 +212,9 @@ def girth6_induced_matching(g: Graph) -> list[Edge]:
     n = g.n
     adj = g.adj
     deg = g.degrees()
-    alive = bytearray(b"\x01" * n)
-    for v in range(n):
-        if deg[v] == 0:
-            alive[v] = 0
-    kcount = [0] * n
-    for v in range(n):
-        if alive[v]:
-            kcount[v] = sum(1 for w in adj[v] if alive[w] and deg[w] == 1)
+    alive = bytearray(d > 0 for d in deg)
+    # every neighbor of a vertex has degree >= 1, so it is alive
+    kcount = [sum(1 for w in nbrs if deg[w] == 1) for nbrs in adj]
     heap = [(-kcount[v], v) for v in range(n) if kcount[v] > 0]
     heapify(heap)
     ptr = 0

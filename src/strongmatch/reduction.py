@@ -433,32 +433,27 @@ class _Engine:
         alive = self.alive
         deg = self.deg
         if deg[u] == 1:
-            v = -1
-            for w in adj[u]:
-                if alive[w]:
-                    v = w
+            for v in adj[u]:
+                if alive[v]:
                     break
             dv = deg[v]
             if dv == 1:
                 return _FRAG, None
             if dv == 2:
                 return _R2, ((u, v),)
+            # R3's mate is the first end-vertex in the sorted adj[v], u or not
+            mate = -1
             for w in adj[v]:
-                if w != u and alive[w] and deg[w] == 1:
-                    mate = min(x for x in adj[v] if alive[x] and deg[x] == 1)
-                    return _R3, ((mate, v),)
+                if alive[w] and deg[w] == 1:
+                    if mate >= 0:
+                        return _R3, ((mate, v),)
+                    mate = w
             u2 = self._r4_partner(u)
             if u2 is not None:
                 v2 = next(w for w in adj[u2] if alive[w])
                 return _R4, ((u, v), (u2, v2))
             return _R5, ((u, v),)
-        v1 = v2 = -1
-        for w in adj[u]:
-            if alive[w]:
-                if v1 < 0:
-                    v1 = w
-                else:
-                    v2 = w
+        v1, v2 = [w for w in adj[u] if alive[w]]
         if deg[v1] == 1 or deg[v2] == 1:
             raise LedgerViolationError(
                 f"R{rule} anchor {u} of degree 2 is beside an end-vertex"
@@ -511,20 +506,17 @@ class _Engine:
         return None
 
     def _find_c4(self, a: int) -> Optional[tuple[Edge, ...]]:
-        """The edges, in cycle order, of the lexicographically smallest
-        alive 4-cycle (a, n1, x, n2), or None."""
+        """The edges, in cycle order, of the alive 4-cycle (a, n1, x, n2)
+        with n1 < n2 and (n1, n2, x) smallest, or None."""
         adj = self.adj
         alive = self.alive
         nbrs = [w for w in adj[a] if alive[w]]
         for i, n1 in enumerate(nbrs):
             for n2 in nbrs[i + 1:]:
-                best_x = -1
+                # the first common neighbor in the sorted adj[n1] is the smallest
                 for x in adj[n1]:
                     if x != a and alive[x] and x in adj[n2]:
-                        if best_x < 0 or x < best_x:
-                            best_x = x
-                if best_x >= 0:
-                    return ((a, n1), (n1, best_x), (best_x, n2), (n2, a))
+                        return ((a, n1), (n1, x), (x, n2), (n2, a))
         return None
 
     # -- probes and small components --------------------------------------
@@ -539,10 +531,7 @@ class _Engine:
         gen = self.mark_gen
         mark[s] = gen
         comp = [s]
-        qi = 0
-        while qi < len(comp):
-            v = comp[qi]
-            qi += 1
+        for v in comp:
             for w in adj[v]:
                 if alive[w] and mark[w] != gen:
                     mark[w] = gen
@@ -618,19 +607,12 @@ class _Engine:
         for removal, added in options:
             iso = _isolated_after(self.adj, self.alive, removal)
             if len(removal) + len(iso) <= 6 * len(added):
-                self._commit(f"R{rule}", removal, added, iso)
+                self._file(_delete(self.adj, self.alive, self.deg, removal, iso))
+                self._record(f"R{rule}", sorted(removal), sorted(added), len(iso))
                 return
         raise LedgerViolationError(
             f"rule R{rule} at vertex {u} would break the 6-per-edge ledger"
         )
-
-    # -- committing --------------------------------------------------------
-
-    def _commit(
-        self, rule_name: str, removal: set[int], added: list[Edge], iso: list[int]
-    ) -> None:
-        self._file(_delete(self.adj, self.alive, self.deg, removal, iso))
-        self._record(rule_name, sorted(removal), sorted(added), len(iso))
 
     def _record(
         self, rule: str, removed: list[int], added: list[Edge], iso_count: int

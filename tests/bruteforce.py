@@ -319,6 +319,61 @@ def r1_anchors_by_c4_scan(g: Graph) -> set:
     return {v for v in near if _k33plus_at(g.adj, alive, deg, v) is not None}
 
 
+def k33plus_at_by_ordered_pairs(adj, alive, deg, u: int):
+    """graph._k33plus_at as it first stood: every ordered pair (a1, b1) of
+    u's alive neighbors, each side re-sorted and checked vertex by vertex.
+    Returns (a1, b1, side_a, side_b) for the first hit, or None."""
+    if deg[u] < 2:
+        return None
+    nbrs_u = [w for w in adj[u] if alive[w]]
+    for a1 in nbrs_u:
+        if deg[a1] != 3:
+            continue
+        for b1 in nbrs_u:
+            if b1 == a1 or deg[b1] != 3 or b1 in adj[a1]:
+                continue
+            side_b = [w for w in adj[a1] if alive[w] and w != u]
+            if len(side_b) != 2:
+                continue
+            side_a = [w for w in adj[b1] if alive[w] and w != u]
+            if len(side_a) != 2:
+                continue
+            six = {a1, b1, *side_a, *side_b}
+            if len(six) != 6 or u in six:
+                continue
+            b_all = sorted((b1, *side_b))
+            a_all = sorted((a1, *side_a))
+            ok = True
+            for a in side_a:
+                if sorted(w for w in adj[a] if alive[w]) != b_all:
+                    ok = False
+                    break
+            if ok:
+                for b in side_b:
+                    if sorted(w for w in adj[b] if alive[w]) != a_all:
+                        ok = False
+                        break
+            if ok:
+                return a1, b1, sorted(side_a), sorted(side_b)
+    return None
+
+
+def c4_at_by_enumeration(adj, alive, a: int):
+    """The edges, in cycle order, of the alive 4-cycle (a, n1, x, n2) with
+    n1 < n2 and (n1, n2, x) smallest, from every such triple, or None."""
+    nbrs = [w for w in adj[a] if alive[w]]
+    cycles = [
+        (n1, n2, x)
+        for n1, n2 in combinations(sorted(nbrs), 2)
+        for x in set(adj[n1]) & set(adj[n2])
+        if x != a and alive[x]
+    ]
+    if not cycles:
+        return None
+    n1, n2, x = min(cycles)
+    return ((a, n1), (n1, x), (x, n2), (n2, a))
+
+
 def short_cycle_anchors_in_cubic_components(g: Graph) -> tuple[set, set]:
     """The R10 and R11 anchors the reduction engine's setup must file: the
     smallest vertex of every triangle and of every 4-cycle, from

@@ -245,13 +245,18 @@ def test_criterion_08_section3_constructions(capsys):
 
 def test_criterion_09_performance(capsys):
     """Reduction on n = 100k subcubic in < 5 s; time per vertex grows at most
-    3x from n = 25k to n = 100k.  Generation is excluded from the timing."""
+    3x from n = 25k to n = 100k.  Generation is excluded from the timing.
+    Each size takes the best of three calls: one call read the ratio
+    from 0.48x to 2.13x on unchanged engine code."""
     times = {}
     for n in (25_000, 50_000, 100_000):
         g = gen_random_subcubic(n, (3 * n) // 2, 960_000 + n)
-        t0 = time.perf_counter()
-        matching, trace = find_induced_matching_subcubic(g)
-        times[n] = time.perf_counter() - t0
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            matching, trace = find_induced_matching_subcubic(g)
+            best = min(best, time.perf_counter() - t0)
+        times[n] = best
         assert verify_induced_matching(g, matching) is None
         assert len(matching) >= thm2_of(g)
         assert ledger_check(trace) == (True, None)

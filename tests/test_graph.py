@@ -40,6 +40,7 @@ from bruteforce import (
     girth_by_bfs_from_every_root,
     girth_by_enumeration,
     is_k33plus_by_isomorphism,
+    k33plus_at_by_ordered_pairs,
     short_cycles_by_enumeration,
 )
 from corpus import build_instance, determinism_corpus, small_corpus
@@ -424,6 +425,58 @@ class TestK33Plus:
                     checked += 1
                     found += expected
         assert checked > 1000 and found > 30
+
+
+def k33plus_hits_agree(g: Graph, seed: int) -> int:
+    """_k33plus_at equals k33plus_at_by_ordered_pairs at every vertex of g,
+    with every vertex alive and under three random dead-vertex masks, the
+    alive degrees recomputed each time; returns the number of hits."""
+    rng = SplitMix64(seed)
+    masks = [bytearray(b"\x01" * g.n)]
+    masks += [bytearray(rng.below(k) > 0 for _ in range(g.n)) for k in (4, 8, 16)]
+    hits = 0
+    for alive in masks:
+        deg = [sum(alive[w] for w in g.adj[v]) for v in range(g.n)]
+        for u in range(g.n):
+            got = _k33plus_at(g.adj, alive, deg, u)
+            assert got == k33plus_at_by_ordered_pairs(g.adj, alive, deg, u), (
+                g.edges, bytes(alive), u,
+            )
+            hits += got is not None
+    return hits
+
+
+class TestK33PlusMatchesOrderedPairs:
+    """_k33plus_at, which tries each unordered pair of u's neighbors once,
+    returns what the ordered-pair search it replaced returns, tuple and
+    all, so its first hit is the same."""
+
+    def test_corpora_and_named_graphs(self):
+        k33 = gen_k33plus()
+        joined = Graph(14, list(disjoint_union(k33, k33).edges) + [(6, 13)])
+        graphs = [build_instance(*e) for e in small_corpus() + determinism_corpus()]
+        graphs += [make_k33plus_with_tail(), gen_extremal_cubic(), joined]
+        # relabeled copies of K33+ as it is and with one edge added, which
+        # raises two degrees past 3 as graph._census may meet them
+        absent = [
+            (u, v)
+            for u in range(7)
+            for v in range(u + 1, 7)
+            if (u, v) not in k33.edges
+        ]
+        for s in range(8):
+            perm = list(range(7))
+            SplitMix64(1_096_000 + s).shuffle(perm)
+            for extra in [[]] + [[e] for e in absent]:
+                edges = list(k33.edges) + extra
+                graphs.append(Graph(7, [(perm[u], perm[v]) for u, v in edges]))
+        hits = sum(k33plus_hits_agree(g, 1_095_000 + i) for i, g in enumerate(graphs))
+        assert hits > 40
+
+    @settings(max_examples=200, deadline=None)
+    @given(bounded_graphs(max_degree=3), st.integers(0, 2**32))
+    def test_random_subcubic_graphs(self, g, seed):
+        k33plus_hits_agree(g, seed)
 
 
 class TestCountInvariants:

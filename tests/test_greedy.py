@@ -315,3 +315,12 @@ class TestGirth6:
         rep = count_invariants(g)
         assert rep.prop1_bound == 4
         assert len(matching) >= rep.prop1_bound
+
+    def test_large_sha256(self):
+        # 3,700 of its 4,479 picks match a pendant, the rest an edge
+        g = gen_random_girth6(20_000, 4, 1_090_001)
+        assert (g.m, g.max_degree()) == (39_735, 4)
+        text = ",".join(f"{u}-{v}" for u, v in girth6_induced_matching(g))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5b8b718b74b3e09043c14c4e023cdd78a6f1e5ac424353b34fa64988e76d9c37"
+        )

@@ -12,6 +12,7 @@ from strongmatch import (
     LedgerViolationError,
     ReductionStep,
     ReductionTrace,
+    SplitMix64,
     connected_components,
     count_invariants,
     exact_strong_matching_number,
@@ -31,6 +32,7 @@ from strongmatch.graph import _census
 from strongmatch.reduction import _R1, _R2, _R6, _R10, _R11, _R12, _Engine
 
 from bruteforce import (
+    c4_at_by_enumeration,
     k33plus_subdivision_vertices,
     priority_violations,
     r1_anchors_by_c4_scan,
@@ -225,6 +227,35 @@ class TestRuleSelection:
                 if step.rule.startswith("R"):
                     budget = 6 * len(step.added)
                     assert len(step.removed) + step.isolated_created <= budget
+
+
+class TestFindC4:
+    """_find_c4, the R11 pattern search, against the 4-cycles enumerated at
+    the anchor: at every vertex of the corpora, with every vertex alive and
+    under random dead-vertex masks."""
+
+    def test_matches_enumeration(self):
+        k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+        graphs = [build_instance(*e) for e in small_corpus() + determinism_corpus()]
+        graphs += [k33, make_circular_ladder(4), make_petersen(), gen_k33plus()]
+        found = ties = 0
+        for i, g in enumerate(graphs):
+            eng = _Engine(g)
+            rng = SplitMix64(1_097_000 + i)
+            masks = [b"\x01" * g.n]
+            masks += [bytes(rng.below(k) > 0 for _ in range(g.n)) for k in (4, 8)]
+            for mask in masks:
+                eng.alive[:] = mask
+                for a in range(g.n):
+                    want = c4_at_by_enumeration(g.adj, eng.alive, a)
+                    assert eng._find_c4(a) == want, (g.edges, mask, a)
+                    if want is not None:
+                        (_, n1), _, _, (n2, _) = want
+                        common = set(g.adj[n1]) & set(g.adj[n2])
+                        found += 1
+                        ties += sum(eng.alive[x] for x in common - {a}) > 1
+        # ties: anchors whose cycle has a choice of x, so the smallest counts
+        assert found > 10_000 and ties > 1_000
 
 
 ALL_RULES = {f"R{k}" for k in range(1, 13)} | {"COMPONENT-BRUTE", "COMPONENT-K33PLUS"}

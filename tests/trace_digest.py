@@ -1,9 +1,9 @@
-"""Print one sha256 over the reduction traces of a fixed graph corpus, and
-one over the general greedy's matchings of the same corpus.
+"""Print one sha256 over the reduction traces of a fixed graph corpus, one
+over the general greedy's matchings of the same corpus, and one over the
+girth-6 greedy's matchings of girth-6 graphs.
 
 Run it on two trees to show that a change to the reduction engine or to
-the general greedy leaves every trace and every greedy matching
-byte-identical:
+the greedies leaves every trace and every greedy matching byte-identical:
 
     PYTHONPATH=src python3 tests/trace_digest.py
 
@@ -11,7 +11,11 @@ The first line gives the number of graphs and the sha256 of their
 concatenated format_trace texts, in corpus order.  The second gives the
 sha256 of greedy_induced_matching's matchings, one line of ``u-v`` pairs
 per graph in corpus order; the two 100k graphs run its list path and the
-rest its mask path.  The corpus, about 25 s of work on a 2-core Xeon:
+rest its mask path.  The third gives the sha256 of
+girth6_induced_matching's matchings, in the same form, on the corpus's
+girth-6 graphs followed by 300 random girth-6 graphs of maximum degree 2-5
+on 20-2,000 vertices.  The corpus, about 25 s of work on a 2-core Xeon
+(the third line adds about 9 s):
 
 - 3,000 random subcubic graphs on 20-300 vertices, m = n, 4n/3 or 3n/2;
 - 1,000 random cubic graphs on 14-212 vertices;
@@ -42,6 +46,7 @@ from strongmatch import (
     gen_random_cubic,
     gen_random_girth6,
     gen_random_subcubic,
+    girth6_induced_matching,
     greedy_induced_matching,
 )
 
@@ -108,14 +113,26 @@ def cubic_union(seed: int) -> Graph:
     return union(pieces)
 
 
+def girth6_graphs():
+    """The corpus's 300 girth-6 graphs, of maximum degree 3."""
+    for i in range(300):
+        yield gen_random_girth6(50 + i, 3, 1_400_000 + i)
+
+
+def girth6_corpus():
+    """girth6_graphs, then 300 of maximum degree 2-5 on 20-2,000 vertices."""
+    yield from girth6_graphs()
+    for i in range(300):
+        yield gen_random_girth6(20 + (53 * i) % 1_981, 2 + i % 4, 1_600_000 + i)
+
+
 def corpus():
     for i in range(3_000):
         n = 20 + (7 * i) % 281
         yield gen_random_subcubic(n, (n, 4 * n // 3, 3 * n // 2)[i % 3], 1_200_000 + i)
     for i in range(1_000):
         yield gen_random_cubic(14 + 2 * ((13 * i) % 100), 1_300_000 + i)
-    for i in range(300):
-        yield gen_random_girth6(50 + i, 3, 1_400_000 + i)
+    yield from girth6_graphs()
     for i in range(300):
         n = 20 + i % 150
         base = gen_random_subcubic(n, n * (4 + i % 2) // (3 + i % 2), 1_500_000 + i)
@@ -126,6 +143,10 @@ def corpus():
     yield gen_random_cubic(100_000, 7_100_000)
 
 
+def matching_line(matching) -> bytes:
+    return (" ".join(f"{u}-{v}" for u, v in matching) + "\n").encode()
+
+
 def main() -> None:
     digest = hashlib.sha256()
     greedy_digest = hashlib.sha256()
@@ -133,11 +154,16 @@ def main() -> None:
     for g in corpus():
         _, trace = find_induced_matching_subcubic(g)
         digest.update(format_trace(trace).encode())
-        pairs = " ".join(f"{u}-{v}" for u, v in greedy_induced_matching(g))
-        greedy_digest.update(f"{pairs}\n".encode())
+        greedy_digest.update(matching_line(greedy_induced_matching(g)))
         count += 1
     print(f"graphs={count} sha256={digest.hexdigest()}")
     print(f"greedy graphs={count} sha256={greedy_digest.hexdigest()}")
+    girth6_digest = hashlib.sha256()
+    girth6_count = 0
+    for g in girth6_corpus():
+        girth6_digest.update(matching_line(girth6_induced_matching(g)))
+        girth6_count += 1
+    print(f"girth6 graphs={girth6_count} sha256={girth6_digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -295,15 +295,6 @@ def _k33plus_at(adj, alive, deg, u: int):
     return None
 
 
-def _incident_lists(g: Graph) -> list[list[int]]:
-    """``incident[v]``: the indices into ``g.edges`` of the edges at v."""
-    incident: list[list[int]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(g.edges):
-        incident[u].append(i)
-        incident[v].append(i)
-    return incident
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Exact invariants of a graph plus every applicable size guarantee.
@@ -361,22 +352,16 @@ def _thm2_bound(n: int, isolated: int, n33plus: int) -> int:
     return _ceil_div(n - isolated - n33plus, 6)
 
 
-def _isolated_after(
-    adj: Sequence[Sequence[int]], alive: bytearray, removal: set[int]
-) -> list[int]:
-    """Alive vertices outside ``removal`` whose alive neighbors all lie in it."""
-    iso = []
-    seen = set()
+def _ring(adj, alive, removal: set[int]) -> dict[int, int]:
+    """Each alive vertex outside ``removal`` with neighbors in it, mapped to
+    their number.  Deleting ``removal`` isolates the vertices whose number
+    is their alive degree: they have no other alive neighbor."""
+    ring: dict[int, int] = {}
     for r in removal:
         for w in adj[r]:
-            if alive[w] and w not in removal and w not in seen:
-                seen.add(w)
-                for x in adj[w]:
-                    if alive[x] and x not in removal:
-                        break
-                else:
-                    iso.append(w)
-    return iso
+            if alive[w] and w not in removal:
+                ring[w] = ring.get(w, 0) + 1
+    return ring
 
 
 def _alive_closed(adj, alive, v: int) -> set[int]:
@@ -388,38 +373,25 @@ def _alive_closed(adj, alive, v: int) -> set[int]:
     return out
 
 
-def _delete(adj, alive, deg, removal: set[int], iso: list[int]) -> set[int]:
-    """Delete ``removal`` and the vertices ``iso`` it isolates (from
-    _isolated_after) from the alive graph, where ``deg[v]`` is v's alive
-    degree: clear their alive flags, lower their alive neighbors' degrees,
-    and return the alive vertices at distance at most 2 of the deleted set.
-    """
+def _delete(adj, alive, deg, removal: set[int], ring: dict[int, int]) -> set[int]:
+    """Delete ``removal`` and the vertices it isolates from the alive graph,
+    where ``deg[v]`` is v's alive degree and ``ring`` is _ring(adj, alive,
+    removal): lower each ring vertex's degree by its count, delete those left
+    at 0, and return the alive vertices at distance at most 2 of the deleted
+    set, the other ring vertices and their alive neighbors."""
     for v in removal:
         alive[v] = 0
-    ring1 = []
-    for v in removal:
-        for w in adj[v]:
-            if alive[w]:
-                deg[w] -= 1
-                ring1.append(w)
-    for w in iso:
-        alive[w] = 0
     touched = set()
-    for w in ring1:
-        if alive[w]:
+    for w, k in ring.items():
+        deg[w] -= k
+        if deg[w]:
             touched.add(w)
             for x in adj[w]:
                 if alive[x]:
                     touched.add(x)
+        else:
+            alive[w] = 0
     return touched
-
-
-def _conflicts(adj, incident, u: int, v: int) -> set[int]:
-    """Ids of the edges that conflict with the edge uv, uv itself included:
-    those meeting N(u) | N(v), which is N[u] | N[v].  ``incident`` is
-    _incident_lists(g)."""
-    at = incident.__getitem__
-    return set().union(*map(at, adj[u]), *map(at, adj[v]))
 
 
 def count_invariants(g: Graph) -> BoundReport:
@@ -525,6 +497,7 @@ def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
 
     Ids and counts are ASCII decimal digits in both formats, and one leading
     byte-order mark (U+FEFF) is dropped, for files, stdin and callers alike.
+    A line ends only at LF, CR LF or CR, the line ends open() translates.
 
     The faults Graph rejects (a loop, an id out of range, a repeated pair)
     are GraphParseErrors at the first offending line, raised after any
@@ -538,8 +511,15 @@ def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
     raise GraphParseError(f"unknown format {fmt!r}")
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``, each ended by LF, CR LF or CR."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def _edge_lines(text: str) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -681,9 +661,10 @@ def _build_checked(n: int, edges: list[Edge], lines: list[int]) -> Graph:
 def write_edge_list(g: Graph, comments: Sequence[str] = ()) -> str:
     """Serialize g bit-exactly: comments, "n <count>" directive, sorted edges.
 
-    Every line is newline-terminated.  Parsing the result reproduces g.
+    Every line is newline-terminated, and each line of a comment gets its
+    own '#'.  Parsing the result reproduces g.
     """
-    lines = [f"# {c}" if c else "#" for c in comments]
+    lines = [f"# {c}" if c else "#" for text in comments for c in _lines(text)]
     lines.append(f"n {g.n}")
     lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"

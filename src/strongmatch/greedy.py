@@ -18,10 +18,8 @@ from .graph import (
     Graph,
     GraphError,
     _alive_closed,
-    _conflicts,
     _delete,
-    _incident_lists,
-    _isolated_after,
+    _ring,
     girth,
     normalize_edge,
 )
@@ -113,14 +111,18 @@ def _greedy_by_lists(g: Graph) -> list[Edge]:
     edges = g.edges
     m = len(edges)
     adj = g.adj
-    incident = _incident_lists(g)
-    # conf[start[i]:start[i + 1]]: the edges conflicting with edge i, i
-    # itself included
+    # incident[v]: the ids of the edges at v.  The edges conflicting with
+    # uv, uv included, are those meeting N(u) | N(v), which is N[u] | N[v].
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    at = incident.__getitem__
     conf: list[int] = []
     start = [0]
     cdeg: list[int] = []
     for u, v in edges:
-        span = _conflicts(adj, incident, u, v)
+        span = set().union(*map(at, adj[u]), *map(at, adj[v]))
         conf.extend(span)
         start.append(len(conf))
         cdeg.append(len(span) - 1)
@@ -203,8 +205,8 @@ def girth6_induced_matching(g: Graph) -> list[Edge]:
     means nothing becomes isolated.  Raises GraphError when girth < 6.
 
     The alive graph is kept as in the reduction engine, with the shared
-    graph._alive_closed, graph._isolated_after and graph._delete; pendant
-    counts are refreshed on the vertices that graph._delete reports.
+    graph._alive_closed, graph._ring and graph._delete; pendant counts are
+    refreshed on the vertices that graph._delete reports.
     """
     gv = girth(g)
     if gv is not None and gv < 6:
@@ -227,7 +229,7 @@ def girth6_induced_matching(g: Graph) -> list[Edge]:
             heappop(heap)
         if heap:
             v = heap[0][1]
-            u = min(w for w in adj[v] if alive[w] and deg[w] == 1)
+            u = next(w for w in adj[v] if alive[w] and deg[w] == 1)
             removal = _alive_closed(adj, alive, v)
         else:
             # every alive vertex keeps an alive neighbor: isolated ones are
@@ -237,11 +239,10 @@ def girth6_induced_matching(g: Graph) -> list[Edge]:
             if ptr == n:
                 break
             u = ptr
-            v = min(w for w in adj[u] if alive[w])
+            v = next(w for w in adj[u] if alive[w])
             removal = _alive_closed(adj, alive, u) | _alive_closed(adj, alive, v)
         chosen.append(normalize_edge(u, v))
-        iso = _isolated_after(adj, alive, removal)
-        for t in _delete(adj, alive, deg, removal, iso):
+        for t in _delete(adj, alive, deg, removal, _ring(adj, alive, removal)):
             k = sum(1 for w in adj[t] if alive[w] and deg[w] == 1)
             kcount[t] = k
             if k > 0:

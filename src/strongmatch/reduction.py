@@ -137,8 +137,8 @@ from .graph import (
     _alive_closed,
     _census,
     _delete,
-    _isolated_after,
     _k33plus_at,
+    _ring,
     _short_cycles,
     _thm2_bound,
     _walk_components,
@@ -289,8 +289,9 @@ def _edges_text(edges) -> str:
 
 def _k33plus_edge(side_a: list[int], side_b: list[int]) -> Edge:
     """The edge a K33+ step matches: the smallest between the two side pairs
-    (the branch vertices not adjacent to the subdivision vertex)."""
-    return min(normalize_edge(a, b) for a in side_a for b in side_b)
+    (the branch vertices not adjacent to the subdivision vertex).  The
+    sides are disjoint and sorted, so it joins their first vertices."""
+    return normalize_edge(side_a[0], side_b[0])
 
 
 class _Engine:
@@ -604,11 +605,13 @@ class _Engine:
             # R6, R8..R12: each pair is an option, matching it and deleting
             # both closed neighborhoods
             options = [(closed(x) | closed(v), [normalize_edge(x, v)]) for x, v in pat]
+        deg = self.deg
         for removal, added in options:
-            iso = _isolated_after(self.adj, self.alive, removal)
-            if len(removal) + len(iso) <= 6 * len(added):
-                self._file(_delete(self.adj, self.alive, self.deg, removal, iso))
-                self._record(f"R{rule}", sorted(removal), sorted(added), len(iso))
+            ring = _ring(self.adj, self.alive, removal)
+            iso = sum(k == deg[w] for w, k in ring.items())
+            if len(removal) + iso <= 6 * len(added):
+                self._file(_delete(self.adj, self.alive, deg, removal, ring))
+                self._record(f"R{rule}", sorted(removal), sorted(added), iso)
                 return
         raise LedgerViolationError(
             f"rule R{rule} at vertex {u} would break the 6-per-edge ledger"

@@ -439,6 +439,43 @@ class TestStrictInput:
         )
 
 
+# the characters str.splitlines ends a line at, besides the line ends
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineEnds:
+    """Only LF, CR LF and CR end a line, on files (where open() translates
+    them) and on stdin (where the parsers do); any other separator stays
+    inside its line, which is then malformed: exit 2."""
+
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS, ids=ascii)
+    @pytest.mark.parametrize(
+        "text,fmt,want",
+        [
+            ("n 4\n0 1{}2 3\n", "edge-list", "expected 'u v'"),
+            ("p edge 4 2\ne 1 2{}e 3 4\n", "dimacs", "expected 'e <u> <v>'"),
+        ],
+        ids=["edge-list", "dimacs"],
+    )
+    def test_other_separators_file_and_stdin(self, run, tmp_path, sep, text, fmt, want):
+        text = text.format(sep)
+        line = text.split("\n")[1]
+        err = f": line 2: {want}, got {line!r}\n"
+        p = tmp_path / "g.txt"
+        p.write_text(text, encoding="utf-8")
+        assert run(["stats", str(p), "--format", fmt]) == (2, "", f"{p}{err}")
+        assert run(["stats", "-", "--format", fmt], stdin=text) == (2, "", f"-{err}")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_file_and_stdin(self, tmp_path, end):
+        data = end.join(["n 3", "0 1", "1 1", ""]).encode()
+        p = tmp_path / "g.el"
+        p.write_bytes(data)
+        err = ": line 3: loop at vertex 1\n"
+        assert run_module(["stats", str(p)], b"", "utf-8") == (2, "", f"{p}{err}")
+        assert run_module(["stats", "-"], data, "utf-8") == (2, "", f"-{err}")
+
+
 class TestVerify:
     @pytest.fixture
     def p5_file(self, tmp_path):

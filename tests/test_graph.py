@@ -26,14 +26,13 @@ from strongmatch import (
     write_edge_list,
 )
 from strongmatch.graph import (
-    _conflicts,
     _delete,
-    _incident_lists,
     _integer,
-    _isolated_after,
     _k33plus_at,
+    _ring,
     _short_cycles,
 )
+from strongmatch.oracle import _conflict_masks
 
 from bruteforce import (
     _edges_conflict,
@@ -543,12 +542,14 @@ class TestAliveGraphHelpers:
 
     @staticmethod
     def check_conflicts(g):
-        incident = _incident_lists(g)
-        for i, (u, v) in enumerate(g.edges):
-            want = {i} | {
-                j for j, f in enumerate(g.edges) if _edges_conflict(g, (u, v), f)
-            }
-            assert _conflicts(g.adj, incident, u, v) == want, (g, u, v)
+        masks = _conflict_masks(g.adj, g.edges)
+        for i, e in enumerate(g.edges):
+            want = sum(
+                1 << j
+                for j, f in enumerate(g.edges)
+                if j != i and _edges_conflict(g, e, f)
+            )
+            assert masks[i] == want, (g, e)
 
     def test_conflicts_on_small_corpus(self):
         for entry in small_corpus():
@@ -575,10 +576,21 @@ class TestAliveGraphHelpers:
         deg = [sum(alive[w] for w in adj[v]) for v in range(g.n)]
         cut = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
         removal = {v for v in range(g.n) if alive[v] and cut[v]}
-        iso = _isolated_after(adj, alive, removal)
         before = bytes(alive)
-        touched = _delete(adj, alive, deg, removal, iso)
-        gone = removal | set(iso)
+        # each alive vertex outside removal, by its neighbors in removal; it
+        # is isolated when it has some and no alive neighbor outside removal
+        outside = [v for v in range(g.n) if before[v] and v not in removal]
+        hits = {v: sum(w in removal for w in adj[v]) for v in outside}
+        iso = {
+            v
+            for v in outside
+            if hits[v] and not any(before[w] and w not in removal for w in adj[v])
+        }
+        ring = _ring(adj, alive, removal)
+        assert ring == {v: k for v, k in hits.items() if k}
+        assert {v for v, k in ring.items() if k == deg[v]} == iso
+        touched = _delete(adj, alive, deg, removal, ring)
+        gone = removal | iso
         for v in range(g.n):
             assert alive[v] == (before[v] and v not in gone)
             if alive[v]:
@@ -743,6 +755,48 @@ class TestParseErrorLines:
         assert str(parse_error(text)) == want
 
 
+# the characters str.splitlines ends a line at, besides the line ends
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineEnds:
+    """Only LF, CR LF and CR, the line ends open() translates, end a line
+    in both formats; any other separator is whitespace in its line."""
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize(
+        "lines,fmt",
+        [
+            (["n 3", "0 1", "1 1"], "edge-list"),
+            (["p edge 3 2", "e 1 2", "e 2 2"], "dimacs"),
+        ],
+        ids=["edge-list", "dimacs"],
+    )
+    def test_line_ends(self, end, lines, fmt):
+        err = parse_error(end.join(lines) + end, fmt)
+        assert str(err) == "line 3: loop at vertex 1"
+
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS, ids=ascii)
+    @pytest.mark.parametrize(
+        "head,tail,fmt,want",
+        [
+            ("n 4\n0 1", "2 3\n", "edge-list", "expected 'u v'"),
+            ("n 2\n0 1", "1 1\n", "edge-list", "expected 'u v'"),
+            ("p edge 4 2\ne 1 2", "e 3 4\n", "dimacs", "expected 'e <u> <v>'"),
+        ],
+        ids=["edge-list", "edge-list-loop", "dimacs"],
+    )
+    def test_other_separators_stay_in_their_line(self, sep, head, tail, fmt, want):
+        line = head.split("\n")[1] + sep + tail.rstrip("\n")
+        err = parse_error(head + sep + tail, fmt)
+        assert str(err) == f"line 2: {want}, got {line!r}"
+
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS, ids=ascii)
+    def test_other_separators_are_whitespace(self, sep):
+        text = f"{sep}n 3{sep}\n# a{sep}b\n{sep}\n0{sep}1\n1 2{sep}\n"
+        assert parse_graph(text).edges == ((0, 1), (1, 2))
+
+
 class TestConstructionOrder:
     @settings(max_examples=200, deadline=None)
     @given(small_graphs(max_n=12), st.randoms(use_true_random=False))
@@ -895,7 +949,16 @@ class TestWriteEdgeList:
         out = write_edge_list(Graph(1, []), comments=("hello", ""))
         assert out == "# hello\n#\nn 1\n"
 
+    def test_each_comment_line_gets_its_own_mark(self):
+        out = write_edge_list(Graph(1, []), comments=("made by\nhand", "a\r\nb\rc\n"))
+        assert out == "# made by\n# hand\n# a\n# b\n# c\n#\nn 1\n"
+        out = write_edge_list(Graph(1, []), comments=("x\f0 1",))
+        assert out == "# x\f0 1\nn 1\n"
+
     @settings(max_examples=200, deadline=None)
-    @given(small_graphs())
-    def test_roundtrip(self, g):
-        assert parse_graph(write_edge_list(g)) == g
+    @given(
+        small_graphs(),
+        st.lists(st.text("01 n#\t\n\r" + "".join(NOT_LINE_ENDS)) | st.text()),
+    )
+    def test_roundtrip(self, g, comments):
+        assert parse_graph(write_edge_list(g, comments)) == g

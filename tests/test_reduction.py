@@ -756,13 +756,19 @@ class TestLoudFailure:
 
     @pytest.fixture
     def broken_rule(self, monkeypatch):
-        real = strongmatch.reduction._isolated_after
+        real = strongmatch.reduction._ring
+
+        class AnyDegree:
+            def __eq__(self, other):
+                return True
 
         def over_budget(adj, alive, removal):
-            # thirteen phantom isolated vertices exceed 6 per edge for any step
-            return real(adj, alive, removal) + list(range(13))
+            # thirteen phantom ring vertices, ids -1..-13, each counted as
+            # isolated whatever its degree, exceed 6 per edge for any step
+            phantoms = dict.fromkeys(range(-13, 0), AnyDegree())
+            return {**real(adj, alive, removal), **phantoms}
 
-        monkeypatch.setattr(strongmatch.reduction, "_isolated_after", over_budget)
+        monkeypatch.setattr(strongmatch.reduction, "_ring", over_budget)
 
     @pytest.mark.parametrize("first,g", LOUD_CASES, ids=[c[0] for c in LOUD_CASES])
     def test_engine_raises(self, broken_rule, first, g):

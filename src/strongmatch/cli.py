@@ -220,7 +220,7 @@ def cmd_match(args) -> int:
     else:
         lines = []
         if args.trace and audit is not None:
-            lines.extend(_format_audited(trace, audit).splitlines())
+            lines.extend(_format_audited(trace, audit))
         lines.extend([
             f"matching={_edges_text(matching)}",
             f"size={len(matching)}",

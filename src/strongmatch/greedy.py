@@ -11,7 +11,9 @@ where D is the maximum degree and i the number of isolated vertices.
 
 from __future__ import annotations
 
+from collections import Counter
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
 from .graph import (
     Edge,
@@ -47,18 +49,20 @@ def greedy_induced_matching(g: Graph) -> list[Edge]:
     picked by size alone; both pick the same edges in the same order:
 
       m <= MASK_EDGE_CAP   _greedy_by_masks, one int bitmask per edge
-      m >  MASK_EDGE_CAP   _greedy_by_lists, one flat list of conflicts
+      m >  MASK_EDGE_CAP   _greedy_by_lists, one conflict tuple per edge and
+                           one counting pass per pick
 
     The masks take m^2/8 bytes and each recount costs O(m/w) operations on
     w-bit words, so they lose to the lists between about 2,000 and 4,000
-    edges.  Best of 3 on a 2-core Intel Xeon under Python 3.11, lists
-    against masks, on random graphs of maximum degree D:
+    edges.  Lowest of 3 calls in each of 4 processes on a 2-core Intel Xeon
+    under Python 3.11, lists against masks, on
+    gen_random_bounded_degree(3m / D, m, D) graphs of maximum degree D:
 
       m       D = 3            D = 6
-      512     2.0 vs 1.4 ms    3.9 vs 2.1 ms
-      1,024   4.3 vs 3.2 ms    8.0 vs 5.0 ms
-      2,048   8.3 vs 7.1 ms    17.2 vs 14.1 ms
-      4,096   17.8 vs 19.0 ms  38.2 vs 43.2 ms
+      512     1.5 vs 1.1 ms    3.1 vs 1.9 ms
+      1,024   3.1 vs 2.5 ms    6.1 vs 4.6 ms
+      2,048   6.4 vs 5.8 ms    13.0 vs 12.0 ms
+      4,096   13.2 vs 15.6 ms  26.6 vs 35.3 ms
     """
     if g.m <= MASK_EDGE_CAP:
         return _greedy_by_masks(g)
@@ -102,30 +106,26 @@ def _greedy_by_masks(g: Graph) -> list[Edge]:
 
 
 def _greedy_by_lists(g: Graph) -> list[Edge]:
-    """greedy_induced_matching on flat conflict lists: edge i's conflicts,
-    i itself included, are ``conf[start[i]:start[i + 1]]``, so no list
-    object is kept per edge, and each count is decremented once per dead
-    conflict.  Time and memory are O(m + sum |conf|) = O(mD^2), with a
-    log m factor on each filing for the heap.
+    """greedy_induced_matching on conflict tuples: ``conf[i]`` holds edge
+    i's conflicts, i itself included, and a pick applies all the count
+    decrements it causes in one counting pass, after which each edge it
+    touched is pushed once.  Time and memory are O(m + sum |conf|) =
+    O(mD^2), with a log m factor on each filing for the heap.
     """
     edges = g.edges
     m = len(edges)
-    adj = g.adj
-    # incident[v]: the ids of the edges at v.  The edges conflicting with
-    # uv, uv included, are those meeting N(u) | N(v), which is N[u] | N[v].
     incident: list[list[int]] = [[] for _ in range(g.n)]
     for i, (u, v) in enumerate(edges):
         incident[u].append(i)
         incident[v].append(i)
-    at = incident.__getitem__
-    conf: list[int] = []
-    start = [0]
-    cdeg: list[int] = []
-    for u, v in edges:
-        span = set().union(*map(at, adj[u]), *map(at, adj[v]))
-        conf.extend(span)
-        start.append(len(conf))
-        cdeg.append(len(span) - 1)
+    # near[x]: the edges meeting N(x), with repeats.  The edges conflicting
+    # with uv, uv included, are those meeting N(u) | N(v), as in
+    # oracle._conflict_masks.  Freeing each table once read lowers the peak.
+    near = [[*chain.from_iterable(map(incident.__getitem__, nbrs))] for nbrs in g.adj]
+    del incident
+    conf = [(*{*near[u], *near[v]},) for u, v in edges]
+    del near
+    cdeg = [len(span) - 1 for span in conf]
     alive = bytearray(b"\x01" * m)
     heap = [k * m + i for i, k in enumerate(cdeg)]
     heapify(heap)
@@ -137,14 +137,12 @@ def _greedy_by_lists(g: Graph) -> list[Edge]:
         if not alive[i] or cdeg[i] * m + i != key:
             continue
         chosen.append(edges[i])
-        killed = [j for j in conf[start[i]:start[i + 1]] if alive[j]]
+        killed = [j for j in conf[i] if alive[j]]
         live -= len(killed)
         for j in killed:
             alive[j] = 0
-        hits = [t for j in killed for t in conf[start[j]:start[j + 1]] if alive[t]]
-        for t in hits:
-            cdeg[t] -= 1
-        for t in set(hits):
+        for t, k in Counter([t for j in killed for t in conf[j] if alive[t]]).items():
+            cdeg[t] -= k
             heappush(heap, cdeg[t] * m + t)
     return sorted(chosen)
 
@@ -224,7 +222,7 @@ def girth6_induced_matching(g: Graph) -> list[Edge]:
     while True:
         while heap:
             negk, v = heap[0]
-            if alive[v] and kcount[v] == -negk and kcount[v] > 0:
+            if alive[v] and kcount[v] == -negk:
                 break
             heappop(heap)
         if heap:

@@ -264,11 +264,11 @@ def format_trace(trace: ReductionTrace) -> str:
     Step lines: ``rule=<id> removed=<ids> added=<u-v,...> isolated=<k>``.
     Summary: ``matching=<size> bound=<thm2> ok=<bool>``.
     """
-    return _format_audited(trace, _audit(trace))
+    return "\n".join(_format_audited(trace, _audit(trace))) + "\n"
 
 
-def _format_audited(trace: ReductionTrace, audit: tuple[LedgerResult, int]) -> str:
-    """format_trace's text, given the trace's ``_audit`` result."""
+def _format_audited(trace: ReductionTrace, audit: tuple[LedgerResult, int]) -> list[str]:
+    """format_trace's lines, given the trace's ``_audit`` result."""
     lines = []
     for step in trace.steps:
         removed = ",".join(map(str, step.removed))
@@ -279,7 +279,7 @@ def _format_audited(trace: ReductionTrace, audit: tuple[LedgerResult, int]) -> s
     result, need = audit
     size = sum(len(step.added) for step in trace.steps)
     lines.append(f"matching={size} bound={need} ok={str(result.ok).lower()}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def _edges_text(edges) -> str:

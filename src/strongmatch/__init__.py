@@ -8,18 +8,22 @@ branch-and-bound oracle, greedy baselines with their own guarantees, and
 deterministic graph generators round out the toolkit.
 """
 
-from .graph import (
+from .certify import (
     BoundReport,
+    LedgerResult,
+    count_invariants,
+    ledger_check,
+    verify_induced_matching,
+)
+from .graph import (
     Edge,
     Graph,
     GraphError,
     GraphParseError,
     connected_components,
-    count_invariants,
     girth,
     normalize_edge,
     parse_graph,
-    verify_induced_matching,
     write_edge_list,
 )
 from .greedy import (
@@ -45,13 +49,11 @@ from .generators import (
     gen_random_subcubic,
 )
 from .reduction import (
-    LedgerResult,
     LedgerViolationError,
     ReductionStep,
     ReductionTrace,
     find_induced_matching_subcubic,
     format_trace,
-    ledger_check,
 )
 
 __version__ = "0.1.0"

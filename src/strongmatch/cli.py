@@ -34,17 +34,14 @@ from .generators import (
     gen_random_girth6,
     gen_random_subcubic,
 )
-from .graph import (
+from .certify import (
     BoundReport,
-    Graph,
-    GraphError,
+    _audit,
     _bound_report,
-    _walk_components,
     count_invariants,
-    parse_graph,
     verify_induced_matching,
-    write_edge_list,
 )
+from .graph import Graph, GraphError, _walk_components, parse_graph, write_edge_list
 from .greedy import (
     forest_greedy_induced_matching,
     girth6_induced_matching,
@@ -57,7 +54,6 @@ from .oracle import (
 )
 from .reduction import (
     LedgerViolationError,
-    _audit,
     _edges_text,
     _format_audited,
     find_induced_matching_subcubic,

@@ -8,8 +8,6 @@ that results are reproducible for a fixed input labeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, islice, starmap
 from operator import eq, ge
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -263,95 +261,6 @@ def _short_cycles(
     return tri_roots, c4_roots
 
 
-def _k33plus_at(adj, alive, deg, u: int):
-    """K33+ subgraph with subdivision vertex u in the alive graph.
-
-    ``alive[v]`` and ``deg[v]`` are v's alive flag and alive degree.
-    Returns (a1, b1, side_a, side_b) or None.  In a subcubic graph the six
-    branch vertices have no edges outside the subgraph, so checking exact
-    alive neighborhoods is a complete test.  Each unordered pair a1 < b1 of
-    u's alive degree-3 neighbors is tried once, in adjacency order; a hit
-    on (a1, b1) is one on (b1, a1) with the sides swapped, so the first hit
-    is the first ordered pair in adjacency order.  The sides are taken from
-    the sorted adjacency, so they come out sorted.
-    """
-    if deg[u] < 2:
-        return None
-    nbrs_u = [w for w in adj[u] if alive[w] and deg[w] == 3]
-    for i, a1 in enumerate(nbrs_u):
-        side_b = [w for w in adj[a1] if alive[w] and w != u]
-        for b1 in nbrs_u[i + 1:]:
-            side_a = [w for w in adj[b1] if alive[w] and w != u]
-            if len({u, a1, b1, *side_a, *side_b}) != 7:
-                continue
-            # sorted adj: true iff each side vertex sees exactly the other side
-            b_all = sorted((b1, *side_b))
-            a_all = sorted((a1, *side_a))
-            if (
-                [w for a in side_a for w in adj[a] if alive[w]] == b_all * 2
-                and [w for b in side_b for w in adj[b] if alive[w]] == a_all * 2
-            ):
-                return a1, b1, side_a, side_b
-    return None
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Exact invariants of a graph plus every applicable size guarantee.
-
-    ``girth`` is None for acyclic graphs.  A bound field is None when its
-    hypothesis fails.  Rational fields are exact Fractions; integer bounds
-    are ceilings.
-    """
-
-    n: int
-    m: int
-    isolated: int
-    n33plus: int
-    max_degree: int
-    girth: Optional[int]
-    thm2_bound: int
-    thm1_bound: Optional[int]
-    prop1_bound: Optional[int]
-    greedy_general_bound: Fraction
-    greedy_forest_bound: Optional[Fraction]
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def _census(g: Graph) -> tuple[int, int]:
-    """Numbers of isolated vertices and of K33+ components of g.
-
-    Both are local, so no component walk is needed.  A K33+ component is
-    the closed 7-vertex set {u} | N(u) | N(a1) | N(b1) around its only
-    degree-2 vertex u, whose neighbors are a1 and b1.  Each such closed set
-    is counted once, from its u, when _k33plus_at finds a K33+ at u with
-    the set as the alive graph: a hit spans 7 vertices and fixes every edge
-    at its six branch vertices, so the set is then exactly K33+.
-    """
-    adj = g.adj
-    n33 = 0
-    for u, nbrs in enumerate(adj):
-        if len(nbrs) != 2:
-            continue
-        a1, b1 = nbrs
-        if len(adj[a1]) != 3 or len(adj[b1]) != 3:
-            continue
-        ball = {a1, b1, *adj[a1], *adj[b1]}
-        if len(ball) == 7 and all(x in ball for w in ball for x in adj[w]):
-            deg = {w: len(adj[w]) for w in ball}
-            if _k33plus_at(adj, dict.fromkeys(ball, 1), deg, u) is not None:
-                n33 += 1
-    return adj.count(()), n33
-
-
-def _thm2_bound(n: int, isolated: int, n33plus: int) -> int:
-    """ceil((n - isolated - n33plus) / 6), the reduction engine's guarantee."""
-    return _ceil_div(n - isolated - n33plus, 6)
-
-
 def _ring(adj, alive, removal: set[int]) -> dict[int, int]:
     """Each alive vertex outside ``removal`` with neighbors in it, mapped to
     their number.  Deleting ``removal`` isolates the vertices whose number
@@ -392,92 +301,6 @@ def _delete(adj, alive, deg, removal: set[int], ring: dict[int, int]) -> set[int
         else:
             alive[w] = 0
     return touched
-
-
-def count_invariants(g: Graph) -> BoundReport:
-    """Compute the BoundReport for g.
-
-    thm2_bound = ceil((n - isolated - n33plus) / 6) is the guarantee met by
-    the reduction engine on subcubic inputs, where n33plus counts components
-    isomorphic to K33+ (found by _census with _k33plus_at, no component
-    walk).  thm1_bound = ceil(m / 9) applies to cubic graphs,
-    prop1_bound = ceil((n - isolated) / (D^2/4 + D + 1)) to graphs of girth
-    at least 6 (D = max degree), and the greedy bounds m / (2D(D-1) + 1) and
-    m / (2D - 1) to arbitrary graphs and forests respectively.
-    """
-    return _bound_report(g, girth(g))
-
-
-def _bound_report(g: Graph, gi: Optional[int]) -> BoundReport:
-    """count_invariants(g), given the girth gi of g (None: acyclic)."""
-    n = g.n
-    m = g.m
-    isolated, n33 = _census(g)
-    dmax = g.max_degree()
-
-    thm2 = _thm2_bound(n, isolated, n33)
-
-    if g.is_cubic():
-        thm1: Optional[int] = _ceil_div(m, 9)
-    else:
-        thm1 = None
-
-    if gi is None or gi >= 6:
-        # (n - i) / (D^2/4 + D + 1) == 4 (n - i) / (D + 2)^2
-        prop1: Optional[int] = _ceil_div(4 * (n - isolated), (dmax + 2) ** 2)
-    else:
-        prop1 = None
-
-    greedy_general = Fraction(m, 2 * dmax * (dmax - 1) + 1)
-
-    if gi is None:
-        forest_bound: Optional[Fraction] = (
-            Fraction(m, 2 * dmax - 1) if dmax >= 1 else Fraction(0)
-        )
-    else:
-        forest_bound = None
-
-    return BoundReport(
-        n=n,
-        m=m,
-        isolated=isolated,
-        n33plus=n33,
-        max_degree=dmax,
-        girth=gi,
-        thm2_bound=thm2,
-        thm1_bound=thm1,
-        prop1_bound=prop1,
-        greedy_general_bound=greedy_general,
-        greedy_forest_bound=forest_bound,
-    )
-
-
-def verify_induced_matching(
-    g: Graph, matching: Iterable[Edge]
-) -> Optional[tuple[int, int]]:
-    """Check that ``matching`` is an induced matching of g.
-
-    Returns None when valid, otherwise one violating vertex pair: (x, x) when
-    two edges share vertex x, or an adjacent pair (x, y) with x and y on
-    distinct matching edges.  Edges not present in g raise GraphError.
-    Runs in O(n + m) independent of matching size.
-    """
-    edges = sorted(normalize_edge(u, v) for u, v in matching)
-    owner: dict[int, int] = {}
-    for idx, (u, v) in enumerate(edges):
-        if not g.has_edge(u, v):
-            raise GraphError(f"matching edge {(u, v)} is not an edge of the graph")
-        for x in (u, v):
-            if x in owner:
-                return (x, x)
-            owner[x] = idx
-    for idx, (u, v) in enumerate(edges):
-        for x in (u, v):
-            for w in g.adj[x]:
-                j = owner.get(w)
-                if j is not None and j != idx:
-                    return (x, w)
-    return None
 
 
 # ---------------------------------------------------------------------------

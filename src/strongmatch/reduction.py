@@ -17,9 +17,10 @@ components emit one edge (COMPONENT-K33PLUS), components of order <= 12 are
 solved exactly by the oracle (COMPONENT-BRUTE), and larger components go
 through rules R1..R12 in fixed priority:
 
-  R1   a K33+ subgraph, found by graph._k33plus_at like a K33+ component:
-       match one central edge, delete its six degree-3 branch vertices
-       (the degree-2 subdivision vertex survives)
+  R1   a K33+ subgraph, found by _k33plus_at, the test COMPONENT-K33PLUS
+       also uses (the census in certify.py has its own): match one central
+       edge, delete its six degree-3 branch vertices (the degree-2
+       subdivision vertex survives)
   R2   end-vertex u with a degree-2 neighbor v: match uv, delete N[v]
   R3   vertex v adjacent to two end-vertices: match v with the smallest,
        delete N[v]
@@ -128,19 +129,17 @@ from dataclasses import dataclass
 from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from typing import NamedTuple, Optional
+from typing import Optional
 
+from .certify import LedgerResult, _audit, _thm2_bound
 from .graph import (
     Edge,
     Graph,
     GraphError,
     _alive_closed,
-    _census,
     _delete,
-    _k33plus_at,
     _ring,
     _short_cycles,
-    _thm2_bound,
     _walk_components,
     normalize_edge,
 )
@@ -186,13 +185,6 @@ class ReductionTrace:
         return sorted(e for s in self.steps for e in s.added)
 
 
-class LedgerResult(NamedTuple):
-    """ok, plus the offending step index (None for a global shortfall)."""
-
-    ok: bool
-    violation_step: Optional[int]
-
-
 def find_induced_matching_subcubic(g: Graph) -> tuple[list[Edge], ReductionTrace]:
     """Induced matching of size >= ceil((n - i - n33plus)/6), with trace.
 
@@ -212,50 +204,6 @@ def find_induced_matching_subcubic(g: Graph) -> tuple[list[Edge], ReductionTrace
     eng.run()
     trace = ReductionTrace(original=g, steps=tuple(eng.steps))
     return trace.matching, trace
-
-
-def ledger_check(trace: ReductionTrace) -> LedgerResult:
-    """Audit a trace: per-step accounting plus the global size guarantee.
-
-    Per step: at least one added edge; for rules R1..R12, deleted count plus
-    isolated count is at most 6 per added edge; removed sets are pairwise
-    disjoint; added edges are graph edges and avoid all previously removed
-    vertices.  Globally: total added edges >= ceil((n - i - n33plus)/6),
-    recomputed from the original graph.  Component steps are covered by the
-    global check (a K33+ step consumes 7 vertices but also cancels one
-    n33plus unit).
-    """
-    return _audit(trace)[0]
-
-
-def _audit(
-    trace: ReductionTrace, census: Optional[tuple[int, int]] = None
-) -> tuple[LedgerResult, int]:
-    """ledger_check's verdict plus the global bound, recomputed from the
-    original graph rather than taken from the engine.  ``census`` is
-    graph._census of the original graph when the caller already has it."""
-    g = trace.original
-    need = _thm2_bound(g.n, *(_census(g) if census is None else census))
-    removed_before: set[int] = set()
-    for idx, step in enumerate(trace.steps):
-        if len(step.added) < 1 or step.isolated_created < 0:
-            return LedgerResult(False, idx), need
-        if step.rule.startswith("R"):
-            if len(step.removed) + step.isolated_created > 6 * len(step.added):
-                return LedgerResult(False, idx), need
-        for v in step.removed:
-            if v in removed_before:
-                return LedgerResult(False, idx), need
-        for u, v in step.added:
-            if not g.has_edge(u, v):
-                return LedgerResult(False, idx), need
-            if u in removed_before or v in removed_before:
-                return LedgerResult(False, idx), need
-        removed_before.update(step.removed)
-    total = sum(len(step.added) for step in trace.steps)
-    if total < need:
-        return LedgerResult(False, None), need
-    return LedgerResult(True, None), need
 
 
 def format_trace(trace: ReductionTrace) -> str:
@@ -285,6 +233,38 @@ def _format_audited(trace: ReductionTrace, audit: tuple[LedgerResult, int]) -> l
 def _edges_text(edges) -> str:
     """Edges as ``u-v`` pairs joined by commas."""
     return ",".join(f"{u}-{v}" for u, v in edges)
+
+
+def _k33plus_at(adj, alive, deg, u: int):
+    """K33+ subgraph with subdivision vertex u in the alive graph.
+
+    ``alive[v]`` and ``deg[v]`` are v's alive flag and alive degree.
+    Returns (a1, b1, side_a, side_b) or None.  In a subcubic graph the six
+    branch vertices have no edges outside the subgraph, so checking exact
+    alive neighborhoods is a complete test.  Each unordered pair a1 < b1 of
+    u's alive degree-3 neighbors is tried once, in adjacency order; a hit
+    on (a1, b1) is one on (b1, a1) with the sides swapped, so the first hit
+    is the first ordered pair in adjacency order.  The sides are taken from
+    the sorted adjacency, so they come out sorted.
+    """
+    if deg[u] < 2:
+        return None
+    nbrs_u = [w for w in adj[u] if alive[w] and deg[w] == 3]
+    for i, a1 in enumerate(nbrs_u):
+        side_b = [w for w in adj[a1] if alive[w] and w != u]
+        for b1 in nbrs_u[i + 1:]:
+            side_a = [w for w in adj[b1] if alive[w] and w != u]
+            if len({u, a1, b1, *side_a, *side_b}) != 7:
+                continue
+            # sorted adj: true iff each side vertex sees exactly the other side
+            b_all = sorted((b1, *side_b))
+            a_all = sorted((a1, *side_a))
+            if (
+                [w for a in side_a for w in adj[a] if alive[w]] == b_all * 2
+                and [w for b in side_b for w in adj[b] if alive[w]] == a_all * 2
+            ):
+                return a1, b1, side_a, side_b
+    return None
 
 
 def _k33plus_edge(side_a: list[int], side_b: list[int]) -> Edge:

@@ -15,7 +15,7 @@ from itertools import combinations, permutations
 from typing import Iterator, Optional
 
 from strongmatch import Graph, ReductionTrace, SplitMix64, verify_induced_matching
-from strongmatch.graph import _k33plus_at
+from strongmatch.reduction import _k33plus_at
 
 
 def girth_by_enumeration(g: Graph) -> Optional[int]:
@@ -320,7 +320,7 @@ def r1_anchors_by_c4_scan(g: Graph) -> set:
 
 
 def k33plus_at_by_ordered_pairs(adj, alive, deg, u: int):
-    """graph._k33plus_at as it first stood: every ordered pair (a1, b1) of
+    """reduction._k33plus_at as it first stood: every ordered pair (a1, b1) of
     u's alive neighbors, each side re-sorted and checked vertex by vertex.
     Returns (a1, b1, side_a, side_b) for the first hit, or None."""
     if deg[u] < 2:

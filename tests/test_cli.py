@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import strongmatch.certify
 import strongmatch.cli
 import strongmatch.graph
 import strongmatch.greedy
@@ -59,12 +60,13 @@ def k33_file(tmp_path):
 def audits(monkeypatch):
     """Count trace audits, wherever the CLI reaches them from."""
     calls = []
-    real = strongmatch.reduction._audit
+    real = strongmatch.certify._audit
 
     def counting(trace, census=None):
         calls.append(trace)
         return real(trace, census)
 
+    monkeypatch.setattr(strongmatch.certify, "_audit", counting)
     monkeypatch.setattr(strongmatch.reduction, "_audit", counting)
     monkeypatch.setattr(strongmatch.cli, "_audit", counting)
     return calls
@@ -215,14 +217,13 @@ class TestMatch:
     @pytest.mark.parametrize("flags", [[], ["--json"], ["--trace"], ["--trace", "--json"]])
     def test_one_census_per_request(self, run, monkeypatch, tmp_path, flags):
         calls = []
-        real = strongmatch.graph._census
+        real = strongmatch.certify._census
 
         def counting(g):
             calls.append(g)
             return real(g)
 
-        monkeypatch.setattr(strongmatch.graph, "_census", counting)
-        monkeypatch.setattr(strongmatch.reduction, "_census", counting)
+        monkeypatch.setattr(strongmatch.certify, "_census", counting)
         p = write_graph(tmp_path, "mixed.el", write_edge_list(make_mixed(), []))
         code, _, _ = run(["match", p, *flags])
         assert code == 0
@@ -286,6 +287,7 @@ class TestMatch:
             return real(g)
 
         monkeypatch.setattr(strongmatch.graph, "girth", counting)
+        monkeypatch.setattr(strongmatch.certify, "girth", counting)
         monkeypatch.setattr(strongmatch.greedy, "girth", counting)
         return calls
 
@@ -807,6 +809,7 @@ class TestFuzz:
         def failing(trace, census=None):
             return LedgerResult(False, 0), 1
 
+        monkeypatch.setattr(strongmatch.certify, "_audit", failing)
         monkeypatch.setattr(strongmatch.reduction, "_audit", failing)
         monkeypatch.setattr(strongmatch.cli, "_audit", failing)
         code, out, err = run(["fuzz", "subcubic", "--count", "3", "--size", "10", "--seed", "9"])

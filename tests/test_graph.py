@@ -28,11 +28,11 @@ from strongmatch import (
 from strongmatch.graph import (
     _delete,
     _integer,
-    _k33plus_at,
     _ring,
     _short_cycles,
 )
 from strongmatch.oracle import _conflict_masks
+from strongmatch.reduction import _k33plus_at
 
 from bruteforce import (
     _edges_conflict,
@@ -341,7 +341,7 @@ def k33plus_component(g: Graph, component) -> bool:
 
 
 class TestK33Plus:
-    """_k33plus_at, the one K33+ recognizer of the library, against the
+    """_k33plus_at, the reduction engine's K33+ recognizer, against the
     isomorphism reference."""
 
     def test_generated_instance(self):
@@ -456,7 +456,7 @@ class TestK33PlusMatchesOrderedPairs:
         graphs = [build_instance(*e) for e in small_corpus() + determinism_corpus()]
         graphs += [make_k33plus_with_tail(), gen_extremal_cubic(), joined]
         # relabeled copies of K33+ as it is and with one edge added, which
-        # raises two degrees past 3 as graph._census may meet them
+        # raises two degrees past 3
         absent = [
             (u, v)
             for u in range(7)

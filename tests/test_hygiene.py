@@ -226,6 +226,54 @@ def test_checker_flags_an_unread_public_name():
     ]
 
 
+# the only names certify.py, the trusted base of every size check, may
+# import from the package, by module
+CERTIFY_IMPORTS = {"graph": {"Edge", "Graph", "GraphError", "girth", "normalize_edge"}}
+
+
+def package_imports_beyond(source: str, allowed: dict[str, set[str]]) -> list[str]:
+    """Imports in ``source``, a module of the package, of package names
+    outside ``allowed`` (module -> names), by line, as ``module.name``; a
+    module imported whole is its name alone."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [
+                (node.lineno, alias.name.removeprefix("strongmatch."))
+                for alias in node.names
+                if alias.name.split(".")[0] == "strongmatch"
+            ]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "strongmatch":
+                    continue
+                module = module.removeprefix("strongmatch").lstrip(".")
+            for alias in node.names:
+                if alias.name not in allowed.get(module, ()):
+                    name = f"{module}.{alias.name}" if module else alias.name
+                    found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_certify_imports_only_the_graph_core():
+    source = (SRC / "certify.py").read_text(encoding="utf-8")
+    assert package_imports_beyond(source, CERTIFY_IMPORTS) == []
+
+
+def test_checker_flags_a_package_import_beyond_the_allowed():
+    source = (
+        "from __future__ import annotations\nimport os\n"
+        "from .graph import Graph, girth\nfrom .graph import _k33plus_at\n"
+        "from .reduction import _Engine\nfrom . import cli\n"
+        "import strongmatch.oracle\nfrom strongmatch.graph import Edge, _ring\n"
+    )
+    assert package_imports_beyond(source, CERTIFY_IMPORTS) == [
+        "line 4: graph._k33plus_at", "line 5: reduction._Engine", "line 6: cli",
+        "line 7: oracle", "line 8: graph._ring",
+    ]
+
+
 def _notes(source: str):
     """(line, text) of every docstring and comment in ``source``."""
     for node in ast.walk(ast.parse(source)):

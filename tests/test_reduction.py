@@ -3,7 +3,10 @@ import json
 from functools import cache
 from itertools import chain
 
+import hypothesis
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strongmatch.reduction
 from strongmatch import (
@@ -28,7 +31,7 @@ from strongmatch import (
     write_edge_list,
 )
 from strongmatch.cli import main
-from strongmatch.graph import _census
+from strongmatch.certify import _census
 from strongmatch.reduction import _R1, _R2, _R6, _R10, _R11, _R12, _Engine
 
 from bruteforce import (
@@ -524,6 +527,23 @@ class TestFormatTrace:
         assert lines[-1] == "matching=4 bound=3 ok=true"
 
 
+def subdivided_prism() -> Graph:
+    """The prism with its rung 2-5 subdivided by vertex 6: degree multiset
+    {3^6, 2} and a closed ball around vertex 6, but not K33+."""
+    return Graph(
+        7,
+        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+         (0, 3), (1, 4), (2, 6), (5, 6)],
+    )
+
+
+def relabeled(g: Graph, rng: SplitMix64) -> Graph:
+    """g with its vertices permuted by a shuffle drawn from rng."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 class TestCensusAgreement:
     def test_bound_and_components_agree(self, tmp_path, capsys):
         graphs = [make_mixed()]
@@ -575,15 +595,33 @@ class TestCensusAgreement:
         assert _census(g) == (2, 2)
 
     def test_closed_ball_that_is_not_k33plus(self):
-        # degree multiset {3^6, 2} on 7 vertices and a closed ball around
-        # the degree-2 vertex, but a prism with one rung subdivided, not K33+
-        g = Graph(
-            7,
-            [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
-             (0, 3), (1, 4), (2, 6), (5, 6)],
-        )
+        g = subdivided_prism()
         self.check_census([g])
         assert _census(g) == (0, 0)
+
+    def test_seeded_unions(self):
+        # 1-5 components each, relabeled: K33+, the subdivided prism, and
+        # random subcubic and cubic graphs
+        graphs = []
+        for s in range(3000):
+            rng = SplitMix64(260_000 + s)
+            parts = []
+            for _ in range(1 + rng.below(5)):
+                kind = rng.below(4)
+                if kind == 0:
+                    parts.append(gen_k33plus())
+                elif kind == 1:
+                    parts.append(subdivided_prism())
+                elif kind == 2:
+                    n = 5 + rng.below(26)
+                    m = rng.below(3 * n // 2 + 1)
+                    parts.append(gen_random_subcubic(n, m, rng.below(2**32)))
+                else:
+                    n = 6 + 2 * rng.below(10)
+                    parts.append(gen_random_cubic(n, rng.below(2**32)))
+            graphs.append(relabeled(disjoint_union(*parts), rng))
+        self.check_census(graphs)
+        assert sum(_census(g)[1] for g in graphs) > 2000
 
     def test_isolated_only_and_empty(self):
         self.check_census([Graph(5, []), Graph(0, [])])
@@ -598,6 +636,51 @@ class TestCensusAgreement:
         _, trace = run_checked(g)
         rules = {s.rule for s in trace.steps}
         assert {"R1", "COMPONENT-K33PLUS"} <= rules
+
+
+def shifted_step(step: ReductionStep, k: int) -> ReductionStep:
+    """step with every vertex id raised by k."""
+    return ReductionStep(
+        step.rule,
+        tuple(v + k for v in step.removed),
+        tuple((u + k, v + k) for u, v in step.added),
+        step.isolated_created,
+    )
+
+
+@st.composite
+def locality_parts(draw, may_be_k33plus: bool = False) -> Graph:
+    """A random subcubic or cubic graph of order 5-80, or with
+    ``may_be_k33plus`` also K33+."""
+    kinds = ["subcubic", "cubic"] + (["k33plus"] if may_be_k33plus else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "k33plus":
+        return gen_k33plus()
+    n = draw(st.integers(5, 80))
+    s = draw(st.integers(0, 2**32))
+    if kind == "cubic":
+        return gen_random_cubic(n + n % 2, s)
+    return gen_random_subcubic(n, draw(st.integers(0, 3 * n // 2)), s)
+
+
+class TestComponentLocality:
+    """The engine treats each part of a disjoint union as it would alone."""
+
+    @hypothesis.seed(260_001)
+    @settings(max_examples=400, deadline=None)
+    @given(locality_parts(), locality_parts(may_be_k33plus=True))
+    def test_union_is_the_parts_side_by_side(self, a, b):
+        matching_a, trace_a = find_induced_matching_subcubic(a)
+        matching_b, trace_b = find_induced_matching_subcubic(b)
+        matching, trace = find_induced_matching_subcubic(disjoint_union(a, b))
+        k = a.n
+        assert matching == matching_a + [(u + k, v + k) for u, v in matching_b]
+        # each step stays inside one part, and each part's steps are its own
+        in_a = [s for s in trace.steps if max(s.removed) < k]
+        in_b = [s for s in trace.steps if min(s.removed) >= k]
+        assert len(in_a) + len(in_b) == len(trace.steps)
+        assert in_a == list(trace_a.steps)
+        assert in_b == [shifted_step(s, k) for s in trace_b.steps]
 
 
 @cache

@@ -130,7 +130,8 @@ def census_by_walk(g: Graph) -> tuple[int, int]:
     """Isolated vertices and K33+ components, read off a component walk.
 
     K33+ is recognized by the isomorphism reference, which shares no code
-    with the library's recognizer, graph._k33plus_at.
+    with either recognizer of the library: certify._census and
+    reduction._k33plus_at.
     """
     comps = connected_components(g)
     iso = sum(1 for c in comps if len(c) == 1)

@@ -55,15 +55,17 @@ never later than its anchor's class.  run pops the smallest key, skips a
 dead anchor and looks the anchor up once, which gives its current class
 and the pattern _fire builds its options from.  The anchor fires when its
 class key is no larger than the next key; otherwise that class key is
-pushed.  R4 is searched for directly at each end-vertex past R3: a BFS of
-depth 4 looks for a second end-vertex at distance exactly 4.  R1, R10,
-R11 and R12 anchors are filed once up front, which is sound because vertex
-deletion never creates a subgraph, and their patterns are searched for
-afresh when popped.  R1 anchors are tested only next to twins: in a K33+
-at u, the two branch vertices not adjacent to u have the same three
-neighbors, and u is adjacent to one of those neighbors; at setup a
-vertex's alive neighbors are all its neighbors, so the twins share their
-adjacency tuple, and setup counts the tuples of every vertex.
+pushed.  R4 is searched for directly at each end-vertex u past R3: u's
+neighbor v has two other alive neighbors xs, of degree at least 2, so the
+end-vertices at distance exactly 4 are those beside a vertex y that is
+beside some x and is neither v nor in xs.  R1, R10, R11 and R12 anchors
+are filed once up front, which is sound because vertex deletion never
+creates a subgraph, and their patterns are searched for afresh when
+popped.  R1 anchors are tested only next to twins: in a K33+ at u, the two
+branch vertices not adjacent to u have the same three neighbors, and u is
+adjacent to one of those neighbors; at setup a vertex's alive neighbors
+are all its neighbors, so the twins share their adjacency tuple, and
+setup counts the tuples of every vertex.
 
 Only R1 anchors fire before the last R1 key pops, so an alive R1 anchor
 still has its K33+ then.  FRAG keys sort below R1 but re-file under
@@ -287,8 +289,6 @@ class _Engine:
         # adj, alive and deg change in place and are never rebound
         self.k33plus_at = partial(_k33plus_at, self.adj, self.alive, self.deg)
         self.closed = partial(_alive_closed, self.adj, self.alive)
-        self.mark = [0] * n
-        self.mark_gen = 0
 
     # -- setup ------------------------------------------------------------
 
@@ -422,17 +422,28 @@ class _Engine:
                 return _FRAG, None
             if dv == 2:
                 return _R2, ((u, v),)
-            # R3's mate is the first end-vertex in the sorted adj[v], u or not
+            # R3's mate is the first end-vertex in the sorted adj[v], u or not;
+            # past R3, v's other alive neighbors xs have degree >= 2
             mate = -1
+            xs = []
             for w in adj[v]:
                 if alive[w] and deg[w] == 1:
                     if mate >= 0:
                         return _R3, ((mate, v),)
                     mate = w
-            u2 = self._r4_partner(u)
-            if u2 is not None:
-                v2 = next(w for w in adj[u2] if alive[w])
-                return _R4, ((u, v), (u2, v2))
+                elif alive[w]:
+                    xs.append(w)
+            # the end-vertices w at distance exactly 4, each beside its y
+            far = [
+                (w, y)
+                for x in xs
+                for y in adj[x]
+                if y != v and alive[y] and y not in xs
+                for w in adj[y]
+                if deg[w] == 1 and alive[w]
+            ]
+            if far:
+                return _R4, ((u, v), min(far))
             return _R5, ((u, v),)
         v1, v2 = [w for w in adj[u] if alive[w]]
         if deg[v1] == 1 or deg[v2] == 1:
@@ -447,32 +458,6 @@ class _Engine:
             if x != u and alive[x] and x in adj[v2]:
                 return _R8, ((u, v1),)
         return _R9, ((u, v1), (u, v2))
-
-    def _r4_partner(self, u: int) -> Optional[int]:
-        """Smallest end-vertex at alive-distance exactly 4 from u, or None."""
-        adj = self.adj
-        alive = self.alive
-        deg = self.deg
-        mark = self.mark
-        self.mark_gen += 1
-        gen = self.mark_gen
-        mark[u] = gen
-        frontier = [u]
-        for _ in range(4):
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if alive[w] and mark[w] != gen:
-                        mark[w] = gen
-                        nxt.append(w)
-            frontier = nxt
-            if not frontier:
-                return None
-        best = -1
-        for w in frontier:
-            if deg[w] == 1 and (best < 0 or w < best):
-                best = w
-        return best if best >= 0 else None
 
     def _find_triangle(self, a: int) -> Optional[tuple[Edge]]:
         """The edge a-b, for the smallest b completing an alive triangle
@@ -507,15 +492,12 @@ class _Engine:
         BRUTE_FORCE_THRESHOLD, else None."""
         adj = self.adj
         alive = self.alive
-        mark = self.mark
-        self.mark_gen += 1
-        gen = self.mark_gen
-        mark[s] = gen
+        seen = {s}
         comp = [s]
         for v in comp:
             for w in adj[v]:
-                if alive[w] and mark[w] != gen:
-                    mark[w] = gen
+                if alive[w] and w not in seen:
+                    seen.add(w)
                     comp.append(w)
                     if len(comp) > BRUTE_FORCE_THRESHOLD:
                         return None

@@ -486,23 +486,25 @@ def _earliest_rule(g: Graph, alive: list, before: int) -> Optional[int]:
 
 
 def _has_r4_pair(g: Graph, alive: list) -> bool:
-    """Two alive end-vertices at alive-distance exactly 4, by one plain BFS
-    of depth 4 from every alive end-vertex."""
-    adj = g.adj
-    ends = {
-        v for v in range(g.n) if alive[v] and sum(alive[w] for w in adj[v]) == 1
-    }
-    for s in ends:
-        seen = {s}
-        frontier = [s]
-        for _ in range(4):
-            frontier = [
-                w for v in frontier for w in adj[v] if alive[w] and w not in seen
-            ]
-            seen.update(frontier)
-        if ends.intersection(frontier):
-            return True
-    return False
+    """Two alive end-vertices at alive-distance exactly 4, by
+    r4_partner_by_bfs from every alive end-vertex."""
+    return any(
+        r4_partner_by_bfs(g.adj, alive, s) is not None
+        for s in range(g.n)
+        if alive[s] and sum(alive[w] for w in g.adj[s]) == 1
+    )
+
+
+def r4_partner_by_bfs(adj, alive, u: int) -> Optional[int]:
+    """The smallest alive end-vertex at alive-distance exactly 4 from u, by
+    one plain BFS of depth 4, or None."""
+    seen = {u}
+    frontier = [u]
+    for _ in range(4):
+        frontier = {w for v in frontier for w in adj[v] if alive[w] and w not in seen}
+        seen.update(frontier)
+    ends = [w for w in frontier if sum(alive[x] for x in adj[w]) == 1]
+    return min(ends, default=None)
 
 
 def _replay(g: Graph, trace: ReductionTrace):

@@ -32,13 +32,14 @@ from strongmatch import (
 )
 from strongmatch.cli import main
 from strongmatch.certify import _census
-from strongmatch.reduction import _R1, _R2, _R6, _R10, _R11, _R12, _Engine
+from strongmatch.reduction import _R1, _R2, _R4, _R5, _R6, _R10, _R11, _R12, _Engine
 
 from bruteforce import (
     c4_at_by_enumeration,
     k33plus_subdivision_vertices,
     priority_violations,
     r1_anchors_by_c4_scan,
+    r4_partner_by_bfs,
     r12_anchors_in_cubic_components,
     replay_trace,
     short_cycle_anchors_in_cubic_components,
@@ -259,6 +260,48 @@ class TestFindC4:
                         ties += sum(eng.alive[x] for x in common - {a}) > 1
         # ties: anchors whose cycle has a choice of x, so the smallest counts
         assert found > 10_000 and ties > 1_000
+
+
+class TestR4Search:
+    """_classify's R4 partner, read from the neighborhood of the anchor's
+    neighbor, against a plain depth-4 BFS: at every alive end-vertex of the
+    corpora that _classify sends to R4 or R5, with every vertex alive and
+    under random dead-vertex masks, and with alive degrees."""
+
+    def test_matches_bfs(self):
+        graphs = [build_instance(*e) for e in small_corpus() + determinism_corpus()]
+        r4 = r5 = ties = 0
+        for i, g in enumerate(graphs):
+            eng = _Engine(g)
+            alive = eng.alive
+            rng = SplitMix64(1_098_000 + i)
+            masks = [b"\x01" * g.n]
+            masks += [bytes(rng.below(k) > 0 for _ in range(g.n)) for k in (4, 8)]
+            for mask in masks:
+                alive[:] = mask
+                eng.deg[:] = [sum(alive[w] for w in g.adj[v]) for v in range(g.n)]
+                for u in range(g.n):
+                    if not alive[u] or eng.deg[u] != 1:
+                        continue
+                    cls, pat = eng._classify(_R2, u)
+                    if cls not in (_R4, _R5):
+                        continue
+                    want = r4_partner_by_bfs(g.adj, alive, u)
+                    (v,) = [w for w in g.adj[u] if alive[w]]
+                    if want is None:
+                        assert (cls, pat) == (_R5, ((u, v),)), (g.edges, mask, u)
+                        r5 += 1
+                        continue
+                    (y,) = [w for w in g.adj[want] if alive[w]]
+                    assert (cls, pat) == (_R4, ((u, v), (want, y))), (g.edges, mask, u)
+                    r4 += 1
+                    # an end-vertex is inside no path between two others, so
+                    # without the partner the other candidates stay at distance 4
+                    rest = bytearray(alive)
+                    rest[want] = 0
+                    ties += r4_partner_by_bfs(g.adj, rest, u) is not None
+        # ties: anchors with a choice of partner, so the smallest counts
+        assert r4 >= 400 and ties >= 100 and r5 >= 600
 
 
 ALL_RULES = {f"R{k}" for k in range(1, 13)} | {"COMPONENT-BRUTE", "COMPONENT-K33PLUS"}

@@ -2,10 +2,15 @@
 over the general greedy's matchings of the same corpus, and one over the
 girth-6 greedy's matchings of girth-6 graphs.
 
-Run it on two trees to show that a change to the reduction engine or to
-the greedies leaves every trace and every greedy matching byte-identical:
+It shows that a change to the reduction engine or to the greedies leaves
+every trace and every greedy matching byte-identical:
 
     PYTHONPATH=src python3 tests/trace_digest.py
+
+It compares the three lines it prints with tests/trace_digest.txt and
+exits 1, naming each line that differs, or 0 when all three agree.  A
+change meant to alter traces or matchings rewrites that file and gives its
+reason in CHANGES.md.
 
 The first line gives the number of graphs and the sha256 of their
 concatenated format_trace texts, in corpus order.  The second gives the
@@ -35,6 +40,9 @@ collect this file, as its name does not start with ``test_``.
 """
 
 import hashlib
+import sys
+from itertools import zip_longest
+from pathlib import Path
 
 from strongmatch import (
     Graph,
@@ -143,11 +151,15 @@ def corpus():
     yield gen_random_cubic(100_000, 7_100_000)
 
 
+EXPECTED = Path(__file__).with_name("trace_digest.txt")
+
+
 def matching_line(matching) -> bytes:
     return (" ".join(f"{u}-{v}" for u, v in matching) + "\n").encode()
 
 
-def main() -> None:
+def digest_lines():
+    """Yield the three lines, each as soon as its corpus is done."""
     digest = hashlib.sha256()
     greedy_digest = hashlib.sha256()
     count = 0
@@ -156,15 +168,32 @@ def main() -> None:
         digest.update(format_trace(trace).encode())
         greedy_digest.update(matching_line(greedy_induced_matching(g)))
         count += 1
-    print(f"graphs={count} sha256={digest.hexdigest()}")
-    print(f"greedy graphs={count} sha256={greedy_digest.hexdigest()}")
+    yield f"graphs={count} sha256={digest.hexdigest()}"
+    yield f"greedy graphs={count} sha256={greedy_digest.hexdigest()}"
     girth6_digest = hashlib.sha256()
     girth6_count = 0
     for g in girth6_corpus():
         girth6_digest.update(matching_line(girth6_induced_matching(g)))
         girth6_count += 1
-    print(f"girth6 graphs={girth6_count} sha256={girth6_digest.hexdigest()}")
+    yield f"girth6 graphs={girth6_count} sha256={girth6_digest.hexdigest()}"
+
+
+def main() -> int:
+    got = []
+    for line in digest_lines():
+        print(line, flush=True)
+        got.append(line)
+    want = EXPECTED.read_text().splitlines()
+    status = 0
+    for k, (line, expected) in enumerate(zip_longest(got, want), 1):
+        if line != expected:
+            print(
+                f"line {k} differs from {EXPECTED.name}: expected {expected}",
+                file=sys.stderr,
+            )
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

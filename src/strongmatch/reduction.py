@@ -74,7 +74,14 @@ a component of order > 12, lowers only its subdivision vertex's degree,
 so it creates none.  It deletes only branch vertices, which have all
 their neighbors inside their K33+.  K33+ is 2-connected, so a K33+ that
 meets another is the other (two sharing a subdivision vertex share a
-branch vertex), and the step leaves every other K33+ whole.
+branch vertex), and the step leaves every other K33+ whole.  It leaves
+alive the third neighbor t of each other K33+'s subdivision vertex s too:
+as the input component has order > 12, t lies outside that K33+, and a
+K33+ with t as a branch vertex would hold s and so be that one.  So while
+R1 keys are left, a component holding a K33+ has order >= 8; once they
+are gone no K33+ subgraph is alive, as each anchor fired or popped dead,
+and deletion creates none.  No step after setup meets a K33+ component,
+and setup alone tests for one.
 
 R10, R11 and R12 act only on cubic components.  Their keys pop only once
 no key below R10 is left, and then no alive vertex has degree 1 or 2: it
@@ -111,17 +118,19 @@ anchor fires only when its class key is no larger than every key left, so
 no alive vertex has an earlier class: rules fire in priority order, and a
 popped anchor is pushed back only under a later rule.
 
-Every rule fires through one path: a capped BFS probes the anchor's
-component and diverts one that has shrunk to order <= 12 to the oracle;
-otherwise the first of the rule's options (two for R9, the four cycle
-edges for R11, one elsewhere) that consumes at most 6 vertices per matched
-edge is committed.  This realizes the per-component recursion of the
-scheme above in near-linear total time.
+Every step but COMPONENT-K33PLUS goes through one guard, _commit: the
+first of its options (two for R9, the four cycle edges for R11, one
+elsewhere, as for the oracle's answer on a component) that consumes at
+most 6 vertices per matched edge, deleted or isolated, is committed.  A
+rule first probes its anchor's component with a capped BFS and diverts
+one of order <= 12 to the oracle.  This realizes the per-component
+recursion of the scheme above in near-linear total time.
 
-There is no fallback path: a rule step none of whose options passes the
-6-per-edge guard raises LedgerViolationError.  Patching such a step over
-with a component solve would pass ledger_check, which exempts component
-steps from the per-step cap, and so hide a rule bug.
+There is no fallback path: a step that fails the guard raises
+LedgerViolationError, whether a rule or the oracle is at fault.  Each
+vertex leaves the alive graph once, so the guards imply the size bound,
+n33plus paying for the COMPONENT-K33PLUS steps; ledger_check caps every
+step alike.
 """
 
 from __future__ import annotations
@@ -133,7 +142,7 @@ from heapq import heapify, heappop, heappush
 from itertools import compress
 from typing import Optional
 
-from .certify import LedgerResult, _audit, _thm2_bound
+from .certify import LedgerResult, _audit
 from .graph import (
     Edge,
     Graph,
@@ -192,11 +201,11 @@ def find_induced_matching_subcubic(g: Graph) -> tuple[list[Edge], ReductionTrace
 
     Deterministic for a fixed labeling.  Raises GraphError when g has a
     vertex of degree > 3, LedgerViolationError if a step ever breaks the
-    accounting (theoretically unreachable; a rule bug surfaces here).  The
-    oracle runs on its default budget: a component sent to it has at most
-    12 vertices and so at most 18 edges, and its search, which branches in
-    two on one edge per node, then expands fewer than 2^19 nodes, far below
-    DEFAULT_BUDGET.
+    accounting (theoretically unreachable; a rule or oracle bug surfaces
+    here).  The oracle runs on its default budget: a component sent to it
+    has at most 12 vertices and so at most 18 edges, and its search, which
+    branches in two on one edge per node, then expands fewer than 2^19
+    nodes, far below DEFAULT_BUDGET.
     """
     if g.max_degree() > 3:
         raise GraphError(
@@ -293,7 +302,7 @@ class _Engine:
     # -- setup ------------------------------------------------------------
 
     def run(self) -> None:
-        need = self._setup()
+        self._setup()
         queue = self.queue
         alive = self.alive
         n = self.n
@@ -310,23 +319,17 @@ class _Engine:
         left = alive.find(1)
         if left >= 0:
             raise LedgerViolationError(f"vertex {left} is alive but the queue is empty")
-        total = sum(len(step.added) for step in self.steps)
-        if total < need:
-            raise LedgerViolationError(
-                f"matching of size {total} falls short of guarantee {need}"
-            )
 
-    def _setup(self) -> int:
+    def _setup(self) -> None:
         """Drop the isolated vertices, consume the components of order at
-        most BRUTE_FORCE_THRESHOLD and queue the first anchors; returns the
-        guarantee ceil((n - i - n33plus)/6), with i and n33plus counted from
-        the singletons and the COMPONENT-K33PLUS steps met here."""
+        most BRUTE_FORCE_THRESHOLD and queue the first anchors.  A K33+
+        component's step, paid for by n33plus, is the only one that skips
+        _commit's guard, which a rule or oracle bug fails."""
         n = self.n
         adj = self.adj
         deg = self.deg
         alive = self.alive
         queue = self.queue
-        isolated = 0
         # R10..R12 fire only in untouched cubic components (see the module
         # docstring): each gets an R12 key at its smallest vertex, and only
         # their vertices are scanned for short cycles, which only ever
@@ -335,14 +338,23 @@ class _Engine:
         for comp in _walk_components(adj):
             if len(comp) == 1:
                 alive[comp[0]] = 0
-                isolated += 1
+            elif len(comp) == 7 and (
+                # a K33+ subgraph on 7 vertices of a subcubic graph is the
+                # whole component, so testing at its degree-2 vertex is exact
+                pat := self.k33plus_at(min(comp, key=deg.__getitem__))
+            ):
+                for v in comp:
+                    alive[v] = 0
+                edge = _k33plus_edge(pat[2], pat[3])
+                self.steps.append(
+                    ReductionStep("COMPONENT-K33PLUS", tuple(sorted(comp)), (edge,), 0)
+                )
             elif len(comp) <= BRUTE_FORCE_THRESHOLD:
-                self._consume_component(sorted(comp))
+                self._solve(sorted(comp))
             elif all(deg[v] == 3 for v in comp):
                 queue.append(_R12 * n + comp[0])
                 for v in comp:
                     cubic[v] = 1
-        n33 = sum(step.rule == "COMPONENT-K33PLUS" for step in self.steps)
         # what is left alive makes up the components of order > 12
         self._file(compress(range(n), alive))
         triangles, squares = _short_cycles(adj, compress(range(n), cubic))
@@ -363,7 +375,6 @@ class _Engine:
         }
         queue += [_R1 * n + v for v in near if self.k33plus_at(v) is not None]
         heapify(queue)
-        return _thm2_bound(n, isolated, n33)
 
     # -- candidate classification -----------------------------------------
 
@@ -503,39 +514,25 @@ class _Engine:
                         return None
         return comp
 
-    def _consume_component(self, comp: list[int]) -> None:
-        """Consume a small component whole: emit its single edge when it is
-        K33+ (COMPONENT-K33PLUS), else solve it exactly (COMPONENT-BRUTE).
+    def _solve(self, comp: list[int]) -> None:
+        """Commit the oracle's answer on a small component as a
+        COMPONENT-BRUTE step anchored at its smallest vertex.
 
         ``comp`` must be a sorted, whole alive component of order >= 2;
-        closed components have no outside neighbors, so no vertex outside
-        is touched and no isolated vertices arise.  The oracle's search runs
-        on the conflict masks of the component's edges, listed in ascending
-        order straight from the alive adjacency, so no Graph is built; the
-        witness is the one exact_strong_matching_number gives on the
-        component relabeled in vertex order.
+        a closed component has no outside neighbors, so its ring is empty
+        and no isolated vertices arise.  The oracle's search runs on the
+        conflict masks of the component's edges, listed in ascending order
+        straight from the alive adjacency, so no Graph is built; the witness
+        is the one exact_strong_matching_number gives on the component
+        relabeled in vertex order.
         """
         adj = self.adj
         alive = self.alive
-        deg = self.deg
-        pat = None
-        if len(comp) == 7:
-            # a K33+ subgraph on 7 alive vertices of a subcubic graph is the
-            # whole component, so testing at its degree-2 vertex is exact
-            pat = self.k33plus_at(min(comp, key=deg.__getitem__))
-        if pat is not None:
-            rule = "COMPONENT-K33PLUS"
-            _, _, side_a, side_b = pat
-            added = [_k33plus_edge(side_a, side_b)]
-        else:
-            rule = "COMPONENT-BRUTE"
-            # ascending, as comp and every adj[v] are
-            edges = [(v, w) for v in comp for w in adj[v] if w > v and alive[w]]
-            best = _max_independent(_conflict_masks(adj, edges))
-            added = [edges[i] for i in _bits(best)]
-        for v in comp:
-            alive[v] = 0
-        self._record(rule, comp, added, 0)
+        # ascending, as comp and every adj[v] are
+        edges = [(v, w) for v in comp for w in adj[v] if w > v and alive[w]]
+        best = _max_independent(_conflict_masks(adj, edges))
+        added = [edges[i] for i in _bits(best)]
+        self._commit("COMPONENT-BRUTE", comp[0], [(set(comp), added)])
 
     # -- rule firing -------------------------------------------------------
 
@@ -544,12 +541,12 @@ class _Engine:
         R1's K33+, or pairs (x, v) of vertices to match.
 
         A component that has shrunk to order <= BRUTE_FORCE_THRESHOLD goes
-        to the oracle (every FRAG lands here).  Otherwise the first option
-        that consumes at most 6 vertices per matched edge is committed.
+        to the oracle (every FRAG lands here); otherwise the rule's options
+        go to _commit.
         """
         comp = self._probe(u)
         if comp is not None:
-            self._consume_component(sorted(comp))
+            self._solve(sorted(comp))
             return
         closed = self.closed
         # options: (removal, added) pairs in the order the rule tries them
@@ -567,26 +564,23 @@ class _Engine:
             # R6, R8..R12: each pair is an option, matching it and deleting
             # both closed neighborhoods
             options = [(closed(x) | closed(v), [normalize_edge(x, v)]) for x, v in pat]
+        self._commit(f"R{rule}", u, options)
+
+    def _commit(self, rule: str, u: int, options) -> None:
+        """Commit the first of ``options``, (removal, added) pairs, that
+        consumes at most 6 vertices per matched edge, deleted or isolated,
+        as a step named ``rule``; raise LedgerViolationError, naming the
+        anchor u, when none does."""
         deg = self.deg
         for removal, added in options:
             ring = _ring(self.adj, self.alive, removal)
             iso = sum(k == deg[w] for w, k in ring.items())
             if len(removal) + iso <= 6 * len(added):
                 self._file(_delete(self.adj, self.alive, deg, removal, ring))
-                self._record(f"R{rule}", sorted(removal), sorted(added), iso)
+                self.steps.append(
+                    ReductionStep(rule, tuple(sorted(removal)), tuple(sorted(added)), iso)
+                )
                 return
         raise LedgerViolationError(
-            f"rule R{rule} at vertex {u} would break the 6-per-edge ledger"
-        )
-
-    def _record(
-        self, rule: str, removed: list[int], added: list[Edge], iso_count: int
-    ) -> None:
-        self.steps.append(
-            ReductionStep(
-                rule=rule,
-                removed=tuple(removed),
-                added=tuple(added),
-                isolated_created=iso_count,
-            )
+            f"rule {rule} at vertex {u} would break the 6-per-edge ledger"
         )

@@ -502,12 +502,41 @@ class TestLedgerCheck:
         )
         assert ledger_check(ReductionTrace(g, steps)) == (False, 0)
 
-    def test_component_steps_exempt_from_per_step_cap(self):
-        # a component rule may consume arbitrarily many vertices per edge;
-        # only the global bound applies
+    def test_component_step_within_per_step_cap(self):
+        # a component step is capped like any other: C5's 5 vertices for
+        # one edge are within 6 per edge
         g = make_cycle(5)
         steps = (ReductionStep("COMPONENT-BRUTE", (0, 1, 2, 3, 4), ((0, 1),), 0),)
         assert ledger_check(ReductionTrace(g, steps)) == (True, None)
+
+    @staticmethod
+    def edge_steps(first: int, count: int) -> list[ReductionStep]:
+        """One step per isolated edge first-(first+1), first+2-(first+3), ..."""
+        return [
+            ReductionStep("COMPONENT-BRUTE", (v, v + 1), ((v, v + 1),), 0)
+            for v in range(first, first + 2 * count, 2)
+        ]
+
+    @pytest.mark.parametrize("rule", ["COMPONENT-BRUTE", "COMPONENT-K33PLUS"])
+    def test_seven_for_one_step_without_k33plus(self, rule):
+        # step 0 consumes the 7-cycle for one edge, whatever its name; the
+        # five edges after it meet the global bound ceil(17/6) = 3
+        g = disjoint_union(make_cycle(7), *[Graph(2, [(0, 1)])] * 5)
+        steps = [ReductionStep(rule, tuple(range(7)), ((0, 1),), 0)]
+        steps += self.edge_steps(7, 5)
+        assert ledger_check(ReductionTrace(g, tuple(steps))) == (False, 0)
+
+    def test_one_k33plus_pays_for_one_step(self):
+        # n33plus = 1 pays for the K33+ step but not for a second step of 7
+        # vertices for one edge; the global bound ceil(23/6) = 4 is met
+        g = disjoint_union(gen_k33plus(), make_cycle(7), *[Graph(2, [(0, 1)])] * 5)
+        k33 = ReductionStep("COMPONENT-K33PLUS", tuple(range(7)), ((1, 4),), 0)
+        cycle = ReductionStep("COMPONENT-BRUTE", tuple(range(7, 14)), ((7, 8),), 0)
+        edges = self.edge_steps(14, 5)
+        assert ledger_check(ReductionTrace(g, (k33, *edges))) == (True, None)
+        assert ledger_check(ReductionTrace(g, (k33, cycle, *edges))) == (False, 1)
+        eight = ReductionStep("R6", tuple(range(7, 15)), ((7, 8),), 0)
+        assert ledger_check(ReductionTrace(g, (eight, *edges[1:]))) == (False, 0)
 
     def test_duplicate_removed_vertex(self):
         g = make_cycle(12)
@@ -940,6 +969,38 @@ class TestLoudFailure:
         monkeypatch.setattr(_Engine, "_find_triangle", lambda self, a: None)
         with pytest.raises(LedgerViolationError, match="R10 anchor"):
             find_induced_matching_subcubic(triangle_capped_ladder())
+
+    @pytest.fixture
+    def broken_oracle(self, monkeypatch):
+        # the oracle keeps only the lowest edge of its witness, so the
+        # 9-vertex path gets one edge where the guard needs two
+        real = strongmatch.reduction._max_independent
+
+        def lowest_bit(masks):
+            best = real(masks)
+            return best & -best
+
+        monkeypatch.setattr(strongmatch.reduction, "_max_independent", lowest_bit)
+
+    @staticmethod
+    def path_and_two_edges() -> Graph:
+        # slack in the two single edges would cover the path's shortfall in
+        # a global count: 3 edges against the bound ceil(13/6) = 3
+        return disjoint_union(make_path(9), Graph(2, [(0, 1)]), Graph(2, [(0, 1)]))
+
+    def test_oracle_shortfall_raises(self, broken_oracle):
+        with pytest.raises(
+            LedgerViolationError, match="rule COMPONENT-BRUTE at vertex 0"
+        ):
+            find_induced_matching_subcubic(self.path_and_two_edges())
+
+    def test_oracle_shortfall_exits_1(self, broken_oracle, tmp_path, capsys):
+        p = tmp_path / "g.el"
+        p.write_text(write_edge_list(self.path_and_two_edges(), []))
+        assert main(["match", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "ledger violation: rule COMPONENT-BRUTE at vertex 0" in err
 
     @pytest.fixture
     def unfiled(self, monkeypatch):

@@ -35,8 +35,9 @@ on 20-2,000 vertices.  The corpus, about 25 s of work on a 2-core Xeon
   gen_random_cubic(100000, 7100000), the generator graphs of the large
   benchmark workloads.
 
-Only the standard library and the package are used.  Pytest does not
-collect this file, as its name does not start with ``test_``.
+It uses the standard library, the package and the graph builders of
+tests/util.py.  Pytest does not collect this file, as its name does not
+start with ``test_``.
 """
 
 import hashlib
@@ -58,67 +59,29 @@ from strongmatch import (
     greedy_induced_matching,
 )
 
-
-def union(parts) -> Graph:
-    """The parts side by side, each relabeled past the vertices before it."""
-    edges = []
-    n = 0
-    for part in parts:
-        edges += [(u + n, v + n) for u, v in part.edges]
-        n += part.n
-    return Graph(n, edges)
-
-
-def lcf(n: int, shifts) -> Graph:
-    """Hamilton cycle 0..n-1 plus the chords i -> i + shifts[i mod len]."""
-    edges = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
-    edges |= {tuple(sorted((i, (i + shifts[i % len(shifts)]) % n))) for i in range(n)}
-    return Graph(n, sorted(edges))
-
-
-def petersen() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph(10, outer + spokes + inner)
-
-
-def diamond_ring(k: int) -> Graph:
-    """k diamonds (K4 minus an edge) joined tip to tip in a cycle."""
-    edges = [(0, 4 * k - 1)]
-    for i in range(k):
-        a, b, c, d = range(4 * i, 4 * i + 4)
-        edges += [(a, b), (a, c), (b, c), (b, d), (c, d)]
-        if i + 1 < k:
-            edges.append((d, d + 1))
-    return Graph(4 * k, edges)
-
-
-def with_k33plus_blocks(base: Graph, count: int, seed: int) -> Graph:
-    """base with ``count`` K33+ blocks, each subdivision vertex joined to
-    its own vertex of base of degree at most 2, picked by a shuffle."""
-    free = [v for v in range(base.n) if len(base.adj[v]) <= 2]
-    SplitMix64(seed).shuffle(free)
-    count = min(count, len(free))
-    g = union([base] + [gen_k33plus()] * count)
-    ties = [(free[k], base.n + 7 * k + 6) for k in range(count)]
-    return Graph(g.n, list(g.edges) + ties)
+from util import (
+    disjoint_union,
+    make_diamond_chain,
+    make_dodecahedron,
+    make_petersen,
+    with_k33plus_blocks,
+)
 
 
 def cubic_union(seed: int) -> Graph:
     k33 = gen_k33plus()
     pieces = [
-        lcf(20, [10, 7, 4, -4, -7, 10, -4, 7, -7, 4]),  # dodecahedron
-        petersen(),
+        make_dodecahedron(),
+        make_petersen(),
         gen_extremal_cubic(),
-        diamond_ring(3 + seed % 3),
+        make_diamond_chain(3 + seed % 3, ring=True),
         gen_random_cubic(14 + 2 * (seed % 14), 2_000_000 + seed),
         gen_random_cubic(14 + 2 * ((seed * 5) % 14), 2_100_000 + seed),
         k33,
-        Graph(14, list(union([k33, k33]).edges) + [(6, 13)]),
+        Graph(14, [*disjoint_union(k33, k33).edges, (6, 13)]),
     ]
     SplitMix64(seed).shuffle(pieces)
-    return union(pieces)
+    return disjoint_union(*pieces)
 
 
 def girth6_graphs():

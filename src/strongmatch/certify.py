@@ -196,10 +196,12 @@ def ledger_check(trace) -> LedgerResult:
     at most 6 per added edge, except that as many steps as the original
     graph has K33+ components may go one vertex over (a K33+ component's
     step, 7 vertices for 1 edge, which its n33plus unit pays for); removed
-    sets are pairwise disjoint; added edges are graph edges and avoid all
-    previously removed vertices.  Globally: total added edges >= ceil((n -
-    i - n33plus)/6), recomputed from the original graph.  Step names are
-    never read.
+    vertices are vertices of the graph with a neighbor, each removed once;
+    added edges are graph edges and avoid all previously removed vertices.
+    Globally: the steps consume the graph, their removed and isolated
+    counts summing to n - i, and total added edges >= ceil((n - i -
+    n33plus)/6), recomputed from the original graph.  Step names are never
+    read.
     """
     return _audit(trace)[0]
 
@@ -213,7 +215,10 @@ def _audit(
     g = trace.original
     isolated, n33 = _census(g) if census is None else census
     need = _thm2_bound(g.n, isolated, n33)
-    removed_before: set[int] = set()
+    n = g.n
+    # the vertices with a neighbor that no step has removed yet
+    left = bytearray(map(bool, g.adj))
+    consumed = 0
     for idx, step in enumerate(trace.steps):
         if len(step.added) < 1 or step.isolated_created < 0:
             return LedgerResult(False, idx), need
@@ -222,16 +227,15 @@ def _audit(
             if over > 1 or n33 == 0:
                 return LedgerResult(False, idx), need
             n33 -= 1
-        for v in step.removed:
-            if v in removed_before:
-                return LedgerResult(False, idx), need
         for u, v in step.added:
-            if not g.has_edge(u, v):
+            if not g.has_edge(u, v) or not (left[u] and left[v]):
                 return LedgerResult(False, idx), need
-            if u in removed_before or v in removed_before:
+        for v in step.removed:
+            if not (0 <= v < n and left[v]):
                 return LedgerResult(False, idx), need
-        removed_before.update(step.removed)
+            left[v] = 0
+        consumed += len(step.removed) + step.isolated_created
     total = sum(len(step.added) for step in trace.steps)
-    if total < need:
+    if consumed != n - isolated or total < need:
         return LedgerResult(False, None), need
     return LedgerResult(True, None), need

@@ -273,12 +273,14 @@ def _ring(adj, alive, removal: set[int]) -> dict[int, int]:
     return ring
 
 
-def _alive_closed(adj, alive, v: int) -> set[int]:
-    """v with its alive neighbors."""
-    out = {v}
-    for w in adj[v]:
-        if alive[w]:
-            out.add(w)
+def _alive_closed(adj, alive, vertices: tuple[int, ...]) -> set[int]:
+    """``vertices`` with their alive neighbors: the union of their alive
+    closed neighborhoods, the set a peeling step deletes."""
+    out = set(vertices)
+    for v in vertices:
+        for w in adj[v]:
+            if alive[w]:
+                out.add(w)
     return out
 
 

@@ -185,7 +185,7 @@ def forest_greedy_induced_matching(g: Graph) -> list[Edge]:
             if p < 0 or not (alive[v] and alive[p]):
                 continue
             chosen.append(normalize_edge(v, p))
-            for w in _alive_closed(adj, alive, v) | _alive_closed(adj, alive, p):
+            for w in _alive_closed(adj, alive, (v, p)):
                 alive[w] = 0
     return sorted(chosen)
 
@@ -228,7 +228,6 @@ def girth6_induced_matching(g: Graph) -> list[Edge]:
         if heap:
             v = heap[0][1]
             u = next(w for w in adj[v] if alive[w] and deg[w] == 1)
-            removal = _alive_closed(adj, alive, v)
         else:
             # every alive vertex keeps an alive neighbor: isolated ones are
             # dropped up front and by graph._delete
@@ -238,7 +237,8 @@ def girth6_induced_matching(g: Graph) -> list[Edge]:
                 break
             u = ptr
             v = next(w for w in adj[u] if alive[w])
-            removal = _alive_closed(adj, alive, u) | _alive_closed(adj, alive, v)
+        # N[u] is inside N[v] for a pendant u, so both cases delete N[u] | N[v]
+        removal = _alive_closed(adj, alive, (u, v))
         chosen.append(normalize_edge(u, v))
         for t in _delete(adj, alive, deg, removal, _ring(adj, alive, removal)):
             k = sum(1 for w in adj[t] if alive[w] and deg[w] == 1)

@@ -6,8 +6,10 @@ the independent sets of the conflict graph.  Conflict graphs of
 bounded-degree graphs are dense, so optima are small and branch-and-bound
 with a clique-cover bound terminates quickly.
 
-The solver is capped at m <= 64 edges so node sets fit in one machine-word
-bitmask; larger inputs are rejected rather than silently attempted.
+The public entry rejects inputs of more than ORACLE_EDGE_CAP = 64 edges
+rather than silently attempt them.  The cap is an explicit resource limit
+on an exponential search, not the width of its masks, which are unbounded
+Python ints.
 
 The search itself, _max_independent, sees only the conflict bitmasks that
 _conflict_masks builds from an adjacency and a sorted edge list.  The public

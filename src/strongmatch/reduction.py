@@ -15,32 +15,32 @@ dedicated step.
 Per component the engine works as follows: singletons are skipped, K33+
 components emit one edge (COMPONENT-K33PLUS), components of order <= 12 are
 solved exactly by the oracle (COMPONENT-BRUTE), and larger components go
-through rules R1..R12 in fixed priority:
+through rules R1..R12 in fixed priority.  Every rule step matches one or
+two edges and deletes the alive closed neighborhoods of their endpoints:
 
   R1   a K33+ subgraph, found by _k33plus_at, the test COMPONENT-K33PLUS
-       also uses (the census in certify.py has its own): match one central
-       edge, delete its six degree-3 branch vertices (the degree-2
-       subdivision vertex survives)
-  R2   end-vertex u with a degree-2 neighbor v: match uv, delete N[v]
-  R3   vertex v adjacent to two end-vertices: match v with the smallest,
-       delete N[v]
+       also uses (the census in certify.py has its own): match the edge
+       joining the two branch vertex pairs not adjacent to the degree-2
+       subdivision vertex; the closed neighborhoods of its ends are the
+       six branch vertices, and the subdivision vertex survives
+  R2   end-vertex u with a degree-2 neighbor v: match uv
+  R3   vertex v adjacent to two end-vertices: match v with the smallest
   R4   end-vertices u1, u2 at distance exactly 4: match u1 and u2 with
-       their neighbors v1, v2, delete N[v1] and N[v2]
-  R5   end-vertex u with a degree-3 neighbor v: match uv, delete N[v]
-  R6   adjacent degree-2 vertices u1, u2: match u1u2, delete both closed
-       neighborhoods
-  R7   degree-2 vertex u on a triangle u v1 v2: match uv1, delete N[v1]
-  R8   degree-2 vertex u on a 4-cycle u v1 w v2: match uv1, delete
-       N[v1] and N[u]
+       their neighbors v1, v2
+  R5   end-vertex u with a degree-3 neighbor v: match uv
+  R6   adjacent degree-2 vertices u1, u2: match u1u2
+  R7   degree-2 vertex u on a triangle u v1 v2: match uv1
+  R8   degree-2 vertex u on a 4-cycle u v1 w v2: match uv1
   R9   degree-2 vertex u, both neighbors degree 3, no 3- or 4-cycle at u:
        match u with whichever neighbor's deletion leaves at most one
        isolated vertex
-  R10  triangle in a now-cubic component: match one triangle edge, delete
-       both closed neighborhoods
+  R10  triangle in a now-cubic component: match one triangle edge
   R11  4-cycle in a now-cubic component: match the cycle edge whose
        deletion isolates nothing
-  R12  cubic component of girth >= 5: match the smallest edge, delete both
-       closed neighborhoods
+  R12  cubic component of girth >= 5: match the smallest edge
+
+R2..R5 and R7 so delete N[v] (N[v1] | N[v2] for R4): an end-vertex's or a
+triangle's degree-2 vertex's closed neighborhood lies in its neighbor's.
 
 Rule priority is the correctness argument: each rule's bound on the number
 of isolated vertices it creates assumes every earlier rule is exhausted.
@@ -281,7 +281,8 @@ def _k33plus_at(adj, alive, deg, u: int):
 def _k33plus_edge(side_a: list[int], side_b: list[int]) -> Edge:
     """The edge a K33+ step matches: the smallest between the two side pairs
     (the branch vertices not adjacent to the subdivision vertex).  The
-    sides are disjoint and sorted, so it joins their first vertices."""
+    sides are disjoint and sorted, so it joins their first vertices, whose
+    alive closed neighborhoods _k33plus_at makes the six branch vertices."""
     return normalize_edge(side_a[0], side_b[0])
 
 
@@ -392,13 +393,15 @@ class _Engine:
         """(class, pattern) of an alive anchor queued under ``rule``.
 
         For FRAG and R2..R9 that is _classify.  R1, R10 and R11 anchors
-        are searched afresh, as (rule, pattern), and an R12 anchor is
-        matched with its smallest alive neighbor.  The queue order keeps
-        their patterns until their keys pop (see the module docstring), so
-        a lost one raises LedgerViolationError.
+        are searched afresh, as (rule, pattern), R1's pattern being the
+        edge _k33plus_edge picks, and an R12 anchor is matched with its
+        smallest alive neighbor.  The queue order keeps their patterns
+        until their keys pop (see the module docstring), so a lost one
+        raises LedgerViolationError.
         """
         if rule == _R1:
-            pat = self.k33plus_at(u)
+            hit = self.k33plus_at(u)
+            pat = hit and (_k33plus_edge(hit[2], hit[3]),)
         elif rule < _R10:
             return self._classify(rule, u)
         elif rule == _R12:
@@ -415,8 +418,9 @@ class _Engine:
     def _classify(self, rule: int, u: int) -> tuple[int, object]:
         """Current (rule, pattern) of an alive anchor of degree at most 2,
         popped under ``rule``: FRAG or R2..R5 for an end-vertex, R6..R9 for
-        a degree-2 vertex.  The pattern is the pairs (x, v) that _fire
-        matches; FRAG has none, as its component goes to the oracle.
+        a degree-2 vertex.  The pattern is _fire's options, each a flat
+        tuple x1, v1[, x2, v2] of pairs to match; FRAG has none, as its
+        component goes to the oracle.
 
         A degree-2 anchor is queued under R6 or later, and its key pops
         only once no key below R6 is left, so no end-vertex is alive.  One
@@ -454,7 +458,7 @@ class _Engine:
                 if deg[w] == 1 and alive[w]
             ]
             if far:
-                return _R4, ((u, v), min(far))
+                return _R4, ((u, v, *min(far)),)
             return _R5, ((u, v),)
         v1, v2 = [w for w in adj[u] if alive[w]]
         if deg[v1] == 1 or deg[v2] == 1:
@@ -537,33 +541,19 @@ class _Engine:
     # -- rule firing -------------------------------------------------------
 
     def _fire(self, rule: int, u: int, pat) -> None:
-        """Fire ``rule`` at anchor u with the pattern its lookup returned:
-        R1's K33+, or pairs (x, v) of vertices to match.
+        """Fire ``rule`` at anchor u with the options its lookup returned,
+        each a flat tuple x1, v1[, x2, v2]: match every pair x-v and delete
+        the alive closed neighborhoods of all its vertices.
 
         A component that has shrunk to order <= BRUTE_FORCE_THRESHOLD goes
         to the oracle (every FRAG lands here); otherwise the rule's options
-        go to _commit.
+        go to _commit, in the order the rule tries them.
         """
         comp = self._probe(u)
         if comp is not None:
             self._solve(sorted(comp))
             return
-        closed = self.closed
-        # options: (removal, added) pairs in the order the rule tries them
-        if rule == _R1:
-            a1, b1, side_a, side_b = pat
-            options = [({a1, b1, *side_a, *side_b}, [_k33plus_edge(side_a, side_b)])]
-        elif rule <= _R5 or rule == _R7:
-            # R2..R5, R7: one option, matching every pair x-v and deleting
-            # each N[v]
-            removal = set()
-            for _, v in pat:
-                removal |= closed(v)
-            options = [(removal, [normalize_edge(x, v) for x, v in pat])]
-        else:
-            # R6, R8..R12: each pair is an option, matching it and deleting
-            # both closed neighborhoods
-            options = [(closed(x) | closed(v), [normalize_edge(x, v)]) for x, v in pat]
+        options = [(self.closed(o), list(map(normalize_edge, o[::2], o[1::2]))) for o in pat]
         self._commit(f"R{rule}", u, options)
 
     def _commit(self, rule: str, u: int, options) -> None:

@@ -307,9 +307,12 @@ def _bound_names(source: str) -> set[str]:
     return out
 
 
-def stale_private_names(sources: dict[str, str]) -> list[str]:
+def stale_private_names(
+    sources: dict[str, str], docs: Optional[dict[str, str]] = None
+) -> list[str]:
     """Private names, dunder names aside, that a docstring or comment in
-    ``sources`` (file name -> text) writes but no source defines.
+    ``sources`` (file name -> text), or a line of ``docs`` (file name ->
+    text, each line a note), writes but no source defines.
 
     A name written after a module of ``sources`` and a dot (the module's
     file name without ``.py``) must be defined in that module; any other,
@@ -317,23 +320,30 @@ def stale_private_names(sources: dict[str, str]) -> list[str]:
     """
     bound = {Path(name).stem: _bound_names(text) for name, text in sources.items()}
     everywhere = set().union(*bound.values())
+    notes = [(f, line, note) for f, text in sources.items() for line, note in _notes(text)]
+    notes += [
+        (f, line, note)
+        for f, text in (docs or {}).items()
+        for line, note in enumerate(text.splitlines(), 1)
+    ]
     stale = []
-    for fname, text in sources.items():
-        for line, note in _notes(text):
-            for dotted in re.findall(r"\w+(?:\.\w+)*", note):
-                parts = dotted.split(".")
-                for i, part in enumerate(parts):
-                    if not re.fullmatch(r"_[A-Za-z]\w*", part):
-                        continue
-                    owner = parts[i - 1] if i else None
-                    if part not in bound.get(owner, everywhere):
-                        stale.append(f"{fname}:{line}: {dotted}")
+    for fname, line, note in notes:
+        for dotted in re.findall(r"\w+(?:\.\w+)*", note):
+            parts = dotted.split(".")
+            for i, part in enumerate(parts):
+                if not re.fullmatch(r"_[A-Za-z]\w*", part):
+                    continue
+                owner = parts[i - 1] if i else None
+                if part not in bound.get(owner, everywhere):
+                    stale.append(f"{fname}:{line}: {dotted}")
     return stale
 
 
 def test_no_stale_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in CHECKED}
-    assert stale_private_names(sources) == []
+    readme = TESTS.parent / "README.md"
+    docs = {readme.name: readme.read_text(encoding="utf-8")}
+    assert stale_private_names(sources, docs) == []
 
 
 def test_checker_flags_a_stale_private_name():
@@ -346,9 +356,10 @@ def test_checker_flags_a_stale_private_name():
         ),
         "b.py": "_kept = 1\nclass C:\n    def __init__(self):\n        self._slot = 0\n",
     }
-    assert stale_private_names(sources) == [
+    docs = {"README.md": "Uses `b._kept` and `_helper`.\n\n`b._gone`, then _nowhere\n"}
+    assert stale_private_names(sources, docs) == [
         "a.py:1: b._gone", "a.py:3: _missing", "a.py:4: b._helper",
-        "a.py:4: self._spare",
+        "a.py:4: self._spare", "README.md:3: b._gone", "README.md:3: _nowhere",
     ]
 
 

@@ -35,6 +35,7 @@ from strongmatch.certify import _census
 from strongmatch.reduction import _R1, _R2, _R4, _R5, _R6, _R10, _R11, _R12, _Engine
 
 from bruteforce import (
+    _replay,
     c4_at_by_enumeration,
     k33plus_subdivision_vertices,
     priority_violations,
@@ -233,6 +234,41 @@ class TestRuleSelection:
                     assert len(step.removed) + step.isolated_created <= budget
 
 
+def deletion_corpus() -> list[Graph]:
+    """Graphs on which R1..R12 each fire: the RULE_CASES, K33+ blocks on a
+    diamond chain and on random subcubic graphs, cubic pieces side by side,
+    and random cubic graphs."""
+    graphs = [g for _, g, _ in RULE_CASES]
+    graphs += [gen_extremal_cubic(), make_mixed()]
+    graphs.append(with_k33plus_blocks(make_diamond_chain(6), 2, 1))
+    graphs.append(
+        disjoint_union(make_dodecahedron(), make_petersen(), make_diamond_chain(4, ring=True))
+    )
+    graphs += [
+        with_k33plus_blocks(gen_random_subcubic(200, m, seed), 2, seed)
+        for seed, m in [(1, 200), (2, 260), (3, 300)]
+    ]
+    graphs += [gen_random_cubic(60, seed) for seed in range(4)]
+    return graphs
+
+
+class TestDeletionRule:
+    def test_rule_steps_delete_the_closed_neighborhoods_of_their_edges(self):
+        """Every rule step deletes exactly the alive closed neighborhoods of
+        its matched edges' endpoints, read from the replayed alive graph."""
+        met = set()
+        for g in deletion_corpus():
+            _, trace = find_induced_matching_subcubic(g)
+            for _, step, alive in _replay(g, trace):
+                if not step.rule.startswith("R"):
+                    continue
+                ends = {x for edge in step.added for x in edge}
+                want = ends | {w for x in ends for w in g.adj[x] if alive[w]}
+                assert set(step.removed) == want, (g.edges, step)
+                met.add(step.rule)
+        assert met == {f"R{k}" for k in range(1, 13)}
+
+
 class TestFindC4:
     """_find_c4, the R11 pattern search, against the 4-cycles enumerated at
     the anchor: at every vertex of the corpora, with every vertex alive and
@@ -293,7 +329,7 @@ class TestR4Search:
                         r5 += 1
                         continue
                     (y,) = [w for w in g.adj[want] if alive[w]]
-                    assert (cls, pat) == (_R4, ((u, v), (want, y))), (g.edges, mask, u)
+                    assert (cls, pat) == (_R4, ((u, v, want, y),)), (g.edges, mask, u)
                     r4 += 1
                     # an end-vertex is inside no path between two others, so
                     # without the partner the other candidates stay at distance 4
@@ -531,12 +567,34 @@ class TestLedgerCheck:
         # vertices for one edge; the global bound ceil(23/6) = 4 is met
         g = disjoint_union(gen_k33plus(), make_cycle(7), *[Graph(2, [(0, 1)])] * 5)
         k33 = ReductionStep("COMPONENT-K33PLUS", tuple(range(7)), ((1, 4),), 0)
+        two = ReductionStep("COMPONENT-BRUTE", tuple(range(7, 14)), ((7, 8), (10, 11)), 0)
         cycle = ReductionStep("COMPONENT-BRUTE", tuple(range(7, 14)), ((7, 8),), 0)
         edges = self.edge_steps(14, 5)
-        assert ledger_check(ReductionTrace(g, (k33, *edges))) == (True, None)
+        assert ledger_check(ReductionTrace(g, (k33, two, *edges))) == (True, None)
         assert ledger_check(ReductionTrace(g, (k33, cycle, *edges))) == (False, 1)
         eight = ReductionStep("R6", tuple(range(7, 15)), ((7, 8),), 0)
         assert ledger_check(ReductionTrace(g, (eight, *edges[1:]))) == (False, 0)
+
+    def test_trace_leaving_vertices_unconsumed(self):
+        # each step is within its cap and the 3 edges meet ceil(16/6) = 3,
+        # but 10..15 are neither removed nor isolated
+        g = make_path(16)
+        added = ((0, 1), (4, 5), (8, 9))
+        steps = (ReductionStep("COMPONENT-BRUTE", tuple(range(10)), added, 0),)
+        assert ledger_check(ReductionTrace(g, steps)) == (False, None)
+
+    @pytest.mark.parametrize(
+        "removed",
+        [(*range(10), *range(6)), (*range(10), *range(16, 22)), (*range(15), -1)],
+        ids=["repeated", "beyond-n", "negative"],
+    )
+    def test_removed_vertices_are_graph_vertices_once(self, removed):
+        # each lists 16 = n - i vertices, within the cap of 18, without
+        # consuming the whole path (-1 would index vertex 15)
+        g = make_path(16)
+        added = ((0, 1), (4, 5), (8, 9))
+        steps = (ReductionStep("COMPONENT-BRUTE", removed, added, 0),)
+        assert ledger_check(ReductionTrace(g, steps)) == (False, 0)
 
     def test_duplicate_removed_vertex(self):
         g = make_cycle(12)

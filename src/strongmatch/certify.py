@@ -3,9 +3,10 @@
 A run claims that its matching is induced and at least as large as a
 bound.  verify_induced_matching checks the first claim on the graph alone,
 count_invariants recomputes every bound from the graph, and ledger_check
-audits a reduction trace's 6-per-edge accounting against the bound
-ceil((n - isolated - n33plus) / 6), with the census of isolated vertices and
-K33+ components taken afresh from the original graph.
+replays a reduction trace with alive degrees of its own and audits its
+6-per-edge accounting against the bound ceil((n - isolated - n33plus) / 6),
+with the census of isolated vertices and K33+ components taken afresh from
+the original graph.
 
 This module is the trusted base of those claims.  From the package it
 imports only the graph type, its errors, normalize_edge and girth, and never
@@ -192,16 +193,20 @@ def ledger_check(trace) -> LedgerResult:
     """Audit a ReductionTrace: per-step accounting plus the global size
     guarantee.
 
-    Per step: at least one added edge; deleted count plus isolated count is
-    at most 6 per added edge, except that as many steps as the original
-    graph has K33+ components may go one vertex over (a K33+ component's
-    step, 7 vertices for 1 edge, which its n33plus unit pays for); removed
-    vertices are vertices of the graph with a neighbor, each removed once;
-    added edges are graph edges and avoid all previously removed vertices.
-    Globally: the steps consume the graph, their removed and isolated
-    counts summing to n - i, and total added edges >= ceil((n - i -
-    n33plus)/6), recomputed from the original graph.  Step names are never
-    read.
+    The audit replays the trace on the original graph with its own alive
+    flags and degrees: a vertex stops being alive when a step removes it or
+    leaves it with no alive neighbor, and vertices isolated in the input
+    never are.  Per step: at least one added edge; added edges are graph
+    edges whose ends are alive before the step and removed by it; removed
+    vertices are alive vertices of the graph, each removed once; the
+    isolated count is the number of vertices the removal leaves with no
+    alive neighbor; deleted count plus isolated count is at most 6 per
+    added edge, except that as many steps as the original graph has K33+
+    components may go one vertex over (a K33+ component's step, 7 vertices
+    for 1 edge, which its n33plus unit pays for).  Globally: the steps
+    consume the graph, leaving no vertex alive, and total added edges >=
+    ceil((n - i - n33plus)/6), recomputed from the original graph.  Step
+    names are never read.  O(n + m).
     """
     return _audit(trace)[0]
 
@@ -213,29 +218,45 @@ def _audit(
     original graph rather than taken from the engine.  ``census`` is
     _census of the original graph when the caller already has it."""
     g = trace.original
+    adj = g.adj
     isolated, n33 = _census(g) if census is None else census
     need = _thm2_bound(g.n, isolated, n33)
     n = g.n
-    # the vertices with a neighbor that no step has removed yet
-    left = bytearray(map(bool, g.adj))
-    consumed = 0
+    # a replay kept here, apart from the engine's graph._delete: the alive
+    # flags of the vertices with a neighbor, and their alive degrees
+    alive = bytearray(map(bool, adj))
+    deg = list(map(len, adj))
     for idx, step in enumerate(trace.steps):
-        if len(step.added) < 1 or step.isolated_created < 0:
+        if len(step.added) < 1:
             return LedgerResult(False, idx), need
-        over = len(step.removed) + step.isolated_created - 6 * len(step.added)
+        for u, v in step.added:
+            if not g.has_edge(u, v) or not (alive[u] and alive[v]):
+                return LedgerResult(False, idx), need
+        for v in step.removed:
+            if not (0 <= v < n and alive[v]):
+                return LedgerResult(False, idx), need
+            alive[v] = 0
+        # both ends of every matched edge are removed by this step
+        for u, v in step.added:
+            if alive[u] or alive[v]:
+                return LedgerResult(False, idx), need
+        # the step's isolated vertices: its removal takes their last neighbor
+        iso = 0
+        for v in step.removed:
+            for w in adj[v]:
+                if alive[w]:
+                    deg[w] -= 1
+                    if not deg[w]:
+                        alive[w] = 0
+                        iso += 1
+        if iso != step.isolated_created:
+            return LedgerResult(False, idx), need
+        over = len(step.removed) + iso - 6 * len(step.added)
         if over > 0:
             if over > 1 or n33 == 0:
                 return LedgerResult(False, idx), need
             n33 -= 1
-        for u, v in step.added:
-            if not g.has_edge(u, v) or not (left[u] and left[v]):
-                return LedgerResult(False, idx), need
-        for v in step.removed:
-            if not (0 <= v < n and left[v]):
-                return LedgerResult(False, idx), need
-            left[v] = 0
-        consumed += len(step.removed) + step.isolated_created
     total = sum(len(step.added) for step in trace.steps)
-    if consumed != n - isolated or total < need:
+    if alive.find(1) >= 0 or total < need:
         return LedgerResult(False, None), need
     return LedgerResult(True, None), need

@@ -157,22 +157,19 @@ def girth(g: Graph) -> Optional[int]:
     and the smallest vertex s of a shortest cycle C sees all of C among the
     vertices >= s, where the BFS from s reports |C|.
 
-    A local pass over every root in vertex order comes first (_short_cycles,
-    which also seeds the reduction engine's R10 and R11 anchors, there from
-    the roots of the cubic components only): a triangle returns 3 at once,
-    and if the pass ends with none, a 4-cycle gives 4.  Only then does the
-    BFS run, knowing the girth is at least 5, and it stops at the first
-    5-cycle.  The local pass marks vertices in two stamp arrays (N(s) and
-    the vertices reached) and builds no sets, so it costs O(n D^2) for
-    maximum degree D; the BFS costs O(n + m) per root, cut short once
-    2 dist[v] + 1 reaches the best cycle found.
+    A local pass comes first (_short_cycle over every root in vertex
+    order, the search that also picks the reduction engine's R10 and R11
+    cycles): it returns the first triangle, else the first 4-cycle, and
+    the girth is that cycle's length.  Only with neither does the BFS run,
+    knowing the girth is at least 5, and it stops at the first 5-cycle.
+    The local pass costs O(n D^2) for maximum degree D, plus O(D^4) per
+    root until a 4-cycle is found; the BFS costs O(n + m) per root, cut
+    short once 2 dist[v] + 1 reaches the best cycle found.
     """
     adj = g.adj
-    triangles, squares = _short_cycles(adj, stop_at_triangle=True)
-    if triangles:
-        return 3
-    if squares:
-        return 4
+    cycle = _short_cycle(adj, range(g.n))
+    if cycle is not None:
+        return len(cycle)
     n = g.n
     best: Optional[int] = None
     dist = [0] * n
@@ -208,57 +205,45 @@ def girth(g: Graph) -> Optional[int]:
     return best
 
 
-def _short_cycles(
-    adj: Sequence[Sequence[int]],
-    roots: Optional[Iterable[int]] = None,
-    stop_at_triangle: bool = False,
-) -> tuple[list[int], list[int]]:
-    """Smallest vertices of the triangles and of the 4-cycles whose
-    smallest vertex is one of ``roots`` (default: every vertex), in the
-    order of ``roots``.
+def _short_cycle(
+    adj: Sequence[Sequence[int]], roots: Iterable[int]
+) -> Optional[tuple[int, ...]]:
+    """The first triangle (s, b, c) whose smallest vertex s is one of
+    ``roots``, in their order, else the first such 4-cycle (s, n1, x, n2),
+    in cycle order, or None.
 
-    Each cycle is looked for from its smallest vertex s, through the
-    neighbors of s above it, so a root with fewer than two neighbors above
-    it is skipped: a vertex above s reached from two of them closes a
-    4-cycle, and one that is itself a neighbor of s closes a triangle.
-    Scanning the vertices of some components as roots thus finds exactly
-    the short cycles of those components.  Two stamp arrays, tagged s + 1,
-    stand in for per-root sets: ``near`` marks N(s), and ``seen`` the
-    vertices reached so far.  O(D^2) per root for maximum degree D.  With
-    ``stop_at_triangle`` the pass ends at the first triangle found.
+    Each cycle is looked for from its smallest vertex s, among the vertices
+    above s: the triangle with (b, c) smallest, b < c, and the 4-cycle with
+    n1 < n2 and (n1, n2, x) smallest.  A root with fewer than two neighbors
+    above it is skipped.  Scanning the vertices of some components as roots
+    thus finds exactly the short cycles of those components.  For maximum
+    degree D the triangle test costs O(D^2) per root, with one set of the
+    neighbors above s; the 4-cycle search, O(D^4) per root, runs only until
+    a 4-cycle is found.
     """
-    n = len(adj)
-    near = [0] * n
-    seen = [0] * n
-    tri_roots: list[int] = []
-    c4_roots: list[int] = []
-    for s in range(n) if roots is None else roots:
+    square = None
+    for s in roots:
         nbrs = adj[s]
         if len(nbrs) < 2 or nbrs[-2] < s:
             continue
-        tag = s + 1
-        for a in nbrs:
-            near[a] = tag
-        tri = c4 = False
-        for a in nbrs:
-            if a < s:
-                continue
-            for w in adj[a]:
-                if w <= s:
-                    continue
-                if near[w] == tag:
-                    if stop_at_triangle:
-                        return [s], []
-                    tri = True
-                if seen[w] == tag:
-                    c4 = True
-                else:
-                    seen[w] = tag
-        if tri:
-            tri_roots.append(s)
-        if c4:
-            c4_roots.append(s)
-    return tri_roots, c4_roots
+        up = [a for a in nbrs if a > s]
+        near = set(up)
+        for b in up:
+            # a triangle s-c-b with c < b in near was met at c already
+            if not near.isdisjoint(adj[b]):
+                return s, b, min(near.intersection(adj[b]))
+        if square is None:
+            square = next(
+                (
+                    (s, n1, x, n2)
+                    for i, n1 in enumerate(up)
+                    for n2 in up[i + 1:]
+                    for x in adj[n1]
+                    if x > s and x in adj[n2]
+                ),
+                None,
+            )
+    return square
 
 
 def _ring(adj, alive, removal: set[int]) -> dict[int, int]:

@@ -58,14 +58,14 @@ class key is no larger than the next key; otherwise that class key is
 pushed.  R4 is searched for directly at each end-vertex u past R3: u's
 neighbor v has two other alive neighbors xs, of degree at least 2, so the
 end-vertices at distance exactly 4 are those beside a vertex y that is
-beside some x and is neither v nor in xs.  R1, R10, R11 and R12 anchors
-are filed once up front, which is sound because vertex deletion never
-creates a subgraph, and their patterns are searched for afresh when
-popped.  R1 anchors are tested only next to twins: in a K33+ at u, the two
-branch vertices not adjacent to u have the same three neighbors, and u is
-adjacent to one of those neighbors; at setup a vertex's alive neighbors
-are all its neighbors, so the twins share their adjacency tuple, and
-setup counts the tuples of every vertex.
+beside some x and is neither v nor in xs.  R1 anchors are filed once up
+front, which is sound because vertex deletion never creates a subgraph,
+and their K33+ is searched for afresh when popped.  They are tested only
+next to twins: in a K33+ at u, the two branch vertices not adjacent to u
+have the same three neighbors, and u is adjacent to one of those
+neighbors; at setup a vertex's alive neighbors are all its neighbors, so
+the twins share their adjacency tuple, and setup counts the tuples of
+every vertex.
 
 Only R1 anchors fire before the last R1 key pops, so an alive R1 anchor
 still has its K33+ then.  FRAG keys sort below R1 but re-file under
@@ -89,17 +89,20 @@ would be of class at most R9, and the next paragraph shows that a vertex
 of class c leaves a filed vertex of class at most c.  Deletion only
 lowers degrees, so an alive vertex of degree 3 has all its input
 neighbors alive, and the alive graph is then a union of input components
-that are cubic, of order > 12 and untouched by any step.  So setup files
-R10 and R11 anchors only at the smallest vertices of the triangles and
-4-cycles of those components, from graph._short_cycles (the pass girth
-also runs) with the components' vertices as roots, and an R12 anchor at
-the smallest vertex of each; an anchor anywhere else could only pop dead.
-That is enough, because the smallest vertex of an alive short cycle stays
-filed until it fires, so the smallest anchor with an alive pattern is
-always one, and an alive R12 anchor's component has girth >= 5.  A
-touched component keeps a filed vertex of degree 1 or 2 while any of it
-is alive, and an untouched one its R12 anchor, so no vertex is alive once
-the queue is empty; run checks that.
+that are cubic, of order > 12 and untouched by any step.  A step there
+matches one edge and so consumes at most 6 of the component's 14 or more
+vertices, leaving one of degree 1 or 2; a touched component keeps a filed
+vertex of degree 1 or 2 while any of it is alive, so R2..R9 and the
+oracle consume it before the next R10 key pops.  Each such component thus
+takes one R10, R11 or R12 step, and setup files one key for it: R10 at
+its first triangle, else R11 at its first 4-cycle, from graph._short_cycle
+(the pass girth also runs) over its vertices in order, else R12 at its
+smallest vertex.  That is the earliest of the three rules that applies to
+the component.  A cycle is filed at its smallest vertex and stored for
+the lookup, which reads the rule's options from it.  As the component is
+untouched when its key pops, the stored cycle is whole, and an R12
+anchor's component has girth >= 5.  An untouched component keeps its
+key, so no vertex is alive once the queue is empty; run checks that.
 
 The queue never goes back to an earlier rule.  Call a vertex filed when it
 has a queue entry under a rule no later than its class.  A component the
@@ -150,7 +153,7 @@ from .graph import (
     _alive_closed,
     _delete,
     _ring,
-    _short_cycles,
+    _short_cycle,
     _walk_components,
     normalize_edge,
 )
@@ -296,6 +299,8 @@ class _Engine:
         self.steps: list[ReductionStep] = []
         # candidate anchors, each keyed rule * n + vertex
         self.queue: list[int] = []
+        # the short cycle of each R10 or R11 anchor, in cycle order
+        self.cycles: dict[int, tuple[int, ...]] = {}
         # adj, alive and deg change in place and are never rebound
         self.k33plus_at = partial(_k33plus_at, self.adj, self.alive, self.deg)
         self.closed = partial(_alive_closed, self.adj, self.alive)
@@ -331,11 +336,6 @@ class _Engine:
         deg = self.deg
         alive = self.alive
         queue = self.queue
-        # R10..R12 fire only in untouched cubic components (see the module
-        # docstring): each gets an R12 key at its smallest vertex, and only
-        # their vertices are scanned for short cycles, which only ever
-        # disappear: one scan, in vertex order, walks adj faster than BFS
-        cubic = bytearray(n)
         for comp in _walk_components(adj):
             if len(comp) == 1:
                 alive[comp[0]] = 0
@@ -353,14 +353,17 @@ class _Engine:
             elif len(comp) <= BRUTE_FORCE_THRESHOLD:
                 self._solve(sorted(comp))
             elif all(deg[v] == 3 for v in comp):
-                queue.append(_R12 * n + comp[0])
-                for v in comp:
-                    cubic[v] = 1
+                # one key per untouched cubic component (see the module
+                # docstring): R10 or R11 at its first short cycle, which the
+                # lookup reads, else R12
+                cycle = _short_cycle(adj, sorted(comp))
+                if cycle is None:
+                    queue.append(_R12 * n + comp[0])
+                else:
+                    self.cycles[cycle[0]] = cycle
+                    queue.append((_R10 if len(cycle) == 3 else _R11) * n + cycle[0])
         # what is left alive makes up the components of order > 12
         self._file(compress(range(n), alive))
-        triangles, squares = _short_cycles(adj, compress(range(n), cubic))
-        queue += [_R10 * n + s for s in triangles]
-        queue += [_R11 * n + s for s in squares]
         # the side_a pair of a K33+ at u are degree-3 twins, and u is a
         # neighbor of one of their shared neighbors; a vertex left alive here
         # has all its neighbors alive, so adj is its alive neighborhood, and
@@ -392,12 +395,13 @@ class _Engine:
     def _lookup(self, rule: int, u: int) -> tuple[int, object]:
         """(class, pattern) of an alive anchor queued under ``rule``.
 
-        For FRAG and R2..R9 that is _classify.  R1, R10 and R11 anchors
-        are searched afresh, as (rule, pattern), R1's pattern being the
-        edge _k33plus_edge picks, and an R12 anchor is matched with its
-        smallest alive neighbor.  The queue order keeps their patterns
-        until their keys pop (see the module docstring), so a lost one
-        raises LedgerViolationError.
+        For FRAG and R2..R9 that is _classify.  An R1 anchor's K33+ is
+        searched afresh, its pattern being the edge _k33plus_edge picks.
+        An R10 or R11 anchor's pattern is read from the cycle setup stored:
+        its first edge for R10, its four edges in cycle order for R11.  An
+        R12 anchor is matched with its smallest alive neighbor.  The queue
+        order keeps these patterns until their keys pop (see the module
+        docstring), so a lost one raises LedgerViolationError.
         """
         if rule == _R1:
             hit = self.k33plus_at(u)
@@ -407,7 +411,11 @@ class _Engine:
         elif rule == _R12:
             return rule, ((u, next(w for w in self.adj[u] if self.alive[w])),)
         else:
-            pat = self._find_triangle(u) if rule == _R10 else self._find_c4(u)
+            cycle = self.cycles.get(u)
+            pat = None
+            if cycle and all(map(self.alive.__getitem__, cycle)):
+                edges = tuple(zip(cycle, cycle[1:] + cycle[:1]))
+                pat = edges[:1] if rule == _R10 else edges
         if pat is None:
             lost = "K33+" if rule == _R1 else "short cycle"
             raise LedgerViolationError(
@@ -473,32 +481,6 @@ class _Engine:
             if x != u and alive[x] and x in adj[v2]:
                 return _R8, ((u, v1),)
         return _R9, ((u, v1), (u, v2))
-
-    def _find_triangle(self, a: int) -> Optional[tuple[Edge]]:
-        """The edge a-b, for the smallest b completing an alive triangle
-        a-b-c, or None."""
-        adj = self.adj
-        alive = self.alive
-        nbrs = [w for w in adj[a] if alive[w]]
-        for i, b in enumerate(nbrs):
-            for c in nbrs[i + 1:]:
-                if c in adj[b]:
-                    return ((a, b),)
-        return None
-
-    def _find_c4(self, a: int) -> Optional[tuple[Edge, ...]]:
-        """The edges, in cycle order, of the alive 4-cycle (a, n1, x, n2)
-        with n1 < n2 and (n1, n2, x) smallest, or None."""
-        adj = self.adj
-        alive = self.alive
-        nbrs = [w for w in adj[a] if alive[w]]
-        for i, n1 in enumerate(nbrs):
-            for n2 in nbrs[i + 1:]:
-                # the first common neighbor in the sorted adj[n1] is the smallest
-                for x in adj[n1]:
-                    if x != a and alive[x] and x in adj[n2]:
-                        return ((a, n1), (n1, x), (x, n2), (n2, a))
-        return None
 
     # -- probes and small components --------------------------------------
 

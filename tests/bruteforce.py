@@ -82,6 +82,33 @@ def short_cycles_by_enumeration(g: Graph) -> tuple[set, set]:
     return triangles, squares
 
 
+def first_short_cycle_by_enumeration(g: Graph, roots) -> Optional[tuple]:
+    """The cycle graph._short_cycle must return, from the cycles of
+    short_cycles_by_enumeration whose smallest vertex s is one of ``roots``:
+    a triangle (s, b, c) at the first root with one, (b, c) smallest, else
+    a 4-cycle (s, n1, x, n2) at the first root with one, where n1 < n2 are
+    the neighbors of s on it and (n1, n2, x) is smallest, or None.  With
+    no triangle at s, a 4-cycle at s has no chord, so its vertex set fixes
+    it."""
+    triangles, squares = short_cycles_by_enumeration(g)
+    roots = list(roots)
+    for s in roots:
+        at = [sorted(c - {s}) for c in triangles if min(c) == s]
+        if at:
+            return (s, *min(at))
+    for s in roots:
+        at = []
+        for c in squares:
+            if min(c) == s:
+                n1, n2 = sorted(c.intersection(g.adj[s]))
+                (x,) = c - {s, n1, n2}
+                at.append((n1, n2, x))
+        if at:
+            n1, n2, x = min(at)
+            return s, n1, x, n2
+    return None
+
+
 def max_induced_matching_by_subsets(g: Graph) -> int:
     """Largest valid edge subset, checked only via verify_induced_matching."""
     m = g.m
@@ -375,10 +402,10 @@ def c4_at_by_enumeration(adj, alive, a: int):
 
 
 def short_cycle_anchors_in_cubic_components(g: Graph) -> tuple[set, set]:
-    """The R10 and R11 anchors the reduction engine's setup must file: the
-    smallest vertex of every triangle and of every 4-cycle, from
+    """The smallest vertex of every triangle and of every 4-cycle, from
     short_cycles_by_enumeration, that lies in a cubic component of order
-    > 12, found by a plain BFS."""
+    > 12, found by a plain BFS: the roots at which the reduction engine's
+    setup may file an R10 or R11 key, one per component."""
     owner = _component_of_each_vertex(g)
     triangles, squares = short_cycles_by_enumeration(g)
 
@@ -390,8 +417,9 @@ def short_cycle_anchors_in_cubic_components(g: Graph) -> tuple[set, set]:
 
 
 def r12_anchors_in_cubic_components(g: Graph) -> set:
-    """The R12 anchors the reduction engine's setup must file: the smallest
-    vertex of every cubic component of order > 12, found by a plain BFS."""
+    """The smallest vertex of every cubic component of order > 12, found by
+    a plain BFS: one per component the reduction engine's setup files a
+    key for."""
     comps = {id(comp): comp for comp in _component_of_each_vertex(g)}.values()
     return {min(comp) for comp in comps if len(comp) > 12 and _is_cubic(g, comp)}
 

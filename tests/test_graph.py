@@ -29,7 +29,7 @@ from strongmatch.graph import (
     _delete,
     _integer,
     _ring,
-    _short_cycles,
+    _short_cycle,
 )
 from strongmatch.oracle import _conflict_masks
 from strongmatch.reduction import _k33plus_at
@@ -40,6 +40,7 @@ from bruteforce import (
     girth_by_enumeration,
     is_k33plus_by_isomorphism,
     k33plus_at_by_ordered_pairs,
+    first_short_cycle_by_enumeration,
     short_cycles_by_enumeration,
 )
 from corpus import build_instance, determinism_corpus, small_corpus
@@ -265,25 +266,19 @@ def bounded_graphs(draw, max_n=24, max_degree=6):
 
 
 class TestShortCycles:
-    """_short_cycles, the pass behind girth's local step and the reduction
-    engine's R1/R10/R11 anchors, against enumerated triangles and 4-cycles."""
+    """_short_cycle, the pass behind girth's local step and the reduction
+    engine's R10/R11 cycles, against enumerated triangles and 4-cycles."""
 
     def check(self, g):
-        triangles, squares = short_cycles_by_enumeration(g)
-        tri_roots, c4_roots = _short_cycles(g.adj)
-        assert tri_roots == sorted({min(t) for t in triangles}), g
-        assert c4_roots == sorted({min(c) for c in squares}), g
-        first, _ = _short_cycles(g.adj, stop_at_triangle=True)
-        assert first == tri_roots[:1], g
-        # every other component as roots, in reverse BFS order: exactly the
-        # cycles whose smallest vertex is a root, in the order of the roots
+        every = range(g.n)
+        assert _short_cycle(g.adj, every) == first_short_cycle_by_enumeration(g, every), g
+        # every other component as roots, in reverse BFS order: the first
+        # cycle whose smallest vertex is a root, in the order of the roots
         roots = [v for comp in connected_components(g)[::2] for v in comp][::-1]
-        assert _short_cycles(g.adj, roots) == (
-            [s for s in roots if s in set(tri_roots)],
-            [s for s in roots if s in set(c4_roots)],
-        ), g
+        assert _short_cycle(g.adj, roots) == first_short_cycle_by_enumeration(g, roots), g
         gi = girth(g)
         assert gi == girth_by_bfs_from_every_root(g), g
+        triangles, squares = short_cycles_by_enumeration(g)
         assert (gi == 3) == bool(triangles), g
         assert (gi == 4) == (not triangles and bool(squares)), g
 
@@ -305,20 +300,23 @@ class TestShortCycles:
         for g in named:
             self.check(g)
         # a root with exactly two neighbors above it
-        assert _short_cycles(make_cycle(4).adj) == ([], [0])
+        assert _short_cycle(make_cycle(4).adj, range(4)) == (0, 1, 2, 3)
 
     def test_roots_argument(self):
-        # K4 (0..3), the prism (4..9) and C4 (10..13): a root that is not a
-        # cycle's smallest vertex finds nothing, and a scan of some
-        # components never reports the cycles of the others
+        # K4 (0..3), the prism (4..9, triangles 4-5-6 and 7-8-9, 4-cycles
+        # rooted at 4 and 5) and C4 (10..13): a triangle at any root comes
+        # before every 4-cycle, a root that is not a cycle's smallest vertex
+        # finds nothing, and a scan of some components never reports the
+        # cycles of the others
         k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
         g = disjoint_union(k4, make_circular_ladder(3), make_cycle(4))
-        assert _short_cycles(g.adj) == ([0, 1, 4, 7], [0, 4, 5, 10])
-        assert _short_cycles(g.adj, range(4, 14)) == ([4, 7], [4, 5, 10])
-        assert _short_cycles(g.adj, [10, 7, 4]) == ([7, 4], [10, 4])
-        assert _short_cycles(g.adj, [2, 3, 6, 8, 9, 11]) == ([], [])
-        assert _short_cycles(g.adj, []) == ([], [])
-        assert _short_cycles(g.adj, [7, 4], stop_at_triangle=True) == ([7], [])
+        assert _short_cycle(g.adj, range(14)) == (0, 1, 2)
+        assert _short_cycle(g.adj, range(4, 14)) == (4, 5, 6)
+        assert _short_cycle(g.adj, [10, 7, 4]) == (7, 8, 9)
+        assert _short_cycle(g.adj, [10, 5]) == (10, 11, 12, 13)
+        assert _short_cycle(g.adj, [5, 10]) == (5, 6, 9, 8)
+        assert _short_cycle(g.adj, [2, 3, 6, 8, 9, 11]) is None
+        assert _short_cycle(g.adj, []) is None
 
     @settings(max_examples=200, deadline=None)
     @given(bounded_graphs())

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from functools import cache
 from itertools import chain
 
@@ -32,6 +33,7 @@ from strongmatch import (
 )
 from strongmatch.cli import main
 from strongmatch.certify import _census
+from strongmatch.graph import _short_cycle
 from strongmatch.reduction import _R1, _R2, _R4, _R5, _R6, _R10, _R11, _R12, _Engine
 
 from bruteforce import (
@@ -270,8 +272,9 @@ class TestDeletionRule:
 
 
 class TestFindC4:
-    """_find_c4, the R11 pattern search, against the 4-cycles enumerated at
-    the anchor: at every vertex of the corpora, with every vertex alive and
+    """The R11 pattern, _short_cycle's 4-cycle at a root a with no triangle
+    above it, against the 4-cycles enumerated at a with the vertices below
+    a dead: at every vertex of the corpora, with every vertex alive and
     under random dead-vertex masks."""
 
     def test_matches_enumeration(self):
@@ -279,21 +282,30 @@ class TestFindC4:
         graphs = [build_instance(*e) for e in small_corpus() + determinism_corpus()]
         graphs += [k33, make_circular_ladder(4), make_petersen(), gen_k33plus()]
         found = ties = 0
-        for i, g in enumerate(graphs):
-            eng = _Engine(g)
+        for i, base in enumerate(graphs):
             rng = SplitMix64(1_097_000 + i)
-            masks = [b"\x01" * g.n]
-            masks += [bytes(rng.below(k) > 0 for _ in range(g.n)) for k in (4, 8)]
-            for mask in masks:
-                eng.alive[:] = mask
-                for a in range(g.n):
-                    want = c4_at_by_enumeration(g.adj, eng.alive, a)
-                    assert eng._find_c4(a) == want, (g.edges, mask, a)
-                    if want is not None:
-                        (_, n1), _, _, (n2, _) = want
-                        common = set(g.adj[n1]) & set(g.adj[n2])
-                        found += 1
-                        ties += sum(eng.alive[x] for x in common - {a}) > 1
+            # relabeled copies put other vertices below each cycle
+            for g in [base, *(relabeled(base, rng) for _ in range(5))]:
+                masks = [b"\x01" * g.n]
+                masks += [bytes(rng.below(k) > 0 for _ in range(g.n)) for k in (4, 8)]
+                for mask in masks:
+                    # the alive graph; alive[x] once the root passes x: x is
+                    # alive and above the root
+                    h = Graph(g.n, [(u, v) for u, v in g.edges if mask[u] and mask[v]])
+                    alive = bytearray(mask)
+                    for a in range(g.n):
+                        cycle = _short_cycle(h.adj, [a])
+                        alive[a] = 0
+                        if cycle is not None and len(cycle) == 3:
+                            continue
+                        want = c4_at_by_enumeration(h.adj, alive, a)
+                        got = cycle and tuple(zip(cycle, cycle[1:] + cycle[:1]))
+                        assert got == want, (g.edges, mask, a)
+                        if want is not None:
+                            (_, n1), _, _, (n2, _) = want
+                            common = set(h.adj[n1]) & set(h.adj[n2])
+                            found += 1
+                            ties += sum(alive[x] for x in common) > 1
         # ties: anchors whose cycle has a choice of x, so the smallest counts
         assert found > 10_000 and ties > 1_000
 
@@ -583,6 +595,26 @@ class TestLedgerCheck:
         steps = (ReductionStep("COMPONENT-BRUTE", tuple(range(10)), added, 0),)
         assert ledger_check(ReductionTrace(g, steps)) == (False, None)
 
+    def test_overstated_isolated_count(self):
+        # six claimed isolated vertices would make the count 16 = n - i,
+        # within the cap of 18, but removing 0..9 isolates none: 10..15 are
+        # still joined
+        g = make_path(16)
+        added = ((0, 1), (4, 5), (8, 9))
+        steps = (ReductionStep("COMPONENT-BRUTE", tuple(range(10)), added, 6),)
+        assert ledger_check(ReductionTrace(g, steps)) == (False, 0)
+
+    def test_matched_edge_left_alive(self):
+        # step 0 matches 1-2 but leaves 2 alive, so step 1 can match 2-3:
+        # each step is within its cap and the two consume the path, but the
+        # "matching" shares vertex 2
+        g = make_path(4)
+        steps = (
+            ReductionStep("R2", (0, 1), ((1, 2),), 0),
+            ReductionStep("R2", (2, 3), ((2, 3),), 0),
+        )
+        assert ledger_check(ReductionTrace(g, steps)) == (False, 0)
+
     @pytest.mark.parametrize(
         "removed",
         [(*range(10), *range(6)), (*range(10), *range(16, 22)), (*range(15), -1)],
@@ -853,8 +885,8 @@ def criterion_03_corpus():
 class TestSetupAnchors:
     """Setup files an R1 key at every subdivision vertex of a K33+ subgraph
     left alive once the small components are consumed, and nowhere else;
-    R10 and R11 keys only in the cubic components of order > 12; a
-    consumed component gets the oracle's own answer."""
+    one R10, R11 or R12 key per cubic component of order > 12 and none
+    elsewhere; a consumed component gets the oracle's own answer."""
 
     def test_r1_keys_match_references(self):
         anchors = 0
@@ -884,36 +916,40 @@ class TestSetupAnchors:
         assert priority_violations(g, trace) == []
 
     def test_short_cycle_keys_match_references(self):
-        tri_total = sq_total = r12_total = 0
+        # one key per cubic component of order > 12: R10 at its first
+        # triangle root, else R11 at its first 4-cycle root, else R12 at its
+        # smallest vertex, with the cycle stored for R10 and R11
+        filed = Counter()
         for g in (cubic_beside_short_cycles(), *anchor_corpus()):
             eng = _Engine(g)
             eng._setup()
             n = g.n
-            tri = [k - _R10 * n for k in eng.queue if _R10 * n <= k < _R11 * n]
-            sq = [k - _R11 * n for k in eng.queue if _R11 * n <= k < _R12 * n]
-            r12 = [k - _R12 * n for k in eng.queue if k >= _R12 * n]
-            want_tri, want_sq = short_cycle_anchors_in_cubic_components(g)
-            assert (len(set(tri)), len(set(sq))) == (len(tri), len(sq)), g
-            assert (set(tri), set(sq)) == (want_tri, want_sq), g
-            assert len(set(r12)) == len(r12), g
-            assert set(r12) == r12_anchors_in_cubic_components(g), g
-            tri_total += len(tri)
-            sq_total += len(sq)
-            r12_total += len(r12)
-        assert tri_total >= 100 and sq_total >= 100 and r12_total >= 100
+            tri, sq = short_cycle_anchors_in_cubic_components(g)
+            r12 = r12_anchors_in_cubic_components(g)
+            want = []
+            for comp in connected_components(g):
+                if comp[0] in r12:
+                    rule, s = next(
+                        ((rule, s) for rule, roots in ((_R10, tri), (_R11, sq))
+                         for s in comp if s in roots),
+                        (_R12, comp[0]),
+                    )
+                    want.append(rule * n + s)
+                    filed[rule] += 1
+            assert sorted(k for k in eng.queue if k >= _R10 * n) == sorted(want), g
+            assert set(eng.cycles) == {k % n for k in want if k < _R12 * n}, g
+        assert filed[_R10] >= 150 and filed[_R11] >= 40 and filed[_R12] >= 8
 
     def test_built_graph_files_only_the_cubic_cycles(self):
         g = cubic_beside_short_cycles()
         eng = _Engine(g)
         eng._setup()
         keys = sorted(k for k in eng.queue if k >= _R10 * g.n)
-        # the ring's diamonds start at 20, 24, 28 and 32, and the ladder's
-        # seven 4-cycles have their smallest vertices at 36..41; the two
-        # cubic components start at 20 and 36; nothing from the path of
-        # diamonds at 0..19
-        assert keys == [_R10 * g.n + v for v in (20, 21, 24, 25, 28, 29, 32, 33)] + [
-            _R11 * g.n + v for v in (20, 24, 28, 32, 36, 37, 38, 39, 40, 41)
-        ] + [_R12 * g.n + v for v in (20, 36)]
+        # the ring of diamonds at 20..35 has its first triangle at 20, and
+        # the ladder at 36..49 its first 4-cycle at 36; nothing from the
+        # path of diamonds at 0..19
+        assert keys == [_R10 * g.n + 20, _R11 * g.n + 36]
+        assert eng.cycles == {20: (20, 21, 22), 36: (36, 37, 44, 43)}
 
     def test_r12_fires_at_each_untouched_cubic_component(self):
         # the ring of diamonds at 20..35 goes first, to R10 and the oracle,
@@ -935,7 +971,13 @@ class TestSetupAnchors:
         for g in graphs:
             _, trace = find_induced_matching_subcubic(g)
             assert short_cycle_steps_outside_cubic_components(g, trace) == [], g
-            fired += sum(s.rule in ("R10", "R11", "R12") for s in trace.steps)
+            # and one step at most per input component
+            owner = {v: comp[0] for comp in connected_components(g) for v in comp}
+            short = [
+                owner[s.removed[0]] for s in trace.steps if s.rule in ("R10", "R11", "R12")
+            ]
+            assert len(short) == len(set(short)), g
+            fired += len(short)
         assert fired >= 1_000
 
     def test_components_get_the_oracle_witness(self):
@@ -1024,8 +1066,18 @@ class TestLoudFailure:
             eng._lookup(_R6, 1)
 
     def test_lost_triangle_fails_the_run(self, monkeypatch):
-        monkeypatch.setattr(_Engine, "_find_triangle", lambda self, a: None)
-        with pytest.raises(LedgerViolationError, match="R10 anchor"):
+        # the stored triangle loses a vertex before its R10 key pops
+        real = _Engine._setup
+
+        def setup_then_kill(self):
+            real(self)
+            for cycle in self.cycles.values():
+                self.alive[cycle[-1]] = 0
+
+        monkeypatch.setattr(_Engine, "_setup", setup_then_kill)
+        with pytest.raises(
+            LedgerViolationError, match="R10 anchor 0 is alive but its short cycle is gone"
+        ):
             find_induced_matching_subcubic(triangle_capped_ladder())
 
     @pytest.fixture

@@ -200,7 +200,10 @@ def ledger_check(trace) -> LedgerResult:
     edges whose ends are alive before the step and removed by it; removed
     vertices are alive vertices of the graph, each removed once; the
     isolated count is the number of vertices the removal leaves with no
-    alive neighbor; deleted count plus isolated count is at most 6 per
+    alive neighbor; no end of an added edge has an alive neighbor after
+    the step, and no two of the step's added edges share an end or are
+    joined by an edge, so the union of all steps' edges is an induced
+    matching; deleted count plus isolated count is at most 6 per
     added edge, except that as many steps as the original graph has K33+
     components may go one vertex over (a K33+ component's step, 7 vertices
     for 1 edge, which its n33plus unit pays for).  Globally: the steps
@@ -250,6 +253,13 @@ def _audit(
                         alive[w] = 0
                         iso += 1
         if iso != step.isolated_created:
+            return LedgerResult(False, idx), need
+        # the matching is induced: the step's edges share no end, and the
+        # only neighbor of a matched end that is alive or matched in this
+        # step is its partner
+        ends = {x for edge in step.added for x in edge}
+        met = [w for x in ends for w in adj[x] if alive[w] or w in ends]
+        if len(ends) != 2 * len(step.added) or len(met) != len(ends):
             return LedgerResult(False, idx), need
         over = len(step.removed) + iso - 6 * len(step.added)
         if over > 0:

@@ -60,7 +60,8 @@ neighbor v has two other alive neighbors xs, of degree at least 2, so the
 end-vertices at distance exactly 4 are those beside a vertex y that is
 beside some x and is neither v nor in xs.  R1 anchors are filed once up
 front, which is sound because vertex deletion never creates a subgraph,
-and their K33+ is searched for afresh when popped.  They are tested only
+and setup stores each one's step with the seven vertices of its K33+,
+which the lookup checks are alive when the key pops.  They are tested only
 next to twins: in a K33+ at u, the two branch vertices not adjacent to u
 have the same three neighbors, and u is adjacent to one of those
 neighbors; at setup a vertex's alive neighbors are all its neighbors, so
@@ -68,20 +69,21 @@ the twins share their adjacency tuple, and setup counts the tuples of
 every vertex.
 
 Only R1 anchors fire before the last R1 key pops, so an alive R1 anchor
-still has its K33+ then.  FRAG keys sort below R1 but re-file under
-R2..R5: setup consumes every order-2 component, and an R1 step, taken on
-a component of order > 12, lowers only its subdivision vertex's degree,
-so it creates none.  It deletes only branch vertices, which have all
-their neighbors inside their K33+.  K33+ is 2-connected, so a K33+ that
-meets another is the other (two sharing a subdivision vertex share a
-branch vertex), and the step leaves every other K33+ whole.  It leaves
-alive the third neighbor t of each other K33+'s subdivision vertex s too:
-as the input component has order > 12, t lies outside that K33+, and a
-K33+ with t as a branch vertex would hold s and so be that one.  So while
-R1 keys are left, a component holding a K33+ has order >= 8; once they
-are gone no K33+ subgraph is alive, as each anchor fired or popped dead,
-and deletion creates none.  No step after setup meets a K33+ component,
-and setup alone tests for one.
+still has its stored K33+ then, the one _k33plus_at would find afresh
+(its branch vertices keep all their neighbors).  FRAG keys sort below R1
+but re-file under R2..R5: setup consumes every order-2 component, and an
+R1 step, taken on a component of order > 12, lowers only its subdivision
+vertex's degree, so it creates none.  It deletes only branch vertices,
+which have all their neighbors inside their K33+.  K33+ is 2-connected,
+so a K33+ that meets another is the other (two sharing a subdivision
+vertex share a branch vertex), and the step leaves every other K33+
+whole.  It leaves alive the third neighbor t of each other K33+'s
+subdivision vertex s too: as the input component has order > 12, t lies
+outside that K33+, and a K33+ with t as a branch vertex would hold s and
+so be that one.  So while R1 keys are left, a component holding a K33+
+has order >= 8; once they are gone no K33+ subgraph is alive, as each
+anchor fired or popped dead, and deletion creates none.  No step after
+setup meets a K33+ component, and setup alone tests for one.
 
 R10, R11 and R12 act only on cubic components.  Their keys pop only once
 no key below R10 is left, and then no alive vertex has degree 1 or 2: it
@@ -98,11 +100,13 @@ takes one R10, R11 or R12 step, and setup files one key for it: R10 at
 its first triangle, else R11 at its first 4-cycle, from graph._short_cycle
 (the pass girth also runs) over its vertices in order, else R12 at its
 smallest vertex.  That is the earliest of the three rules that applies to
-the component.  A cycle is filed at its smallest vertex and stored for
-the lookup, which reads the rule's options from it.  As the component is
-untouched when its key pops, the stored cycle is whole, and an R12
-anchor's component has girth >= 5.  An untouched component keeps its
-key, so no vertex is alive once the queue is empty; run checks that.
+the component.  A cycle is filed at its smallest vertex.  Setup stores
+the step with the cycle, its first edge for R10 and its four edges in
+cycle order for R11, or R12's edge to its anchor's smallest neighbor
+with that edge; the lookup checks their vertices are alive.  As the
+component is untouched when its key pops, they are, and an R12 anchor's
+component has girth >= 5.  An untouched component keeps its key, so no
+vertex is alive once the queue is empty; run checks that.
 
 The queue never goes back to an earlier rule.  Call a vertex filed when it
 has a queue entry under a rule no later than its class.  A component the
@@ -299,8 +303,9 @@ class _Engine:
         self.steps: list[ReductionStep] = []
         # candidate anchors, each keyed rule * n + vertex
         self.queue: list[int] = []
-        # the short cycle of each R10 or R11 anchor, in cycle order
-        self.cycles: dict[int, tuple[int, ...]] = {}
+        # the step setup found at each R1, R10, R11 or R12 key: its options
+        # and the vertices they need alive
+        self.stored: dict[int, tuple[tuple, tuple[int, ...]]] = {}
         # adj, alive and deg change in place and are never rebound
         self.k33plus_at = partial(_k33plus_at, self.adj, self.alive, self.deg)
         self.closed = partial(_alive_closed, self.adj, self.alive)
@@ -353,15 +358,14 @@ class _Engine:
             elif len(comp) <= BRUTE_FORCE_THRESHOLD:
                 self._solve(sorted(comp))
             elif all(deg[v] == 3 for v in comp):
-                # one key per untouched cubic component (see the module
-                # docstring): R10 or R11 at its first short cycle, which the
-                # lookup reads, else R12
-                cycle = _short_cycle(adj, sorted(comp))
-                if cycle is None:
-                    queue.append(_R12 * n + comp[0])
-                else:
-                    self.cycles[cycle[0]] = cycle
-                    queue.append((_R10 if len(cycle) == 3 else _R11) * n + cycle[0])
+                # one step per untouched cubic component (see the module
+                # docstring): R10 at its first triangle, else R11 at its first
+                # 4-cycle, else R12 at its smallest edge, a walk of two
+                walk = _short_cycle(adj, sorted(comp)) or (comp[0], adj[comp[0]][0])
+                rule = (_R12, _R10, _R11)[len(walk) - 2]
+                edges = tuple(zip(walk, walk[1:] + walk[:1]))
+                options = edges if rule == _R11 else edges[:1]
+                self.stored[rule * n + walk[0]] = (options, walk)
         # what is left alive makes up the components of order > 12
         self._file(compress(range(n), alive))
         # the side_a pair of a K33+ at u are degree-3 twins, and u is a
@@ -377,7 +381,12 @@ class _Engine:
             for x in nbrs
             for w in adj[x]
         }
-        queue += [_R1 * n + v for v in near if self.k33plus_at(v) is not None]
+        for v in near:
+            if hit := self.k33plus_at(v):
+                a1, b1, side_a, side_b = hit
+                edge = _k33plus_edge(side_a, side_b)
+                self.stored[_R1 * n + v] = ((edge,), (v, a1, b1, *side_a, *side_b))
+        queue += self.stored
         heapify(queue)
 
     # -- candidate classification -----------------------------------------
@@ -395,33 +404,19 @@ class _Engine:
     def _lookup(self, rule: int, u: int) -> tuple[int, object]:
         """(class, pattern) of an alive anchor queued under ``rule``.
 
-        For FRAG and R2..R9 that is _classify.  An R1 anchor's K33+ is
-        searched afresh, its pattern being the edge _k33plus_edge picks.
-        An R10 or R11 anchor's pattern is read from the cycle setup stored:
-        its first edge for R10, its four edges in cycle order for R11.  An
-        R12 anchor is matched with its smallest alive neighbor.  The queue
-        order keeps these patterns until their keys pop (see the module
-        docstring), so a lost one raises LedgerViolationError.
+        For FRAG and R2..R9 that is _classify.  An R1, R10, R11 or R12
+        anchor's pattern is the one setup stored at its key, once every
+        vertex stored with it is checked alive.  The queue order keeps those
+        vertices until the key pops (see the module docstring), so a missing
+        or broken entry raises LedgerViolationError.
         """
-        if rule == _R1:
-            hit = self.k33plus_at(u)
-            pat = hit and (_k33plus_edge(hit[2], hit[3]),)
-        elif rule < _R10:
+        if rule != _R1 and rule < _R10:
             return self._classify(rule, u)
-        elif rule == _R12:
-            return rule, ((u, next(w for w in self.adj[u] if self.alive[w])),)
-        else:
-            cycle = self.cycles.get(u)
-            pat = None
-            if cycle and all(map(self.alive.__getitem__, cycle)):
-                edges = tuple(zip(cycle, cycle[1:] + cycle[:1]))
-                pat = edges[:1] if rule == _R10 else edges
-        if pat is None:
-            lost = "K33+" if rule == _R1 else "short cycle"
-            raise LedgerViolationError(
-                f"R{rule} anchor {u} is alive but its {lost} is gone"
-            )
-        return rule, pat
+        entry = self.stored.get(rule * self.n + u)
+        if entry is None or not all(map(self.alive.__getitem__, entry[1])):
+            lost = "K33+" if rule == _R1 else "edge" if rule == _R12 else "short cycle"
+            raise LedgerViolationError(f"R{rule} anchor {u} is alive but its {lost} is gone")
+        return rule, entry[0]
 
     def _classify(self, rule: int, u: int) -> tuple[int, object]:
         """Current (rule, pattern) of an alive anchor of degree at most 2,

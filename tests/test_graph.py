@@ -2,7 +2,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strongmatch import (
@@ -320,6 +320,8 @@ class TestShortCycles:
 
     @settings(max_examples=200, deadline=None)
     @given(bounded_graphs())
+    # a 4-cycle tie: the first root, 0, has two common neighbors of (1, 2)
+    @example(Graph(5, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)]))
     def test_random_graphs(self, g):
         self.check(g)
 

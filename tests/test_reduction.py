@@ -588,10 +588,10 @@ class TestLedgerCheck:
         assert ledger_check(ReductionTrace(g, (eight, *edges[1:]))) == (False, 0)
 
     def test_trace_leaving_vertices_unconsumed(self):
-        # each step is within its cap and the 3 edges meet ceil(16/6) = 3,
-        # but 10..15 are neither removed nor isolated
+        # each step is within its cap, its edges are induced and the 3 edges
+        # meet ceil(16/6) = 3, but 10..15 are neither removed nor isolated
         g = make_path(16)
-        added = ((0, 1), (4, 5), (8, 9))
+        added = ((0, 1), (4, 5), (7, 8))
         steps = (ReductionStep("COMPONENT-BRUTE", tuple(range(10)), added, 0),)
         assert ledger_check(ReductionTrace(g, steps)) == (False, None)
 
@@ -629,9 +629,10 @@ class TestLedgerCheck:
         assert ledger_check(ReductionTrace(g, steps)) == (False, 0)
 
     def test_duplicate_removed_vertex(self):
+        # step 0 removes the closed neighborhoods of 0 and 1
         g = make_cycle(12)
         steps = (
-            ReductionStep("R6", (0, 1, 2), ((0, 1),), 0),
+            ReductionStep("R6", (0, 1, 2, 11), ((0, 1),), 0),
             ReductionStep("R6", (2, 3, 4), ((3, 4),), 0),
         )
         assert ledger_check(ReductionTrace(g, steps)) == (False, 1)
@@ -644,7 +645,7 @@ class TestLedgerCheck:
     def test_added_edge_touches_removed_vertex(self):
         g = make_cycle(12)
         steps = (
-            ReductionStep("R6", (0, 1, 2), ((0, 1),), 0),
+            ReductionStep("R6", (0, 1, 2, 11), ((0, 1),), 0),
             ReductionStep("R6", (3, 4, 5), ((2, 3),), 0),
         )
         assert ledger_check(ReductionTrace(g, steps)) == (False, 1)
@@ -652,10 +653,43 @@ class TestLedgerCheck:
     def test_global_shortfall(self):
         g = make_cycle(20)  # bound is ceil(20/6) = 4
         steps = (
-            ReductionStep("R6", (0, 1, 2), ((0, 1),), 0),
-            ReductionStep("R6", (5, 6, 7), ((5, 6),), 0),
+            ReductionStep("R6", (0, 1, 2, 19), ((0, 1),), 0),
+            # removing 4..7 isolates 3
+            ReductionStep("R6", (4, 5, 6, 7), ((5, 6),), 1),
         )
         assert ledger_check(ReductionTrace(g, steps)) == (False, None)
+
+    @pytest.mark.parametrize(
+        "g,steps",
+        [
+            (make_path(6), [((0, 1), ((0, 1),)), ((2, 3), ((2, 3),)), ((4, 5), ((4, 5),))]),
+            (make_path(4), [((0, 1, 2, 3), ((0, 1), (2, 3)))]),
+            (make_path(5), [((0, 1, 2, 3, 4), ((0, 1), (1, 2)))]),
+        ],
+        ids=["joined-across-steps", "joined-in-one-step", "shared-end"],
+    )
+    def test_matching_not_induced(self, g, steps):
+        # each trace consumes its path within the cap, but its edges are not
+        # an induced matching: 1-2 joins 0-1 and 2-3, and 0-1, 1-2 share 1
+        trace = ReductionTrace(g, tuple(ReductionStep("R2", *s, 0) for s in steps))
+        assert ledger_check(trace) == (False, 0)
+
+    def test_engine_deleting_only_matched_ends_fails_the_audit(self, monkeypatch):
+        # rule steps that delete only their matched ends pass the engine's
+        # 6-per-edge guard, and the run completes; the audit fails each trace
+        # at its first rule step, whose matched ends keep alive neighbors
+        monkeypatch.setattr(
+            strongmatch.reduction, "_alive_closed", lambda adj, alive, vertices: set(vertices)
+        )
+        for s in range(100):
+            if s % 2:
+                g = gen_random_subcubic(60 + s, 80 + s, 9_100_000 + s)
+            else:
+                g = gen_random_cubic(40 + 2 * (s % 20), 9_200_000 + s)
+            matching, trace = find_induced_matching_subcubic(g)
+            assert verify_induced_matching(g, matching) is not None, s
+            first = next(i for i, step in enumerate(trace.steps) if step.rule.startswith("R"))
+            assert ledger_check(trace) == (False, first), s
 
     def test_k33plus_component_cancels_bound(self):
         g = gen_k33plus()
@@ -937,7 +971,7 @@ class TestSetupAnchors:
                     want.append(rule * n + s)
                     filed[rule] += 1
             assert sorted(k for k in eng.queue if k >= _R10 * n) == sorted(want), g
-            assert set(eng.cycles) == {k % n for k in want if k < _R12 * n}, g
+            assert sorted(k for k in eng.stored if k >= _R10 * n) == sorted(want), g
         assert filed[_R10] >= 150 and filed[_R11] >= 40 and filed[_R12] >= 8
 
     def test_built_graph_files_only_the_cubic_cycles(self):
@@ -949,7 +983,10 @@ class TestSetupAnchors:
         # the ladder at 36..49 its first 4-cycle at 36; nothing from the
         # path of diamonds at 0..19
         assert keys == [_R10 * g.n + 20, _R11 * g.n + 36]
-        assert eng.cycles == {20: (20, 21, 22), 36: (36, 37, 44, 43)}
+        assert eng.stored == {
+            keys[0]: (((20, 21),), (20, 21, 22)),
+            keys[1]: (((36, 37), (37, 44), (44, 43), (43, 36)), (36, 37, 44, 43)),
+        }
 
     def test_r12_fires_at_each_untouched_cubic_component(self):
         # the ring of diamonds at 20..35 goes first, to R10 and the oracle,
@@ -1065,20 +1102,35 @@ class TestLoudFailure:
         ):
             eng._lookup(_R6, 1)
 
-    def test_lost_triangle_fails_the_run(self, monkeypatch):
-        # the stored triangle loses a vertex before its R10 key pops
+    @pytest.fixture
+    def lose_stored_vertex(self, monkeypatch):
+        # every stored step loses the last of its vertices before its key pops
         real = _Engine._setup
 
         def setup_then_kill(self):
             real(self)
-            for cycle in self.cycles.values():
-                self.alive[cycle[-1]] = 0
+            for _, whole in self.stored.values():
+                self.alive[whole[-1]] = 0
 
         monkeypatch.setattr(_Engine, "_setup", setup_then_kill)
+
+    def test_lost_triangle_fails_the_run(self, lose_stored_vertex):
         with pytest.raises(
             LedgerViolationError, match="R10 anchor 0 is alive but its short cycle is gone"
         ):
             find_induced_matching_subcubic(triangle_capped_ladder())
+
+    def test_lost_k33plus_fails_the_run(self, lose_stored_vertex):
+        with pytest.raises(
+            LedgerViolationError, match=r"R1 anchor 6 is alive but its K33\+ is gone"
+        ):
+            find_induced_matching_subcubic(gen_extremal_cubic())
+
+    def test_lost_r12_edge_fails_the_run(self, lose_stored_vertex):
+        with pytest.raises(
+            LedgerViolationError, match="R12 anchor 0 is alive but its edge is gone"
+        ):
+            find_induced_matching_subcubic(make_dodecahedron())
 
     @pytest.fixture
     def broken_oracle(self, monkeypatch):

@@ -18,8 +18,8 @@ solved exactly by the oracle (COMPONENT-BRUTE), and larger components go
 through rules R1..R12 in fixed priority.  Every rule step matches one or
 two edges and deletes the alive closed neighborhoods of their endpoints:
 
-  R1   a K33+ subgraph, found by _k33plus_at, the test COMPONENT-K33PLUS
-       also uses (the census in certify.py has its own): match the edge
+  R1   a K33+ subgraph, found by _k33plus_at on the input graph, the test
+       COMPONENT-K33PLUS also uses (certify.py has its own): match the edge
        joining the two branch vertex pairs not adjacent to the degree-2
        subdivision vertex; the closed neighborhoods of its ends are the
        six branch vertices, and the subdivision vertex survives
@@ -63,14 +63,16 @@ front, which is sound because vertex deletion never creates a subgraph,
 and setup stores each one's step with the seven vertices of its K33+,
 which the lookup checks are alive when the key pops.  They are tested only
 next to twins: in a K33+ at u, the two branch vertices not adjacent to u
-have the same three neighbors, and u is adjacent to one of those
-neighbors; at setup a vertex's alive neighbors are all its neighbors, so
-the twins share their adjacency tuple, and setup counts the tuples of
-every vertex.
+share their adjacency tuple, and u is adjacent to one of their three
+neighbors; setup counts the tuples of every vertex.  _k33plus_at reads
+the input graph, which is exact at both of setup's calls: each vertex it
+reads lies in u's component, which no step has touched yet, as a 7-vertex
+component is tested before any of it is consumed and the twin scan reads
+only components of order > 12, which setup leaves whole.
 
 Only R1 anchors fire before the last R1 key pops, so an alive R1 anchor
-still has its stored K33+ then, the one _k33plus_at would find afresh
-(its branch vertices keep all their neighbors).  FRAG keys sort below R1
+still has its stored K33+ then, whose branch vertices keep all their
+neighbors.  FRAG keys sort below R1
 but re-file under R2..R5: setup consumes every order-2 component, and an
 R1 step, taken on a component of order > 12, lowers only its subdivision
 vertex's degree, so it creates none.  It deletes only branch vertices,
@@ -253,44 +255,37 @@ def _edges_text(edges) -> str:
     return ",".join(f"{u}-{v}" for u, v in edges)
 
 
-def _k33plus_at(adj, alive, deg, u: int):
-    """K33+ subgraph with subdivision vertex u in the alive graph.
+def _k33plus_at(adj, u: int):
+    """The R1 step at a K33+ subgraph of the input graph with subdivision
+    vertex u: ((edge,), seven), or None when there is none.
 
-    ``alive[v]`` and ``deg[v]`` are v's alive flag and alive degree.
-    Returns (a1, b1, side_a, side_b) or None.  In a subcubic graph the six
-    branch vertices have no edges outside the subgraph, so checking exact
-    alive neighborhoods is a complete test.  Each unordered pair a1 < b1 of
-    u's alive degree-3 neighbors is tried once, in adjacency order; a hit
-    on (a1, b1) is one on (b1, a1) with the sides swapped, so the first hit
-    is the first ordered pair in adjacency order.  The sides are taken from
-    the sorted adjacency, so they come out sorted.
+    Its edge, the smallest between the two side pairs (the branch vertices
+    not adjacent to u), joins their first vertices, whose closed
+    neighborhoods are the six branch vertices; seven is (u, a1, b1,
+    *side_a, *side_b).  In a subcubic graph the six branch vertices have no
+    edges outside the subgraph, so checking exact neighborhoods is a
+    complete test.  Each unordered pair a1 < b1 of u's degree-3 neighbors
+    is tried once, in adjacency order; a hit on (a1, b1) is one on (b1, a1)
+    with the sides swapped, so the first hit is the first ordered pair in
+    adjacency order.  The sides are taken from the sorted adjacency, so
+    they come out sorted.
     """
-    if deg[u] < 2:
-        return None
-    nbrs_u = [w for w in adj[u] if alive[w] and deg[w] == 3]
+    nbrs_u = [w for w in adj[u] if len(adj[w]) == 3]
     for i, a1 in enumerate(nbrs_u):
-        side_b = [w for w in adj[a1] if alive[w] and w != u]
+        side_b = [w for w in adj[a1] if w != u]
         for b1 in nbrs_u[i + 1:]:
-            side_a = [w for w in adj[b1] if alive[w] and w != u]
+            side_a = [w for w in adj[b1] if w != u]
             if len({u, a1, b1, *side_a, *side_b}) != 7:
                 continue
             # sorted adj: true iff each side vertex sees exactly the other side
             b_all = sorted((b1, *side_b))
             a_all = sorted((a1, *side_a))
             if (
-                [w for a in side_a for w in adj[a] if alive[w]] == b_all * 2
-                and [w for b in side_b for w in adj[b] if alive[w]] == a_all * 2
+                [w for a in side_a for w in adj[a]] == b_all * 2
+                and [w for b in side_b for w in adj[b]] == a_all * 2
             ):
-                return a1, b1, side_a, side_b
+                return (normalize_edge(side_a[0], side_b[0]),), (u, a1, b1, *side_a, *side_b)
     return None
-
-
-def _k33plus_edge(side_a: list[int], side_b: list[int]) -> Edge:
-    """The edge a K33+ step matches: the smallest between the two side pairs
-    (the branch vertices not adjacent to the subdivision vertex).  The
-    sides are disjoint and sorted, so it joins their first vertices, whose
-    alive closed neighborhoods _k33plus_at makes the six branch vertices."""
-    return normalize_edge(side_a[0], side_b[0])
 
 
 class _Engine:
@@ -306,8 +301,7 @@ class _Engine:
         # the step setup found at each R1, R10, R11 or R12 key: its options
         # and the vertices they need alive
         self.stored: dict[int, tuple[tuple, tuple[int, ...]]] = {}
-        # adj, alive and deg change in place and are never rebound
-        self.k33plus_at = partial(_k33plus_at, self.adj, self.alive, self.deg)
+        # adj and alive change in place and are never rebound
         self.closed = partial(_alive_closed, self.adj, self.alive)
 
     # -- setup ------------------------------------------------------------
@@ -347,13 +341,12 @@ class _Engine:
             elif len(comp) == 7 and (
                 # a K33+ subgraph on 7 vertices of a subcubic graph is the
                 # whole component, so testing at its degree-2 vertex is exact
-                pat := self.k33plus_at(min(comp, key=deg.__getitem__))
+                hit := _k33plus_at(adj, min(comp, key=deg.__getitem__))
             ):
                 for v in comp:
                     alive[v] = 0
-                edge = _k33plus_edge(pat[2], pat[3])
                 self.steps.append(
-                    ReductionStep("COMPONENT-K33PLUS", tuple(sorted(comp)), (edge,), 0)
+                    ReductionStep("COMPONENT-K33PLUS", tuple(sorted(comp)), hit[0], 0)
                 )
             elif len(comp) <= BRUTE_FORCE_THRESHOLD:
                 self._solve(sorted(comp))
@@ -369,9 +362,8 @@ class _Engine:
         # what is left alive makes up the components of order > 12
         self._file(compress(range(n), alive))
         # the side_a pair of a K33+ at u are degree-3 twins, and u is a
-        # neighbor of one of their shared neighbors; a vertex left alive here
-        # has all its neighbors alive, so adj is its alive neighborhood, and
-        # twins lie in one component, alive or consumed
+        # neighbor of one of their shared neighbors; twins lie in one
+        # component, alive and untouched or consumed
         tuples = Counter(adj)
         repeated = compress(tuples, map((1).__lt__, tuples.values()))
         near = {
@@ -382,10 +374,8 @@ class _Engine:
             for w in adj[x]
         }
         for v in near:
-            if hit := self.k33plus_at(v):
-                a1, b1, side_a, side_b = hit
-                edge = _k33plus_edge(side_a, side_b)
-                self.stored[_R1 * n + v] = ((edge,), (v, a1, b1, *side_a, *side_b))
+            if hit := _k33plus_at(adj, v):
+                self.stored[_R1 * n + v] = hit
         queue += self.stored
         heapify(queue)
 

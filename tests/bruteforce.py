@@ -341,28 +341,23 @@ def r1_anchors_by_c4_scan(g: Graph) -> set:
     big = _in_large_component(g)
     _, squares = short_cycles_by_enumeration(g)
     near = {v for x in set().union(*squares) for v in g.adj[x] if big[v]}
-    alive = bytearray(big)
-    deg = g.degrees()
-    return {v for v in near if _k33plus_at(g.adj, alive, deg, v) is not None}
+    return {v for v in near if _k33plus_at(g.adj, v) is not None}
 
 
-def k33plus_at_by_ordered_pairs(adj, alive, deg, u: int):
+def k33plus_at_by_ordered_pairs(adj, u: int):
     """reduction._k33plus_at as it first stood: every ordered pair (a1, b1) of
-    u's alive neighbors, each side re-sorted and checked vertex by vertex.
+    u's neighbors, each side re-sorted and checked vertex by vertex.
     Returns (a1, b1, side_a, side_b) for the first hit, or None."""
-    if deg[u] < 2:
-        return None
-    nbrs_u = [w for w in adj[u] if alive[w]]
-    for a1 in nbrs_u:
-        if deg[a1] != 3:
+    for a1 in adj[u]:
+        if len(adj[a1]) != 3:
             continue
-        for b1 in nbrs_u:
-            if b1 == a1 or deg[b1] != 3 or b1 in adj[a1]:
+        for b1 in adj[u]:
+            if b1 == a1 or len(adj[b1]) != 3 or b1 in adj[a1]:
                 continue
-            side_b = [w for w in adj[a1] if alive[w] and w != u]
+            side_b = [w for w in adj[a1] if w != u]
             if len(side_b) != 2:
                 continue
-            side_a = [w for w in adj[b1] if alive[w] and w != u]
+            side_a = [w for w in adj[b1] if w != u]
             if len(side_a) != 2:
                 continue
             six = {a1, b1, *side_a, *side_b}
@@ -372,12 +367,12 @@ def k33plus_at_by_ordered_pairs(adj, alive, deg, u: int):
             a_all = sorted((a1, *side_a))
             ok = True
             for a in side_a:
-                if sorted(w for w in adj[a] if alive[w]) != b_all:
+                if sorted(adj[a]) != b_all:
                     ok = False
                     break
             if ok:
                 for b in side_b:
-                    if sorted(w for w in adj[b] if alive[w]) != a_all:
+                    if sorted(adj[b]) != a_all:
                         ok = False
                         break
             if ok:

@@ -54,6 +54,7 @@ from util import (
     make_path,
     make_petersen,
     make_star,
+    with_k33plus_blocks,
 )
 
 
@@ -327,17 +328,13 @@ class TestShortCycles:
 
 
 def k33plus_component(g: Graph, component) -> bool:
-    """_k33plus_at at the least-degree vertex of a 7-vertex component, with
-    the component as the alive graph; False for any other order."""
+    """_k33plus_at at the least-degree vertex of a 7-vertex component;
+    False for any other order."""
     comp = sorted(component)
     if len(comp) != 7:
         return False
-    alive = bytearray(g.n)
-    for v in comp:
-        alive[v] = 1
-    deg = [sum(alive[w] for w in g.adj[v]) for v in range(g.n)]
-    u = min(comp, key=deg.__getitem__)
-    return _k33plus_at(g.adj, alive, deg, u) is not None
+    u = min(comp, key=lambda v: len(g.adj[v]))
+    return _k33plus_at(g.adj, u) is not None
 
 
 class TestK33Plus:
@@ -358,19 +355,12 @@ class TestK33Plus:
         g = make_cycle(6)
         assert not k33plus_component(g, range(6))
 
-    def test_alive_flags_bound_the_search(self):
+    def test_step_at_the_subdivision_vertex(self):
         # the subdivision vertex 6 also carries a tail, which the test at 6
-        # ignores; a dead branch vertex or neighbor of 6 leaves no K33+
+        # ignores; the step matches 1-4 and holds the seven K33+ vertices
         g = make_k33plus_with_tail()
-        alive = bytearray(b"\x01" * g.n)
-        deg = g.degrees()
-        assert _k33plus_at(g.adj, alive, deg, 6) == (0, 3, [1, 2], [4, 5])
-        for v in range(6):
-            dead = bytearray(alive)
-            dead[v] = 0
-            lowered = [sum(dead[w] for w in g.adj[x]) for x in range(g.n)]
-            assert _k33plus_at(g.adj, dead, lowered, 6) is None, v
-        assert _k33plus_at(g.adj, alive, deg, 7) is None
+        assert _k33plus_at(g.adj, 6) == (((1, 4),), (6, 0, 3, 1, 2, 4, 5))
+        assert _k33plus_at(g.adj, 7) is None
 
     def test_right_degrees_wrong_structure(self):
         # 7 vertices, degree multiset {3^6, 2}, but not K33+: a prism plus
@@ -426,22 +416,18 @@ class TestK33Plus:
         assert checked > 1000 and found > 30
 
 
-def k33plus_hits_agree(g: Graph, seed: int) -> int:
-    """_k33plus_at equals k33plus_at_by_ordered_pairs at every vertex of g,
-    with every vertex alive and under three random dead-vertex masks, the
-    alive degrees recomputed each time; returns the number of hits."""
-    rng = SplitMix64(seed)
-    masks = [bytearray(b"\x01" * g.n)]
-    masks += [bytearray(rng.below(k) > 0 for _ in range(g.n)) for k in (4, 8, 16)]
+def k33plus_hits_agree(g: Graph) -> int:
+    """_k33plus_at at every vertex u of g equals the step built from
+    k33plus_at_by_ordered_pairs's hit at u; returns the number of hits."""
     hits = 0
-    for alive in masks:
-        deg = [sum(alive[w] for w in g.adj[v]) for v in range(g.n)]
-        for u in range(g.n):
-            got = _k33plus_at(g.adj, alive, deg, u)
-            assert got == k33plus_at_by_ordered_pairs(g.adj, alive, deg, u), (
-                g.edges, bytes(alive), u,
-            )
-            hits += got is not None
+    for u in range(g.n):
+        hit = k33plus_at_by_ordered_pairs(g.adj, u)
+        if hit is not None:
+            a1, b1, side_a, side_b = hit
+            edge = normalize_edge(side_a[0], side_b[0])
+            hit = (edge,), (u, a1, b1, *side_a, *side_b)
+        assert _k33plus_at(g.adj, u) == hit, (g.edges, u)
+        hits += hit is not None
     return hits
 
 
@@ -469,13 +455,19 @@ class TestK33PlusMatchesOrderedPairs:
             for extra in [[]] + [[e] for e in absent]:
                 edges = list(k33.edges) + extra
                 graphs.append(Graph(7, [(perm[u], perm[v]) for u, v in edges]))
-        hits = sum(k33plus_hits_agree(g, 1_095_000 + i) for i, g in enumerate(graphs))
+        # K33+ blocks hung on random subcubic graphs, whose subdivision
+        # vertices have a third neighbor
+        graphs += [
+            with_k33plus_blocks(gen_random_subcubic(30 + s, 40 + s, 1_097_000 + s), 2, s)
+            for s in range(12)
+        ]
+        hits = sum(map(k33plus_hits_agree, graphs))
         assert hits > 40
 
     @settings(max_examples=200, deadline=None)
-    @given(bounded_graphs(max_degree=3), st.integers(0, 2**32))
-    def test_random_subcubic_graphs(self, g, seed):
-        k33plus_hits_agree(g, seed)
+    @given(bounded_graphs(max_degree=3))
+    def test_random_subcubic_graphs(self, g):
+        k33plus_hits_agree(g)
 
 
 class TestCountInvariants:
